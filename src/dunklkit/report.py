@@ -8,6 +8,7 @@ so two runs with the same configuration and seed produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -38,7 +39,9 @@ class VerificationReport:
     elapsed_ms: float = 0.0
 
     def add(self, check_id: str, anchor: str, residual: float, tol: float) -> CheckRecord:
-        rec = CheckRecord(check_id, anchor, float(residual), float(tol), bool(residual <= tol))
+        """Record a check; it passes when its residual is finite and at most tol."""
+        residual, tol = float(residual), float(tol)
+        rec = CheckRecord(check_id, anchor, residual, tol, math.isfinite(residual) and residual <= tol)
         self.checks.append(rec)
         return rec
 

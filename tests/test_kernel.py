@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklkit.cli import parse_preset
 from dunklkit.errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.kernel import (
     KernelConfig,
@@ -134,3 +135,172 @@ def test_real_argument_positive(x, y, gamma):
     val = kernel_1d(gamma, x, y)
     assert np.real(val) > 0.0
     assert abs(np.imag(val)) < 1e-13
+
+
+# -- accuracy against an independent high-precision reference ---------------
+
+_ALPHAS = [0.0, 0.5, 11 / 6, 2.5]
+# (0, 30], with extra points on both sides of the series radius |u| = 12
+_U = np.concatenate([np.linspace(0.05, 30.0, 240), [11.95, 11.999, 12.0, 12.001, 12.05]])
+
+
+def _reference(alpha, u, imaginary):
+    """j_alpha(u) or j_alpha(iu) at 40 digits, from mpmath's J and I."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        bessel = mpmath.besseli if imaginary else mpmath.besselj
+        a, x = mpmath.mpf(alpha), mpmath.mpf(float(u))
+        return float(mpmath.gamma(a + 1) * bessel(a, x) / (x / 2) ** a)
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_bessel_real_argument_matches_mpmath(alpha):
+    got = bessel_j_normalized(alpha, _U)
+    ref = np.array([_reference(alpha, u, False) for u in _U])
+    assert np.max(np.abs(got.imag)) == 0.0
+    # the series near |u| = 12 cancels terms of size ~1e4: about 6e-13 at alpha = 0
+    assert np.max(np.abs(got.real - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_bessel_imaginary_argument_matches_mpmath(alpha):
+    got = bessel_j_normalized(alpha, 1j * _U)
+    ref = np.array([_reference(alpha, u, True) for u in _U])
+    assert np.max(np.abs(got.imag)) == 0.0
+    assert np.max(np.abs(got.real - ref) / ref) <= 5e-15
+
+
+def test_bessel_batch_matches_single_points():
+    u = np.concatenate([_U, -_U, 1j * _U, 3.0 + 4.0j * np.linspace(0.1, 2.0, 5)])
+    batch = bessel_j_normalized(1.5, u)
+    single = np.array([bessel_j_normalized(1.5, complex(v)) for v in u])
+    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=1e-17)
+
+
+# -- the batched kernel ------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", ["z2:7/3", "z2xz2:1,2"])
+def test_kernel_value_batch_matches_points(preset):
+    rs = parse_preset(preset)
+    d = rs.dimension
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-5, 5, (40, d))
+    y = rng.uniform(-5, 5, (40, d))
+    for a, b in [(x, y), (1j * x, y), (x, 1j * y)]:
+        batch = kernel_value(rs, a, b)
+        assert batch.shape == (40,)
+        # one point: a (d,) vector, or a scalar on the line
+        rows = (lambda arr: arr) if d > 1 else (lambda arr: arr[:, 0])
+        single = [kernel_value(rs, p, q) for p, q in zip(rows(a), rows(b))]
+        assert all(type(v) is complex for v in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-15, atol=1e-17)
+    if d == 1:
+        # on the line an (m,) array is a batch, as is (m, 1)
+        np.testing.assert_array_equal(kernel_value(rs, x[:, 0], y[:, 0]), kernel_value(rs, x, y))
+
+
+def test_kernel_value_broadcasts_points(rs_product):
+    x = np.linspace(-2.0, 2.0, 7)[:, None] * np.ones(2)
+    z = np.array([0.4, -1.3])
+    np.testing.assert_array_equal(kernel_value(rs_product, x, z), kernel_value(rs_product, x, np.tile(z, (7, 1))))
+
+
+def test_kernel_value_dimension_mismatch(rs_product):
+    with pytest.raises(InvalidArgumentError):
+        kernel_value(rs_product, np.ones((4, 3)), np.ones((4, 3)))
+
+
+def test_kernel_value_series_fallback_batches_rows(rs_product, monkeypatch):
+    # without a product profile the kernel is the moment series, row by row
+    x = np.array([[0.3, -0.5], [0.9, 0.2]])
+    z = np.array([[0.7, 0.1], [-0.4, 0.6]])
+    monkeypatch.setattr(type(rs_product), "axis_profile", lambda self: None)
+    got = kernel_value(rs_product, x, z)
+    np.testing.assert_array_equal(got, [kernel_series(rs_product, a, b) for a, b in zip(x, z)])
+
+
+# -- overflow ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma, sign", [(0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (7 / 3, 1.0), (7 / 3, -1.0)])
+def test_kernel_overflow_raises(gamma, sign):
+    # at |xy| = 900 the Bessel terms overflow: inf for xy > 0 and inf - inf = nan for
+    # xy < 0 (exp(-900) at gamma = 0 merely underflows to 0)
+    with pytest.raises(AccuracyError, match="overflow"):
+        kernel_1d(gamma, sign * 30.0, 30.0)
+    with pytest.raises(AccuracyError, match="overflow"):
+        kernel_1d(gamma, np.array([0.5, sign * 30.0]), 30.0)
+    # |K(ix, y)| <= 1: imaginary first arguments of any size stay finite
+    assert abs(kernel_1d(gamma, sign * 30j, 30.0)) <= 1.0
+
+
+# -- check_bounds: NaN propagation and batching ----------------------------------
+
+
+@pytest.mark.parametrize("preset", ["z2:7/3", "z2xz2:1,2"])
+def test_check_bounds_matches_per_sample_loop(preset, monkeypatch):
+    # a perturbed kernel breaks every bound and the invariance, so no residual is 0
+    monkeypatch.setattr(
+        "dunklkit.kernel.kernel_1d", lambda g, z, t: kernel_1d(g, z, t) * (1.5 + 0.1 * np.asarray(z))
+    )
+    rs = parse_preset(preset)
+    d = rs.dimension
+
+    def K(a, b):  # one point: a (d,) vector, or a scalar on the line
+        return kernel_value(rs, a if d > 1 else a[0], b if d > 1 else b[0])
+
+    samples = np.random.default_rng(4).uniform(-5, 5, (60, 2, d))
+    group = [np.array(w, dtype=float) for w in rs.group()]
+    ref = dict.fromkeys(
+        ["unit-bound-imaginary", "exponential-bound-real", "sharp-exponential-bound",
+         "value-at-zero", "group-invariance"], 0.0)
+    for x, y in samples:
+        k = K(x, y)
+        excess = {
+            "unit-bound-imaginary": abs(K(1j * x, y)) - 1.0,
+            "exponential-bound-real": abs(k) / math.exp(np.linalg.norm(x) * np.linalg.norm(y)) - 1.0,
+            "sharp-exponential-bound": abs(k) / math.exp(np.sum(np.abs(x * y))) - 1.0,
+            "value-at-zero": abs(K(0 * x, y) - 1.0),
+            "group-invariance": max(abs(K(w @ x, w @ y) - k) for w in group),
+        }
+        ref = {key: max(ref[key], excess[key]) for key in ref}
+    got = {c.id: c.residual for c in check_bounds(rs, samples).checks}
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        assert value > 0.01
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+@pytest.mark.parametrize("preset", ["z2:1", "z2xz2:1,2"])
+def test_check_bounds_fails_every_check_on_nan(preset, monkeypatch):
+    def nan_kernel(gamma, z, t):
+        return np.full(np.broadcast(np.asarray(z), np.asarray(t)).shape, np.nan, dtype=complex)
+
+    monkeypatch.setattr("dunklkit.kernel.kernel_1d", nan_kernel)
+    rs = parse_preset(preset)
+    rng = np.random.default_rng(5)
+    samples = rng.uniform(-3, 3, (20, 2, rs.dimension))
+    report = check_bounds(rs, samples)
+    assert len(report.checks) == 5
+    assert not any(c.passed for c in report.checks)
+    assert all(math.isnan(c.residual) for c in report.checks)
+
+
+def test_check_bounds_kernel_calls_do_not_grow_with_samples(monkeypatch):
+    rs = parse_preset("z2xz2:1,2")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel_1d(*args, **kwargs)
+
+    monkeypatch.setattr("dunklkit.kernel.kernel_1d", counted)
+    rng = np.random.default_rng(2)
+    counts = []
+    for m in (10, 1000):
+        calls.clear()
+        assert check_bounds(rs, rng.uniform(-5, 5, (m, 2, 2))).all_passed
+        counts.append(len(calls))
+    # one kernel_1d call per axis for each of K(ix, y), K(x, y), K(0, y) and every K(wx, wy)
+    assert counts[0] == counts[1] <= rs.dimension * (3 + rs.group().order)

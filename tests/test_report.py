@@ -41,6 +41,14 @@ def test_exact_tolerance_boundary_passes():
     assert rec.passed
 
 
+@pytest.mark.parametrize("residual", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_residual_fails(residual):
+    report = VerificationReport("demo")
+    rec = report.add("a", "non-finite residual", residual, 1e-3)
+    assert not rec.passed
+    assert report.status == "fail"
+
+
 def test_body_bytes_exclude_timing():
     report = VerificationReport("demo", env={"seed": 0})
     report.add("a", "x", 0.0, 1e-10)
