@@ -11,6 +11,21 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+
+def worst(values) -> float:
+    """The largest value, at least 0; NaN if any value is NaN.
+
+    Python's max(0.0, nan) is 0.0, so residual folds go through here.
+    """
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
+
+
+def passes(residual: float, tol: float) -> bool:
+    """The pass rule of every check: a finite residual at most tol."""
+    return math.isfinite(residual) and residual <= tol
+
 
 @dataclass
 class CheckRecord:
@@ -41,7 +56,7 @@ class VerificationReport:
     def add(self, check_id: str, anchor: str, residual: float, tol: float) -> CheckRecord:
         """Record a check; it passes when its residual is finite and at most tol."""
         residual, tol = float(residual), float(tol)
-        rec = CheckRecord(check_id, anchor, residual, tol, math.isfinite(residual) and residual <= tol)
+        rec = CheckRecord(check_id, anchor, residual, tol, passes(residual, tol))
         self.checks.append(rec)
         return rec
 

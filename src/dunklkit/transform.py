@@ -231,9 +231,20 @@ def check_decay(f: SampledFunction, dimension: int = 1, tol: float = 1e-8) -> fl
 # ---------------------------------------------------------------------------
 # plans and constants
 
+# A plan keeps the Dunkl kernel matrices of this many target sets other than
+# its own grids, dropping the least recently used: a check reuses one target
+# set for several functions (the same quadrature points, the same samples).
+_TARGET_KERNELS = 8
+_PLAN_GRIDS = ("space", "space_plain", "freq")
+
+
 @dataclass(frozen=True, eq=False)
 class TransformPlan:
-    """Grids and frequency targets shared by a family of transform calls."""
+    """Grids and frequency targets shared by a family of transform calls.
+
+    The plan owns the one-dimensional kernel matrices that its transforms
+    contract with; ``axis_kernel`` builds each on first use.
+    """
 
     rs: RootSystem
     space: QuadratureGrid
@@ -242,6 +253,49 @@ class TransformPlan:
     freq_points: np.ndarray
     radius: float
     freq_radius: float
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def axis_nodes(self, grid: str, j: int) -> np.ndarray:
+        """Nodes of axis j of the plan grid named grid."""
+        g = getattr(self, grid)
+        return g.nodes if g.axes is None else g.axes[j].nodes
+
+    def axis_kernel(self, grid: str, j: int, gamma, side: complex, targets) -> np.ndarray:
+        """K(x, side y) at multiplicity gamma, for x on axis j of a plan grid
+        (rows) and y in targets (columns); side is -1j or 1j.  gamma None
+        gives the plain Fourier kernel exp(side x y), which is not evaluated
+        as a Dunkl kernel.
+
+        When the targets are axis j of another plan grid, the matrix lives as
+        long as the plan.  It is built once, as the conjugate transpose of
+        its mirror when that exists, since K(t, s x) = conj K(x, -s t) for
+        real x, t and imaginary s.  Dunkl kernels on other target sets are
+        keyed by the targets' bytes, and only the _TARGET_KERNELS most
+        recently used are kept.  Plain kernels on other targets are not
+        kept: those target sets run to thousands of points, and an
+        exponential costs little next to a Bessel function.
+        """
+        targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
+        partner = next(
+            (g for g in _PLAN_GRIDS if g != grid and np.array_equal(targets, self.axis_nodes(g, j))), None
+        )
+        key = (grid, j, gamma, side, partner or targets.tobytes())
+        mirror = (partner, j, gamma, -side, grid)
+        nodes = self.axis_nodes(grid, j)
+        if key in self.kernels:
+            mat = self.kernels.pop(key)
+        elif mirror in self.kernels:
+            mat = np.ascontiguousarray(self.kernels[mirror].conj().T)
+        elif gamma is None:
+            mat = np.exp(side * np.multiply.outer(nodes, targets))
+        else:
+            mat = kernel_1d(gamma, nodes[:, None], side * targets[None, :])
+        if partner is not None or gamma is not None:
+            self.kernels[key] = mat
+        if partner is None:
+            for stale in [k for k in self.kernels if isinstance(k[-1], bytes)][:-_TARGET_KERNELS]:
+                del self.kernels[stale]
+        return mat
 
 
 def make_plan(
@@ -270,13 +324,13 @@ def make_plan(
     return TransformPlan(rs, space, space_plain, freq, freq_pts, radius, freq_radius)
 
 
-def _axis_gammas(rs: RootSystem):
+def _axis_gammas(rs: RootSystem) -> list:
     profile = rs.axis_profile()
     if profile is None:
         raise UnsupportedCaseError(
             "numeric transforms exist only for products of one-dimensional factors"
         )
-    return [k for _, k in profile]
+    return [float(k) for _, k in profile]
 
 
 def gaussian_eigen_constant(rs: RootSystem) -> float:
@@ -299,50 +353,34 @@ def p_multiplier_constant(rs: RootSystem) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _points_2d(points, d):
-    pts = np.asarray(points, dtype=float)
-    if d == 1:
-        return pts.reshape(-1)
-    return pts.reshape(-1, d)
+def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex):
+    """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
-
-def _grid_values(f, grid: QuadratureGrid):
-    return np.asarray(f(grid.nodes))
-
-
-def _contract(rs: RootSystem, grid: QuadratureGrid, fvals, ys, arg_side: complex):
-    """sum_nodes w f(x) K(x, arg_side * y) over a (possibly tensor) grid.
-
-    arg_side is the constant multiplying y inside the kernel: -1j for the
-    forward transform, +1j for the inverse.
+    Targets equal to the nodes of a plan tensor grid give the values on that
+    grid by sum factorization: the tensor W of weighted values becomes
+    F_1^T W F_2 in two dimensions, F_j the axis matrices.  Other targets are
+    a list of points, contracted from the last axis to the first.  gamma None
+    on every axis gives the plain Fourier integral: the gamma = 0 kernel is
+    exp(x y).
     """
-    gammas = _axis_gammas(rs)
-    d = rs.dimension
-    if d == 1:
-        ker = kernel_1d(gammas[0], grid.nodes[:, None], arg_side * np.atleast_1d(ys)[None, :])
-        return (grid.weights * fvals) @ ker
-    if d == 2 and grid.axes is not None:
-        g1, g2 = grid.axes
-        n1, n2 = len(g1.nodes), len(g2.nodes)
-        fw = (fvals * grid.weights).reshape(n1, n2)
-        pts = _points_2d(ys, 2)
-        k1 = kernel_1d(gammas[0], g1.nodes[:, None], arg_side * pts[None, :, 0])
-        k2 = kernel_1d(gammas[1], g2.nodes[:, None], arg_side * pts[None, :, 1])
-        return np.einsum("ab,am,bm->m", fw, k1, k2, optimize=True)
-    # generic fallback: full node-by-target kernel products
-    pts = _points_2d(ys, d)
-    out = np.zeros(len(pts), dtype=complex)
-    for i, (x, w) in enumerate(zip(np.atleast_2d(grid.nodes), grid.weights)):
-        ker = np.ones(len(pts), dtype=complex)
-        for j, g in enumerate(gammas):
-            ker *= kernel_1d(g, x[j], arg_side * pts[:, j])
-        out += w * fvals[i] * ker
+    d = len(gammas)
+    fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
+    ys = np.asarray(ys, dtype=float)
+    tensor = next((g for g in _PLAN_GRIDS if d > 1 and np.array_equal(ys, getattr(plan, g).nodes)), None)
+    if tensor is not None:
+        for j, gam in enumerate(gammas):
+            fw = np.tensordot(fw, plan.axis_kernel(grid, j, gam, side, plan.axis_nodes(tensor, j)), axes=(0, 0))
+        return fw.reshape(-1)
+    pts = ys.reshape(-1, d)
+    mats = [plan.axis_kernel(grid, j, gam, side, pts[:, j]) for j, gam in enumerate(gammas)]
+    out = fw @ mats[-1]
+    for mat in reversed(mats[:-1]):
+        out = np.einsum("...am,am->...m", out, mat)
     return out
 
 
 def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan) -> np.ndarray:
-    fvals = _grid_values(f, plan.space)
-    return _contract(rs, plan.space, fvals, ys, -1j)
+    return _contract(plan, "space", _axis_gammas(rs), np.asarray(f(plan.space.nodes)), ys, -1j)
 
 
 def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) -> complex:
@@ -352,7 +390,7 @@ def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) 
 
 
 def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan) -> np.ndarray:
-    return inverse_constant(rs) * _contract(rs, plan.freq, hvals_on_freq, xs, 1j)
+    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs), hvals_on_freq, xs, 1j)
 
 
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:
@@ -368,25 +406,9 @@ def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarr
     return dunkl_inverse_many(rs, hvals, xs, plan)
 
 
-def _plain_contract(grid: QuadratureGrid, fvals, ys, sign: float):
-    d = 1 if grid.nodes.ndim == 1 else grid.nodes.shape[1]
-    if d == 1:
-        phase = np.exp(sign * 1j * np.outer(grid.nodes, np.atleast_1d(ys)))
-        return (grid.weights * fvals) @ phase
-    pts = _points_2d(ys, d)
-    if grid.axes is not None and d == 2:
-        g1, g2 = grid.axes
-        fw = (fvals * grid.weights).reshape(len(g1.nodes), len(g2.nodes))
-        p1 = np.exp(sign * 1j * np.outer(g1.nodes, pts[:, 0]))
-        p2 = np.exp(sign * 1j * np.outer(g2.nodes, pts[:, 1]))
-        return np.einsum("ab,am,bm->m", fw, p1, p2, optimize=True)
-    phase = np.exp(sign * 1j * (np.atleast_2d(grid.nodes) @ pts.T))
-    return (grid.weights * fvals) @ phase
-
-
 def classical_fourier_many(f, ys, plan: TransformPlan) -> np.ndarray:
     fvals = np.asarray(f(plan.space_plain.nodes))
-    return _plain_contract(plan.space_plain, fvals, ys, -1.0)
+    return _contract(plan, "space_plain", [None] * plan.rs.dimension, fvals, ys, -1j)
 
 
 def classical_fourier(f: SampledFunction, y, plan: TransformPlan) -> complex:
@@ -418,7 +440,7 @@ def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
     with the plain Fourier transform, times the inversion scalar."""
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
     pref = p_multiplier_constant(rs) / (2.0 * math.pi) ** rs.dimension
-    return pref * _plain_contract(plan.freq, hvals, xs, 1.0)
+    return pref * _contract(plan, "freq", [None] * rs.dimension, hvals, xs, 1j)
 
 
 def multiplier_P(rs: RootSystem, f: SampledFunction, x, plan: TransformPlan) -> float:

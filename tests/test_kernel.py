@@ -17,7 +17,7 @@ from dunklkit.kernel import (
     kernel_series,
     kernel_value,
 )
-from dunklkit.rootsys import axis_product, rank_one
+from dunklkit.rootsys import RootSystem, axis_product, rank_one
 
 
 def test_bessel_normalized_at_zero():
@@ -258,7 +258,7 @@ def test_check_bounds_matches_per_sample_loop(preset, monkeypatch):
     for x, y in samples:
         k = K(x, y)
         excess = {
-            "unit-bound-imaginary": abs(K(1j * x, y)) - 1.0,
+            "unit-bound-imaginary": abs(K(x, 1j * y)) - 1.0,
             "exponential-bound-real": abs(k) / math.exp(np.linalg.norm(x) * np.linalg.norm(y)) - 1.0,
             "sharp-exponential-bound": abs(k) / math.exp(np.sum(np.abs(x * y))) - 1.0,
             "value-at-zero": abs(K(0 * x, y) - 1.0),
@@ -302,5 +302,33 @@ def test_check_bounds_kernel_calls_do_not_grow_with_samples(monkeypatch):
         calls.clear()
         assert check_bounds(rs, rng.uniform(-5, 5, (m, 2, 2))).all_passed
         counts.append(len(calls))
-    # one kernel_1d call per axis for each of K(ix, y), K(x, y), K(0, y) and every K(wx, wy)
-    assert counts[0] == counts[1] <= rs.dimension * (3 + rs.group().order)
+    # one kernel_1d call per axis for each of K(x, iy), K(x, y), K(0, y) and every
+    # K(wx, wy) with w not the identity
+    assert counts[0] == counts[1] == rs.dimension * (2 + rs.group().order)
+
+
+def test_check_bounds_off_coordinate_products():
+    # B2 has diagonal roots, so every kernel goes through the moment series
+    rs = RootSystem.create(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [1, 1, 1, 1])
+    assert rs.axis_profile() is None
+    report = check_bounds(rs, np.random.default_rng(3).uniform(-1, 1, (5, 2, 2)))
+    assert [c.id for c in report.checks] == [
+        "unit-bound-imaginary", "exponential-bound-real", "value-at-zero", "group-invariance"]
+    assert report.all_passed
+
+
+def test_bessel_nan_entry_leaves_the_batch_alone():
+    for alpha in (0.5, 11 / 6):
+        vals = bessel_j_normalized(alpha, np.array([1.0, np.nan, 3j, 20.0]))
+        assert np.isnan(vals[1])
+        for i, u in ((0, 1.0), (2, 3j), (3, 20.0)):
+            assert vals[i] == bessel_j_normalized(alpha, u)
+
+
+def test_kernel_1d_nan_argument_gives_nan():
+    vals = kernel_1d(7 / 3, np.array([0.4, np.nan, -1.5]), 2.0)
+    assert np.isnan(vals[1])
+    assert vals[0] == kernel_1d(7 / 3, 0.4, 2.0) and vals[2] == kernel_1d(7 / 3, -1.5, 2.0)
+    # a finite argument that overflows still raises beside a NaN one
+    with pytest.raises(AccuracyError, match="overflow"):
+        kernel_1d(1.0, np.array([np.nan, 30.0]), 30.0)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dunklkit.report import CheckRecord, VerificationReport, report_body_bytes
+from dunklkit.rootsys import rank_one
+from dunklkit.suites import SUITES, SuiteConfig, run_suite
 
 
 def test_check_record_to_dict_uses_pass_key():
@@ -92,3 +94,17 @@ def test_report_body_bytes_on_parsed_document():
     report.elapsed_ms = 77.0
     doc = json.loads(report.to_json())
     assert report_body_bytes(doc) == report.body_bytes()
+
+
+@pytest.mark.parametrize("residual", [float("nan"), float("inf"), float("-inf")])
+def test_tolerance_override_keeps_the_finiteness_rule(residual, monkeypatch):
+    def suite(rs, grid_n=None, seed=0):
+        report = VerificationReport("demo")
+        report.add("finite", "finite residual", 1e-3, 1e-6)
+        report.add("non-finite", "non-finite residual", residual, 1e-6)
+        return report
+
+    monkeypatch.setitem(SUITES, "kernel", suite)
+    report = run_suite(SuiteConfig("kernel", rank_one(1), tol=1e-2))
+    assert [c.passed for c in report.checks] == [True, False]
+    assert report.status == "fail"

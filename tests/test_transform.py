@@ -1,15 +1,22 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dunklkit import kernel
+from dunklkit.cli import parse_preset
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
+from dunklkit.kernel import kernel_1d
 from dunklkit.rootsys import mehta_constant, rank_one
+from dunklkit.suites import SuiteConfig, run_suite
 from dunklkit.transform import (
+    _TARGET_KERNELS,
     DecayClass,
+    TransformPlan,
     SampledFunction,
     classical_fourier_many,
     dunkl_inverse_many,
@@ -18,6 +25,7 @@ from dunklkit.transform import (
     fourier_bessel,
     gaussian_eigen_constant,
     hermite_grid,
+    inverse_constant,
     make_plan,
     multiplier_P_many,
     plain_line_grid,
@@ -158,3 +166,128 @@ def test_inverse_constant_roundtrip_delta(plan_one, rs_one):
     hv = dunkl_transform_many(rs_one, f, plan_one.freq.nodes, plan_one)
     back = dunkl_inverse_many(rs_one, hv, np.array([0.0]), plan_one)
     assert np.real(back[0]) == pytest.approx(1.0, abs=1e-9)
+
+
+# -- plan-owned kernel matrices ---------------------------------------------------
+
+
+@pytest.fixture
+def count_kernel_1d(monkeypatch):
+    """Wrap kernel_1d in every dunklkit module that imported it; returns the
+    list of broadcast sizes, one entry per call."""
+    original = kernel.kernel_1d
+    sizes = []
+
+    def counted(gamma, z, t):
+        sizes.append(np.broadcast(np.asarray(z), np.asarray(t)).size)
+        return original(gamma, z, t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dunklkit") and getattr(module, "kernel_1d", None) is original:
+            monkeypatch.setattr(module, "kernel_1d", counted)
+    return sizes
+
+
+def test_line_plan_matrices_equal_direct_kernels():
+    g = 7 / 3
+    plan = make_plan(rank_one(Fraction(7, 3)), grid_n=24, freq_count=33)
+    x, t = plan.space.nodes, plan.freq.nodes
+    forward = plan.axis_kernel("space", 0, g, -1j, t)
+    # the inverse onto the space grid is the mirror of the forward matrix
+    inverse = plan.axis_kernel("freq", 0, g, 1j, x)
+    assert np.array_equal(forward, kernel_1d(g, x[:, None], -1j * t[None, :]))
+    assert np.array_equal(inverse, kernel_1d(g, t[:, None], 1j * x[None, :]))
+    # the convolution blocks K(-x, i t) and K(i x, t) are the forward matrix and its conjugate
+    assert np.array_equal(forward, kernel_1d(g, -x[:, None], 1j * t[None, :]))
+    assert np.array_equal(inverse.T, kernel_1d(g, 1j * x[:, None], t[None, :]))
+    # built inverse first, the forward matrix is the mirror
+    other = make_plan(rank_one(Fraction(7, 3)), grid_n=24, freq_count=33)
+    assert np.array_equal(other.axis_kernel("freq", 0, g, 1j, x), inverse)
+    assert np.array_equal(other.axis_kernel("space", 0, g, -1j, t), forward)
+
+
+def test_product_plan_matrices_and_transform_match_direct_sums(rs_product):
+    plan = make_plan(rs_product, grid_n=6, freq_count=5)
+    gammas = [1.0, 2.0]
+    for j, g in enumerate(gammas):
+        x, t = plan.axis_nodes("space", j), plan.axis_nodes("freq", j)
+        assert np.array_equal(plan.axis_kernel("space", j, g, -1j, t), kernel_1d(g, x[:, None], -1j * t[None, :]))
+        assert np.array_equal(plan.axis_kernel("freq", j, g, 1j, x), kernel_1d(g, t[:, None], 1j * x[None, :]))
+
+    def f(p):
+        p = np.atleast_2d(p)
+        return (1.0 + p[:, 0] - 0.5 * p[:, 1]) * np.exp(-0.5 * np.sum(p * p, axis=-1))
+
+    def direct(grid, fvals, ys, side):
+        ker = np.ones((len(grid.nodes), len(ys)), dtype=complex)
+        for j, g in enumerate(gammas):
+            ker *= kernel_1d(g, grid.nodes[:, j, None], side * ys[None, :, j])
+        return (grid.weights * fvals) @ ker
+
+    ys = np.array([[0.3, -1.1], [2.0, 0.5], [-0.7, 0.0]])
+    on_grid = dunkl_transform_many(rs_product, f, plan.freq.nodes, plan)
+    ref = direct(plan.space, f(plan.space.nodes), plan.freq.nodes, -1j)
+    assert np.allclose(on_grid, ref, rtol=1e-13, atol=1e-15)
+    assert np.allclose(dunkl_transform_many(rs_product, f, ys, plan),
+                       direct(plan.space, f(plan.space.nodes), ys, -1j), rtol=1e-13, atol=1e-15)
+    inv = dunkl_inverse_many(rs_product, on_grid, ys, plan)
+    const = inverse_constant(rs_product)
+    assert np.allclose(inv, const * direct(plan.freq, on_grid, ys, 1j), rtol=1e-13, atol=1e-15)
+
+
+def test_repeated_transforms_build_one_kernel_matrix(count_kernel_1d, rs_one):
+    plan = make_plan(rs_one, grid_n=16, freq_count=17)
+    for m in range(3):
+        dunkl_transform_many(rs_one, PolyGauss.monomial(m), plan.freq.nodes, plan)
+    assert len(count_kernel_1d) == 1
+    # the inverse onto the space grid and a repeated target set build nothing new
+    dunkl_inverse_many(rs_one, np.ones(len(plan.freq.nodes)), plan.space.nodes, plan)
+    ys = np.linspace(-2.0, 2.0, 7)
+    for m in range(3):
+        dunkl_transform_many(rs_one, PolyGauss.monomial(m), ys, plan)
+    assert len(count_kernel_1d) == 2
+
+
+def test_product_forward_transform_evaluates_axis_matrices_only(count_kernel_1d, rs_product):
+    plan = make_plan(rs_product, grid_n=32, freq_count=9)
+    dunkl_transform_many(rs_product, lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), plan.freq.nodes, plan)
+    n_space, n_freq = len(plan.axis_nodes("space", 0)), len(plan.axis_nodes("freq", 0))
+    # one (space axis x frequency axis) matrix per axis; building the kernel at
+    # every tensor frequency costs d n_space n_freq^d entries
+    assert sum(count_kernel_1d) <= rs_product.dimension * n_space * n_freq
+
+
+def test_target_kernel_cache_is_bounded(count_kernel_1d, rs_one):
+    plan = make_plan(rs_one, grid_n=16, freq_count=17)
+    f = PolyGauss.monomial(1)
+    for shift in range(2 * _TARGET_KERNELS):
+        dunkl_transform_many(rs_one, f, np.array([0.1 * shift, 1.0]), plan)
+    kept = [key for key in plan.kernels if isinstance(key[-1], bytes)]
+    assert len(kept) == _TARGET_KERNELS
+    calls = len(count_kernel_1d)
+    # the most recent target set is kept; the oldest was dropped and is built again
+    dunkl_transform_many(rs_one, f, np.array([0.1 * (2 * _TARGET_KERNELS - 1), 1.0]), plan)
+    assert len(count_kernel_1d) == calls
+    dunkl_transform_many(rs_one, f, np.array([0.0, 1.0]), plan)
+    assert len(count_kernel_1d) == calls + 1
+
+
+@pytest.mark.parametrize("suite, preset, grid_n, plan_checks", [
+    ("translation", "z2:1", 48, [
+        "translate-at-zero", "translation-paths-product", "translation-paths-integer",
+        "convolution-transform-law", "convolution-commutes", "distribution-convolution-transform",
+        "density-point-mass-product-law", "translation-commutes-with-operator"]),
+    ("inversion", "z2:7/3", 48, [
+        "forward-roundtrip", "dual-inverse-paths-agree", "dual-roundtrip"]),
+    ("approx-identity", "z2:7/3", 48, ["residual-decay", "smallest-eps-residual", "monotone-trend"]),
+])
+def test_nan_plan_kernels_fail_the_spectral_suites(suite, preset, grid_n, plan_checks, monkeypatch):
+    original = TransformPlan.axis_kernel
+    monkeypatch.setattr(
+        TransformPlan, "axis_kernel", lambda self, *args: np.full_like(original(self, *args), np.nan)
+    )
+    report = run_suite(SuiteConfig(suite, parse_preset(preset), grid_n=grid_n))
+    assert report.status == "fail"
+    by_id = {c.id: c for c in report.checks}
+    for check_id in plan_checks:
+        assert math.isnan(by_id[check_id].residual) and not by_id[check_id].passed, check_id
