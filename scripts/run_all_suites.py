@@ -11,6 +11,7 @@ import sys
 
 from dunklkit.cli import parse_preset
 from dunklkit.errors import UnsupportedCaseError
+from dunklkit.report import worst
 from dunklkit.suites import SuiteConfig, run_suite, suite_names
 
 DEFAULT_PRESETS = ["z2:1/2", "z2:1", "z2:2", "z2:7/3", "z2:0", "z2xz2:1,2"]
@@ -34,10 +35,10 @@ def main(argv=None) -> int:
             except UnsupportedCaseError as exc:
                 print(f"  {suite:<{width}} skip   ({exc})")
                 continue
-            worst = max((c.residual for c in report.checks), default=0.0)
+            largest = worst([c.residual for c in report.checks])
             mark = "ok" if report.all_passed else "FAIL"
             print(
-                f"  {suite:<{width}} {mark:<6} max residual {worst:.3e}  "
+                f"  {suite:<{width}} {mark:<6} max residual {largest:.3e}  "
                 f"{len(report.checks)} checks  {report.elapsed_ms:.0f} ms"
             )
             if not report.all_passed:

@@ -8,6 +8,7 @@ exercises most of the library at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -18,9 +19,9 @@ from .errors import InvalidArgumentError, UnsupportedCaseError
 from .functions import PolyGauss, SmoothBump, standard_bump
 from .intertwine1d import (
     default_line_plan,
-    inv_V_via_P,
     inv_V_via_Q,
     mu_quadrature,
+    tV_k_num,
     _rs_for,
 )
 from .kernel import kernel_1d
@@ -29,9 +30,11 @@ from .rootsys import RootSystem
 from .transform import (
     TransformPlan,
     _axis_gammas,
+    classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
     inverse_constant,
+    p_multiplier_constant,
     weighted_line_grid,
 )
 
@@ -50,13 +53,27 @@ def kernel_multiplier(rs: RootSystem, x, ts) -> np.ndarray:
 
 
 def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None):
+    """Spectral translation tau_x f(y): the transform of f times K(ix, .),
+    inverted at y.
+
+    x and ys broadcast against each other as pairs of points (points along
+    the last axis beyond the line), one value per pair.  One base point
+    translates onto every y through one multiplier; several are contracted
+    pair by pair against the plan's axis matrices K(t_j, i x_j).
+    """
     if plan is None:
         if rs.dimension != 1:
             raise InvalidArgumentError("a plan is required beyond one dimension")
         plan = default_line_plan(_axis_gammas(rs)[0])
+    d = rs.dimension
     hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
-    mult = kernel_multiplier(rs, x, plan.freq.nodes)
-    return dunkl_inverse_many(rs, hv * mult, ys, plan)
+    xs = np.asarray(x, dtype=float).reshape(-1, d)
+    kx = [plan.axis_kernel("freq", j, g, 1j, xs[:, j]) for j, g in enumerate(_axis_gammas(rs))]
+    if len(xs) == 1:
+        mult = functools.reduce(np.multiply.outer, [k[:, 0] for k in kx]).reshape(-1)
+        return dunkl_inverse_many(rs, hv * mult, ys, plan)
+    pts = np.broadcast_to(np.asarray(ys, dtype=float).reshape(-1, d), xs.shape)
+    return dunkl_inverse_many(rs, hv, pts, plan, factors=kx)
 
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
@@ -67,26 +84,44 @@ def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> f
 
 
 def translate_measure(gamma, f, x, y, n: int = 48, method: str = "P",
-                      plan: TransformPlan = None) -> float:
-    """Translation as a double average of the inverse-intertwined function.
+                      plan: TransformPlan = None):
+    """Translation as a double average of the inverse-intertwined function:
+    sum_ij w_i w_j (V_k^-1 f)(x t_i + y t_j) over the averaging rule (t, w).
 
-    method "P" routes the inverse through the Fourier multiplier (any
-    positive multiplicity); "Q" routes it through the difference-differential
-    multiplier (positive integer multiplicity, closed families only).
+    x and y broadcast as pairs; one pair gives a float, arrays an array of
+    their broadcast shape.  method "P" routes the inverse through the Fourier
+    multiplier (any positive multiplicity): tV_k f is computed once per call
+    and Fourier transformed onto the plan's frequency nodes t_l, which makes
+    the double average separable, sum_l c_l A_l(x) A_l(y) with
+    A_l(b) = sum_i w_i exp(i t_l b t_i).
+    method "Q" routes the inverse through the difference-differential
+    multiplier (positive integer multiplicity, closed families only), pair by
+    pair.
     """
     g = float(gamma)
     if g <= 0:
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
     t, w = mu_quadrature(g, n)
-    pts = (float(x) * t)[:, None] + (float(y) * t)[None, :]
-    flat = pts.reshape(-1)
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if method == "P":
-        vals = inv_V_via_P(g, f, flat, plan=plan)
+        if plan is None:
+            plan = default_line_plan(g)
+        dual = classical_fourier_many(lambda p: tV_k_num(g, f, p), plan.freq.nodes, plan)
+        coef = plan.freq.weights * dual
+        base = np.concatenate([xs.reshape(-1), ys.reshape(-1)])
+        avg = np.exp(1j * np.multiply.outer(plan.freq.nodes, np.multiply.outer(base, t))) @ w
+        ax, ay = np.split(avg, 2, axis=1)
+        pref = p_multiplier_constant(plan.rs) / (2.0 * math.pi)
+        out = pref * np.real(coef @ (ax * ay))
     elif method == "Q":
-        vals = inv_V_via_Q(g, f, flat)
+        out = np.array([
+            w @ np.reshape(inv_V_via_Q(g, f, np.add.outer(a * t, b * t).reshape(-1)), (n, n)) @ w
+            for a, b in zip(xs.flat, ys.flat)
+        ])
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    return float(w @ np.asarray(vals).reshape(pts.shape) @ w)
+    out = out.reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.ndarray:

@@ -199,13 +199,10 @@ def _half_rule(n: int, power: float):
 
 
 def _sinhc(s):
-    # sinh(s)/s, stable near 0
+    # sinh(s)/s; near 0 it rounds to 1 + s^2/6, and s = 0 gives exactly 1
     s = np.asarray(s, dtype=float)
-    small = np.abs(s) < 1e-6
-    out = np.empty_like(s)
-    out[~small] = np.sinh(s[~small]) / s[~small]
-    out[small] = 1.0 + s[small] ** 2 / 6.0
-    return out
+    with np.errstate(invalid="ignore"):
+        return np.where(s == 0.0, 1.0, np.sinh(s) / s)
 
 
 def _dual_side(g, f, a, sigma, x_max, n, same_side: bool):

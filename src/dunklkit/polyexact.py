@@ -544,24 +544,3 @@ def apply_Q_poly(rs: RootSystem, p: RationalPoly) -> RationalPoly:
         for _ in range(2 * n):
             out = directional_apply(rs, alpha, out, dunkl=True)
     return (pref * sign) * out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def poly_to_terms(p: RationalPoly) -> list[dict]:
-    return [
-        {"exponents": list(e), "coeff": str(c)} for e, c in sorted(p.terms.items())
-    ]
-
-
-def poly_from_terms(dimension: int, terms) -> RationalPoly:
-    data = {}
-    for item in terms:
-        try:
-            e = tuple(int(v) for v in item["exponents"])
-            c = rational(item["coeff"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidArgumentError(f"malformed polynomial term: {exc}") from None
-        data[e] = data.get(e, Fraction(0)) + c
-    return RationalPoly(dimension, data)

@@ -83,20 +83,6 @@ def identity_matrix(d: int) -> Matrix:
 
 
 @dataclass(frozen=True)
-class MultiplicityProfile:
-    """Multiplicity data attached to a root system.
-
-    gamma is the sum of the multiplicities over the positive roots; it is the
-    homogeneity index of the weight.  is_integer_case gates the operators that
-    exist only for integer multiplicities.
-    """
-
-    by_root: tuple[Fraction, ...]
-    gamma: Fraction
-    is_integer_case: bool
-
-
-@dataclass(frozen=True)
 class ReflectionGroup:
     """A finite group of orthogonal rational matrices."""
 
@@ -109,9 +95,6 @@ class ReflectionGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def apply(self, w: Matrix, x: Sequence):
-        return mat_vec(w, x)
 
 
 @dataclass(frozen=True)
@@ -163,9 +146,6 @@ class RootSystem:
     @property
     def is_integer_case(self) -> bool:
         return all(k.denominator == 1 for k in self.multiplicities)
-
-    def multiplicity_profile(self) -> MultiplicityProfile:
-        return MultiplicityProfile(self.multiplicities, self.gamma, self.is_integer_case)
 
     def group(self) -> ReflectionGroup:
         return close_group(self)

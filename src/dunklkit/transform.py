@@ -90,17 +90,6 @@ def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
     )
 
 
-def trapezoid_line_grid(radius: float = 10.0, n: int = 257) -> QuadratureGrid:
-    """Truncated trapezoid rule; useful for grid-refinement sanity checks."""
-    if n < 3:
-        raise InvalidArgumentError("need n >= 3")
-    nodes = np.linspace(-radius, radius, n)
-    h = nodes[1] - nodes[0]
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    return QuadratureGrid(nodes, weights, "truncated-trapezoid", (-radius, radius), 2.0 * radius)
-
-
 def hermite_grid(n: int = 64) -> QuadratureGrid:
     from scipy.special import roots_hermite
 
@@ -353,7 +342,7 @@ def p_multiplier_constant(rs: RootSystem) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex):
+def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, factors=None):
     """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
     Targets equal to the nodes of a plan tensor grid give the values on that
@@ -361,18 +350,23 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex):
     F_1^T W F_2 in two dimensions, F_j the axis matrices.  Other targets are
     a list of points, contracted from the last axis to the first.  gamma None
     on every axis gives the plain Fourier integral: the gamma = 0 kernel is
-    exp(x y).
+    exp(x y).  factors, one (n_j, m) matrix per axis for m target points,
+    multiply the axis matrices entrywise, so each target point is contracted
+    against its own column of every factor.
     """
     d = len(gammas)
     fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
     ys = np.asarray(ys, dtype=float)
-    tensor = next((g for g in _PLAN_GRIDS if d > 1 and np.array_equal(ys, getattr(plan, g).nodes)), None)
-    if tensor is not None:
+    tensor = d > 1 and factors is None and next(
+        (g for g in _PLAN_GRIDS if np.array_equal(ys, getattr(plan, g).nodes)), None)
+    if tensor:
         for j, gam in enumerate(gammas):
             fw = np.tensordot(fw, plan.axis_kernel(grid, j, gam, side, plan.axis_nodes(tensor, j)), axes=(0, 0))
         return fw.reshape(-1)
     pts = ys.reshape(-1, d)
     mats = [plan.axis_kernel(grid, j, gam, side, pts[:, j]) for j, gam in enumerate(gammas)]
+    if factors is not None:
+        mats = [mat * factor for mat, factor in zip(mats, factors)]
     out = fw @ mats[-1]
     for mat in reversed(mats[:-1]):
         out = np.einsum("...am,am->...m", out, mat)
@@ -389,8 +383,9 @@ def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) 
     return complex(dunkl_transform_many(rs, f, [y] if rs.dimension == 1 else [list(np.atleast_1d(y))], plan)[0])
 
 
-def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan) -> np.ndarray:
-    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs), hvals_on_freq, xs, 1j)
+def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan,
+                       factors=None) -> np.ndarray:
+    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs), hvals_on_freq, xs, 1j, factors)
 
 
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:

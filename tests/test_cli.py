@@ -1,11 +1,15 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from dunklkit.cli import main, parse_preset
 from dunklkit.errors import InvalidArgumentError
-from dunklkit.report import report_body_bytes
+from dunklkit.report import VerificationReport, report_body_bytes
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _read_rows(path):
@@ -228,3 +232,18 @@ def test_different_seed_changes_sampled_residuals(tmp_path):
     assert main(["run", "--suite", "kernel", "--preset", "z2:1", "--seed", "1", "--out", str(a)]) == 0
     assert main(["run", "--suite", "kernel", "--preset", "z2:1", "--seed", "2", "--out", str(b)]) == 0
     assert report_body_bytes(json.loads(a.read_text())) != report_body_bytes(json.loads(b.read_text()))
+
+
+# ----------------------------------------------------------------- suite sweep script
+
+
+def test_run_all_suites_prints_a_nan_residual(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_all_suites", SCRIPTS / "run_all_suites.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    report = VerificationReport("support")
+    report.add("finite", "a finite residual", 0.5, 1.0)
+    report.add("not-a-number", "a NaN residual after a finite one", float("nan"), 1.0)
+    monkeypatch.setattr(script, "run_suite", lambda config: report)
+    assert script.main(["--presets", "z2:1", "--suites", "support"]) == 1
+    assert "max residual nan" in capsys.readouterr().out

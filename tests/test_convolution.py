@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,11 @@ from dunklkit.convolution import (
 )
 from dunklkit.errors import InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian
-from dunklkit.intertwine1d import default_line_plan
+from dunklkit import intertwine1d
+from dunklkit.intertwine1d import default_line_plan, inv_V_via_P, mu_quadrature
 from dunklkit.kernel import kernel_1d
-from dunklkit.rootsys import rank_one
-from dunklkit.transform import dunkl_transform_many
+from dunklkit.rootsys import axis_product, rank_one
+from dunklkit.transform import dunkl_transform_many, make_plan
 
 
 # ----------------------------------------------------------------- translation
@@ -65,6 +69,99 @@ def test_translate_symmetric_in_arguments(rs_one, plan_one):
 def test_kernel_multiplier_at_origin(rs_two):
     ts = np.linspace(-3.0, 3.0, 7)
     assert np.allclose(kernel_multiplier(rs_two, 0.0, ts), 1.0, atol=1e-14)
+
+
+# ----------------------------------------------------------------- batched translation
+
+PAIRS_X = np.array([0.5, 1.2, 0.0, -0.8])
+PAIRS_Y = np.array([1.0, -0.6, 1.5, -0.9])
+
+
+@pytest.mark.parametrize("gamma, method", [
+    (1.0, "P"), (2.0, "P"), (7.0 / 3.0, "P"), (1.0, "Q"), (2.0, "Q"),
+])
+def test_translate_measure_batch_matches_pair_loop(gamma, method):
+    plan = default_line_plan(gamma)
+    for f in (gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)):
+        batch = translate_measure(gamma, f, PAIRS_X, PAIRS_Y, method=method, plan=plan)
+        loop = [
+            translate_measure(gamma, f, x, y, method=method, plan=plan) for x, y in zip(PAIRS_X, PAIRS_Y)
+        ]
+        assert batch.shape == PAIRS_X.shape
+        np.testing.assert_allclose(batch, loop, rtol=1e-12)
+
+
+def test_translate_measure_broadcasts_one_base_point():
+    plan = default_line_plan(1.0)
+    f = gaussian()
+    batch = translate_measure(1.0, f, 0.7, PAIRS_Y, plan=plan)
+    loop = [translate_measure(1.0, f, 0.7, y, plan=plan) for y in PAIRS_Y]
+    np.testing.assert_allclose(batch, loop, rtol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 7.0 / 3.0])
+def test_separable_measure_route_matches_direct_double_average(gamma):
+    # the double average of the multiplier-after-dual inverse at every node pair
+    plan = default_line_plan(gamma)
+    f = gaussian()
+    t, w = mu_quadrature(gamma, 48)
+    for x, y in zip(PAIRS_X, PAIRS_Y):
+        vals = inv_V_via_P(gamma, f, np.add.outer(x * t, y * t).reshape(-1), plan=plan)
+        direct = w @ vals.reshape(48, 48) @ w
+        assert translate_measure(gamma, f, x, y, plan=plan) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["P", "Q"])
+def test_translate_measure_scalar_pair_gives_float(method):
+    val = translate_measure(1.0, gaussian(), 0.5, 1.0, method=method, plan=default_line_plan(1.0))
+    assert type(val) is float
+
+
+@pytest.fixture
+def count_tV(monkeypatch):
+    """Count calls of tV_k_num in every dunklkit module that imported it."""
+    original = intertwine1d.tV_k_num
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dunklkit") and getattr(module, "tV_k_num", None) is original:
+            monkeypatch.setattr(module, "tV_k_num", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pairs", [4, 16])
+def test_measure_route_applies_the_dual_once_per_call(pairs, count_tV):
+    plan = default_line_plan(1.0)
+    xs, ys = np.linspace(-1.2, 1.2, pairs), np.linspace(1.5, -0.9, pairs)
+    translate_measure(1.0, gaussian(), xs, ys, method="P", plan=plan)
+    assert len(count_tV) == 1
+    np.testing.assert_array_equal(count_tV[0], plan.space_plain.nodes)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 7.0 / 3.0])
+def test_translate_spectral_pairs_match_scalar_loop(gamma):
+    rs = rank_one(1) if gamma == 1.0 else rank_one(Fraction(7, 3))
+    plan = default_line_plan(gamma)
+    for f in (gaussian(), PolyGauss.monomial(1)):
+        batch = translate_spectral_many(rs, f, PAIRS_X, PAIRS_Y, plan)
+        loop = [translate_spectral(rs, f, x, y, plan) for x, y in zip(PAIRS_X, PAIRS_Y)]
+        assert batch.shape == PAIRS_X.shape
+        np.testing.assert_allclose(np.real(batch), loop, rtol=1e-12, atol=1e-15)
+
+
+def test_translate_spectral_pairs_on_a_product():
+    rs = axis_product(1, 2)
+    plan = make_plan(rs, grid_n=32, freq_count=33)
+    f = lambda p: np.exp(-np.sum(np.asarray(p) ** 2, axis=-1) / 2.0)
+    xs = np.array([[0.5, -0.3], [1.0, 0.2], [0.0, 0.7]])
+    ys = np.array([[0.4, 0.6], [-0.5, 0.1], [0.9, -0.2]])
+    batch = translate_spectral_many(rs, f, xs, ys, plan)
+    loop = [translate_spectral(rs, f, x, y, plan) for x, y in zip(xs, ys)]
+    np.testing.assert_allclose(np.real(batch), loop, rtol=1e-12)
 
 
 # ----------------------------------------------------------------- convolution

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklkit import intertwine1d
+from dunklkit.cli import parse_preset
 from dunklkit.errors import DegeneratePointError, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit.intertwine1d import (
@@ -31,6 +34,7 @@ from dunklkit.intertwine1d import (
 )
 from dunklkit.polyexact import RationalPoly, intertwine
 from dunklkit.rootsys import axis_product, rank_one
+from dunklkit.suites import SuiteConfig, run_suite
 
 GAMMAS = [0.5, 1.0, 2.0, 7.0 / 3.0]
 
@@ -141,6 +145,15 @@ def test_dual_parity():
     left = tV_k_num(1.0, f, ys)[0]
     right = tV_k_num(1.0, f, -ys)[0]
     assert left == pytest.approx(-right, rel=1e-12)
+
+
+def test_sinhc_is_finite_at_and_near_zero():
+    s = np.array([0.0, 1e-9, 1.0])
+    out = intertwine1d._sinhc(s)
+    assert np.all(np.isfinite(out))
+    assert out[0] == 1.0
+    assert out[1] == 1.0 + s[1] ** 2 / 6.0
+    assert out[2] == pytest.approx(math.sinh(1.0), rel=1e-15)
 
 
 def test_dual_of_bump_vanishes_outside():
@@ -286,3 +299,38 @@ def test_V_linearity(x, gamma):
         V_k_num(gamma, f, np.array([x]))[0] + 2.0 * V_k_num(gamma, g, np.array([x]))[0]
     )
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+# ----------------------------------------------------------------- NaN engines
+
+
+def _return_nan(monkeypatch, name):
+    """Make intertwine1d's name return NaN, in every dunklkit module that imported it."""
+    original = getattr(intertwine1d, name)
+
+    def nan(gamma, f, points, *args, **kwargs):
+        return np.full(np.shape(points), np.nan)[()]
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("dunklkit") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, nan)
+
+
+def _failed_on_nan(report, check_id):
+    check = {c.id: c for c in report.checks}[check_id]
+    return math.isnan(check.residual) and not check.passed
+
+
+def test_nan_dual_operator_fails_both_translation_paths(monkeypatch):
+    _return_nan(monkeypatch, "tV_k_num")
+    report = run_suite(SuiteConfig("translation", parse_preset("z2:1"), grid_n=48))
+    assert report.status == "fail"
+    assert _failed_on_nan(report, "translation-paths-product")
+    assert _failed_on_nan(report, "translation-paths-integer")
+
+
+def test_nan_intertwiner_fails_the_cross_engine_monomials(monkeypatch):
+    _return_nan(monkeypatch, "V_k_num")
+    report = run_suite(SuiteConfig("cross-engine", parse_preset("z2:1")))
+    assert report.status == "fail"
+    assert _failed_on_nan(report, "monomials-numeric-vs-exact")
