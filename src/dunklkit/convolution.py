@@ -16,14 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedCaseError
-from .functions import PolyGauss, SmoothBump, standard_bump
-from .intertwine1d import (
-    default_line_plan,
-    inv_V_via_Q,
-    mu_quadrature,
-    tV_k_num,
-    _rs_for,
-)
+from .functions import standard_bump
+from .intertwine1d import default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
 from .kernel import kernel_1d
 from .report import VerificationReport, worst
 from .rootsys import RootSystem
@@ -34,6 +28,7 @@ from .transform import (
     dunkl_inverse_many,
     dunkl_transform_many,
     inverse_constant,
+    line_gamma,
     p_multiplier_constant,
     weighted_line_grid,
 )
@@ -64,7 +59,7 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     if plan is None:
         if rs.dimension != 1:
             raise InvalidArgumentError("a plan is required beyond one dimension")
-        plan = default_line_plan(_axis_gammas(rs)[0])
+        plan = default_line_plan(rs)
     d = rs.dimension
     hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
     xs = np.asarray(x, dtype=float).reshape(-1, d)
@@ -83,7 +78,7 @@ def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> f
     return float(np.real(val))
 
 
-def translate_measure(gamma, f, x, y, n: int = 48, method: str = "P",
+def translate_measure(rs: RootSystem, f, x, y, n: int = 48, method: str = "P",
                       plan: TransformPlan = None):
     """Translation as a double average of the inverse-intertwined function:
     sum_ij w_i w_j (V_k^-1 f)(x t_i + y t_j) over the averaging rule (t, w).
@@ -98,24 +93,24 @@ def translate_measure(gamma, f, x, y, n: int = 48, method: str = "P",
     multiplier (positive integer multiplicity, closed families only), pair by
     pair.
     """
-    g = float(gamma)
+    g = line_gamma(rs)
     if g <= 0:
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
     t, w = mu_quadrature(g, n)
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if method == "P":
         if plan is None:
-            plan = default_line_plan(g)
-        dual = classical_fourier_many(lambda p: tV_k_num(g, f, p), plan.freq.nodes, plan)
+            plan = default_line_plan(rs)
+        dual = classical_fourier_many(lambda p: tV_k_num(rs, f, p), plan.freq.nodes, plan)
         coef = plan.freq.weights * dual
         base = np.concatenate([xs.reshape(-1), ys.reshape(-1)])
         avg = np.exp(1j * np.multiply.outer(plan.freq.nodes, np.multiply.outer(base, t))) @ w
         ax, ay = np.split(avg, 2, axis=1)
-        pref = p_multiplier_constant(plan.rs) / (2.0 * math.pi)
+        pref = p_multiplier_constant(rs) / (2.0 * math.pi)
         out = pref * np.real(coef @ (ax * ay))
     elif method == "Q":
         out = np.array([
-            w @ np.reshape(inv_V_via_Q(g, f, np.add.outer(a * t, b * t).reshape(-1)), (n, n)) @ w
+            w @ np.reshape(inv_V_via_Q(rs, f, np.add.outer(a * t, b * t).reshape(-1)), (n, n)) @ w
             for a, b in zip(xs.flat, ys.flat)
         ])
     else:
@@ -133,7 +128,7 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.nd
     if rs.dimension != 1:
         raise UnsupportedCaseError("batch convolution is one-dimensional")
     if plan is None:
-        plan = default_line_plan(_axis_gammas(rs)[0])
+        plan = default_line_plan(rs)
     hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
     return spectral_convolution(rs, hv_f, np.asarray(g(plan.space.nodes)), xs, plan)
 
@@ -146,7 +141,7 @@ def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan) -> n
     uses K(-y, i t) = K(y, -i t), the forward matrix, and the outer kernel
     K(i x, t) = K(t, i x) is the inverse matrix at xs.
     """
-    gam = _axis_gammas(rs)[0]
+    gam = line_gamma(rs)
     forward = plan.axis_kernel("space", 0, gam, -1j, plan.freq.nodes)
     inner = (forward * (gv * plan.space.weights)[:, None]).sum(axis=0)
     a = np.ascontiguousarray(plan.axis_kernel("freq", 0, gam, 1j, xs).T)
@@ -192,21 +187,12 @@ class ConcreteDistribution:
         nodes = plan.space.nodes
         return complex(np.sum(plan.space.weights * np.asarray(self.g(nodes)) * np.asarray(f(nodes))))
 
-    def transform_values(self, rs: RootSystem, ys, plan: TransformPlan) -> np.ndarray:
-        """Pointwise values of the transformed distribution on frequency nodes."""
-        if self.kind == "point-mass":
-            gam = _axis_gammas(rs)[0]
-            return kernel_1d(gam, self.point, -1j * np.asarray(ys))
-        return dunkl_transform_many(rs, self.g, ys, plan)
 
-
-def distribution_convolve(S: ConcreteDistribution, phi, x, rs: RootSystem = None,
+def distribution_convolve(rs: RootSystem, S: ConcreteDistribution, phi, x,
                           plan: TransformPlan = None) -> float:
     """S convolved with a test function: <S_y, tau_x phi(-y)>."""
-    if rs is None:
-        raise InvalidArgumentError("a root system is required")
     if plan is None:
-        plan = default_line_plan(_axis_gammas(rs)[0])
+        plan = default_line_plan(rs)
     if S.kind == "point-mass":
         return translate_spectral(rs, phi, x, -S.point, plan)
     nodes = plan.space.nodes
@@ -226,25 +212,25 @@ class BumpProfile:
     the matching scaled grid reproduces 1 to rounding.
     """
 
-    gamma: float
+    rs: RootSystem
     epsilon: float
     norm: float
     grid_n: int = 160
 
     @staticmethod
-    def create(gamma, epsilon: float = 1.0, grid_n: int = 160) -> "BumpProfile":
-        g = float(gamma)
+    def create(rs: RootSystem, epsilon: float = 1.0, grid_n: int = 160) -> "BumpProfile":
+        g = line_gamma(rs)
         if not 0.0 < epsilon <= 1.0:
             raise InvalidArgumentError("epsilon must lie in (0, 1]")
         base = standard_bump()
         grid = weighted_line_grid(g, 1.0, grid_n)
         mass = float(np.sum(grid.weights * base(grid.nodes)))
-        return BumpProfile(g, float(epsilon), 1.0 / mass, grid_n)
+        return BumpProfile(rs, float(epsilon), 1.0 / mass, grid_n)
 
     def scaled(self, epsilon: float) -> "BumpProfile":
         if not 0.0 < epsilon <= 1.0:
             raise InvalidArgumentError("epsilon must lie in (0, 1]")
-        return BumpProfile(self.gamma, float(epsilon), self.norm, self.grid_n)
+        return BumpProfile(self.rs, float(epsilon), self.norm, self.grid_n)
 
     def profile(self, r):
         """The unscaled radial profile, support in [0, 1]."""
@@ -252,11 +238,11 @@ class BumpProfile:
 
     def __call__(self, x):
         e = self.epsilon
-        scale = e ** (-(2.0 * self.gamma + 1.0))
+        scale = e ** (-(2.0 * line_gamma(self.rs) + 1.0))
         return scale * self.norm * standard_bump()(np.asarray(x, dtype=float) / e)
 
     def support_grid(self):
-        return weighted_line_grid(self.gamma, self.epsilon, self.grid_n)
+        return weighted_line_grid(line_gamma(self.rs), self.epsilon, self.grid_n)
 
     def mass(self) -> float:
         grid = self.support_grid()
@@ -266,14 +252,14 @@ class BumpProfile:
         """Transform values on a support-fitted grid; exact 1 at y = 0."""
         grid = self.support_grid()
         fv = self(grid.nodes)
-        ker = kernel_1d(self.gamma, grid.nodes[:, None], -1j * np.atleast_1d(ys)[None, :])
+        ker = kernel_1d(line_gamma(self.rs), grid.nodes[:, None], -1j * np.atleast_1d(ys)[None, :])
         return (grid.weights * fv) @ ker
 
 
 DEFAULT_EPS = (0.5, 0.2, 0.1, 0.05)
 
 
-def approx_identity_check(gamma, S: ConcreteDistribution, eps_seq: Sequence[float] = DEFAULT_EPS,
+def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequence[float] = DEFAULT_EPS,
                           plan: TransformPlan = None, test_set=None) -> VerificationReport:
     """Convergence of mollified distributions back to the distribution.
 
@@ -281,7 +267,7 @@ def approx_identity_check(gamma, S: ConcreteDistribution, eps_seq: Sequence[floa
     and compare with pairing S directly; the frequency-side quadratic bound
     is fitted at the largest epsilon and checked at the smaller ones.
     """
-    g = float(gamma)
+    g = line_gamma(rs)
     eps = [float(e) for e in eps_seq]
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or not eps:
         raise InvalidArgumentError("epsilon sequence must be strictly decreasing")
@@ -294,8 +280,7 @@ def approx_identity_check(gamma, S: ConcreteDistribution, eps_seq: Sequence[floa
     if S.kind != "weighted-function":
         raise UnsupportedCaseError("the convergence check pairs against the weighted kind")
     if plan is None:
-        plan = default_line_plan(g)
-    rs = _rs_for(g)
+        plan = default_line_plan(rs)
     if test_set is None:
         # wide fixed test functions keep the curvature constant of the
         # epsilon^2 residual small enough to resolve the smallest scale
@@ -308,7 +293,7 @@ def approx_identity_check(gamma, S: ConcreteDistribution, eps_seq: Sequence[floa
         "gamma": g, "eps": eps, "grid_n": len(plan.space.nodes),
     })
 
-    bump = BumpProfile.create(g)
+    bump = BumpProfile.create(rs)
     nodes = plan.space.nodes
     weights = plan.space.weights
     gv = np.asarray(S.g(nodes))

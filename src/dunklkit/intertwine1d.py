@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -32,41 +31,23 @@ from .rootsys import RootSystem, rank_one
 from .transform import (
     SampledFunction,
     TransformPlan,
+    _axis_gammas,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
+    line_gamma,
     make_plan,
     multiplier_P_many,
     plain_line_grid,
 )
 
 
-def _as_fraction(gamma) -> Fraction:
-    if isinstance(gamma, Fraction):
-        return gamma
-    if isinstance(gamma, int):
-        return Fraction(gamma)
-    return Fraction(float(gamma))
-
-
 @lru_cache(maxsize=32)
-def _rank_one(gamma_key: float) -> RootSystem:
-    return rank_one(Fraction(gamma_key))
-
-
-def _rs_for(gamma) -> RootSystem:
-    return _rank_one(float(gamma))
-
-
-@lru_cache(maxsize=32)
-def default_line_plan(gamma_key: float) -> TransformPlan:
-    """Shared transform plan for one-dimensional work at this multiplicity."""
-    return make_plan(_rank_one(gamma_key), radius=10.0, grid_n=160,
-                     freq_radius=9.0, freq_count=257)
-
-
-def _plan_for(gamma_key: float) -> TransformPlan:
-    return default_line_plan(float(gamma_key))
+def default_line_plan(rs: RootSystem) -> TransformPlan:
+    """Shared transform plan for one-dimensional work on the line rs; any
+    other argument is refused."""
+    line_gamma(rs)
+    return make_plan(rs, radius=10.0, grid_n=160, freq_radius=9.0, freq_count=257)
 
 
 def mass_constant(gamma) -> float:
@@ -84,19 +65,19 @@ def mass_constant(gamma) -> float:
 class IntertwiningDensity:
     """Probability density of the averaging measure at base point x."""
 
-    gamma: float
+    rs: RootSystem
     x: float
 
     def __post_init__(self):
+        if line_gamma(self.rs) <= 0:
+            raise InvalidArgumentError("gamma must be positive")
         if self.x == 0:
             raise DegeneratePointError(
                 "the measure at x = 0 is the point mass at 0; no density exists"
             )
-        if self.gamma <= 0:
-            raise InvalidArgumentError("gamma must be positive")
 
     def __call__(self, y):
-        return mu_density(self.gamma, self.x, y)
+        return mu_density(self.rs, self.x, y)
 
     @property
     def support(self):
@@ -104,13 +85,13 @@ class IntertwiningDensity:
         return (-a, a)
 
 
-def mu_density(gamma, x, y):
+def mu_density(rs: RootSystem, x, y):
     """Density of the averaging measure on (-|x|, |x|), zero outside.
 
     For negative base points the density is the reflection of the positive
     case, which is what the scaling rule of the kernel forces.
     """
-    g = float(gamma)
+    g = line_gamma(rs)
     if g <= 0:
         raise InvalidArgumentError("gamma must be positive")
     if x == 0:
@@ -140,13 +121,14 @@ def mu_quadrature(gamma_key: float, n: int = 64):
     return t, w * mass_constant(g)
 
 
-def V_k_num(gamma, f, x, n: int = 64):
-    """Apply the intertwining operator by quadrature over the measure.
+def V_k_num(rs: RootSystem, f, x, n: int = 64):
+    """Apply the intertwining operator of the line rs by quadrature over the
+    measure.
 
     Accepts a scalar or array of base points.  At gamma = 0 the operator is
     the identity; at x = 0 the measure degenerates to the point mass at 0.
     """
-    g = float(gamma)
+    g = line_gamma(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if g == 0:
         vals = np.asarray(f(xs), dtype=float)
@@ -168,21 +150,22 @@ def V_k_num(gamma, f, x, n: int = 64):
 class DualDensity:
     """Density of the dual measure at base point y against plain dx.
 
-    Supported on {|x| >= |y|}; equals the averaging density with the roles
-    of the arguments exchanged, times the reflection weight in x.
+    Supported on {|x| > |y|}; equals the averaging density with the roles
+    of the arguments exchanged, times the reflection weight in x:
+    c (|x| - sgn(x) y)^(gamma - 1) (|x| + sgn(x) y)^gamma, c = mass_constant.
     """
 
-    gamma: float
+    rs: RootSystem
     y: float
 
     def __call__(self, x):
-        g = self.gamma
+        g = line_gamma(self.rs)
+        c = mass_constant(g)
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xx)
         ok = np.abs(xx) > abs(self.y)
-        if np.any(ok):
-            dens = np.array([mu_density(g, xi, self.y) for xi in xx[ok]])
-            out[ok] = dens * np.abs(xx[ok]) ** (2.0 * g)
+        a, sy = np.abs(xx[ok]), np.sign(xx[ok]) * self.y
+        out[ok] = c * (a - sy) ** (g - 1.0) * (a + sy) ** g
         return float(out[0]) if np.ndim(x) == 0 else out
 
     @property
@@ -232,15 +215,15 @@ def _dual_at_zero(g, f, x_max, n):
     return mass_constant(g) * x_max ** (2.0 * g) * float(np.sum(w * vals))
 
 
-def tV_k_num(gamma, f, y, n: int = 120, x_max: float = 14.0, support_radius=None):
-    """Apply the dual intertwining operator by quadrature.
+def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0, support_radius=None):
+    """Apply the dual intertwining operator of the line rs by quadrature.
 
     The integral runs over {|t| >= |y|}; points with |y| beyond the reach of
     f contribute exactly zero.  support_radius truncates the domain exactly
     for compactly supported inputs; otherwise x_max must be far enough out
     that f is negligible there, which is verified.
     """
-    g = float(gamma)
+    g = line_gamma(rs)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if g == 0:
         vals = np.asarray(f(ys), dtype=float)
@@ -275,109 +258,107 @@ def tV_k_num(gamma, f, y, n: int = 120, x_max: float = 14.0, support_radius=None
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def dual_via_transform(gamma, f, y, plan: TransformPlan = None):
+def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
     """Independent route to the dual operator: classical inverse Fourier of
     the Dunkl transform.  Used as a cross-check, not in the inverse paths."""
-    g = float(gamma)
     if plan is None:
-        plan = _plan_for(g)
+        plan = default_line_plan(rs)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     grid = plain_line_grid(plan.freq_radius + 2.0, 2 * len(plan.space.nodes))
-    hvals = dunkl_transform_many(plan.rs, f, grid.nodes, plan)
+    hvals = dunkl_transform_many(rs, f, grid.nodes, plan)
     phase = np.exp(1j * np.outer(grid.nodes, ys))
     out = ((grid.weights * hvals) @ phase) / (2.0 * math.pi)
     res = np.real(out)
     return float(res[0]) if np.ndim(y) == 0 else res
 
 
-def dual_inverse_via_transform(gamma, f, x, plan: TransformPlan = None):
+def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Independent route to the inverse dual operator: Dunkl inverse of the
     classical Fourier transform."""
-    g = float(gamma)
     if plan is None:
-        plan = _plan_for(g)
+        plan = default_line_plan(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
-    out = np.real(dunkl_inverse_many(plan.rs, hvals, xs, plan))
+    out = np.real(dunkl_inverse_many(rs, hvals, xs, plan))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # local forms of the multiplier operators on closed function families
 
-def _require_integer_gamma(gamma) -> int:
-    gq = _as_fraction(gamma)
-    if gq.denominator != 1 or gq <= 0:
+def _positive_integer(rs: RootSystem) -> bool:
+    return line_gamma(rs) > 0 and rs.is_integer_case
+
+
+def _signed_prefactor(rs: RootSystem):
+    """2 gamma and the prefactor times (-1)^gamma, for a positive integer gamma."""
+    if not _positive_integer(rs):
         raise UnsupportedCaseError(
             "this path needs a positive integer multiplicity sum"
         )
-    return int(gq)
+    m = int(rs.gamma)
+    return 2 * m, operator_prefactor(rs).as_fraction() * (-1) ** m
 
 
-def _prefactor(gamma) -> Fraction:
-    return operator_prefactor(_rs_for(gamma)).as_fraction()
-
-
-def local_P(gamma, f):
+def local_P(rs: RootSystem, f):
     """Differential form of the first multiplier operator on a closed family:
     prefactor times (-1)^gamma times the 2 gamma-th derivative."""
-    m = _require_integer_gamma(gamma)
+    order, c = _signed_prefactor(rs)
     out = f
-    for _ in range(2 * m):
+    for _ in range(order):
         out = out.derivative()
-    return out.scale(_prefactor(gamma) * (-1) ** m)
+    return out.scale(c)
 
 
-def local_Q(gamma, f):
+def local_Q(rs: RootSystem, f):
     """Difference-differential form of the second multiplier operator:
     prefactor times (-1)^gamma times the 2 gamma-th Dunkl power."""
-    m = _require_integer_gamma(gamma)
-    gq = _as_fraction(gamma)
-    return f.dunkl_power(gq, 2 * m).scale(_prefactor(gamma) * (-1) ** m)
+    order, c = _signed_prefactor(rs)
+    return f.dunkl_power(rs.gamma, order).scale(c)
 
 
 # ---------------------------------------------------------------------------
 # inverse paths
 
-def inv_V_via_P(gamma, f, x, plan: TransformPlan = None, n: int = 120):
+def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None, n: int = 120):
     """Inverse of the intertwining operator as multiplier after dual:
     first apply the dual operator, then the Fourier-multiplier form."""
-    g = float(gamma)
+    g = line_gamma(rs)
     if isinstance(f, SampledFunction) and not f.decay.integrable:
         raise InvalidArgumentError(
             "inverse paths need schwartz or compactly supported input"
         )
     if plan is None:
-        plan = _plan_for(g)
+        plan = default_line_plan(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if g == 0:
         vals = np.asarray(f(xs), dtype=float)
         return float(vals[0]) if np.ndim(x) == 0 else vals
-    tvf = lambda pts: tV_k_num(g, f, pts, n=n)
-    out = np.real(multiplier_P_many(plan.rs, tvf, xs, plan))
+    tvf = lambda pts: tV_k_num(rs, f, pts, n=n)
+    out = np.real(multiplier_P_many(rs, tvf, xs, plan))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def inv_tV_via_VkP(gamma, f, x, plan: TransformPlan = None, n: int = 64):
+def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None, n: int = 64):
     """Inverse of the dual operator: apply the multiplier form first, then
     average over the intertwining measure."""
-    g = float(gamma)
+    g = line_gamma(rs)
     if isinstance(f, SampledFunction) and not f.decay.integrable:
         raise InvalidArgumentError(
             "inverse paths need schwartz or compactly supported input"
         )
     if plan is None:
-        plan = _plan_for(g)
+        plan = default_line_plan(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if g == 0:
         vals = np.asarray(f(xs), dtype=float)
         return float(vals[0]) if np.ndim(x) == 0 else vals
-    pf = lambda pts: np.real(multiplier_P_many(plan.rs, f, pts, plan))
-    out = V_k_num(g, pf, xs, n=n)
+    pf = lambda pts: np.real(multiplier_P_many(rs, f, pts, plan))
+    out = V_k_num(rs, pf, xs, n=n)
     return out if np.ndim(x) else float(np.atleast_1d(out)[0])
 
 
-def inv_V_via_Q(gamma, f, x, n: int = 120, x_max: float = 14.0):
+def inv_V_via_Q(rs: RootSystem, f, x, n: int = 120, x_max: float = 14.0):
     """Inverse of the intertwining operator for integer multiplicities:
     dual operator applied to the difference-differential multiplier image.
 
@@ -388,63 +369,52 @@ def inv_V_via_Q(gamma, f, x, n: int = 120, x_max: float = 14.0):
         raise UnsupportedCaseError(
             "this path needs a function family closed under the Dunkl operator"
         )
-    qf = local_Q(gamma, f)
+    qf = local_Q(rs, f)
     support = 1.0 if isinstance(f, SmoothBump) else None
-    return tV_k_num(float(gamma), qf, x, n=n, x_max=x_max, support_radius=support)
+    return tV_k_num(rs, qf, x, n=n, x_max=x_max, support_radius=support)
 
 
 # ---------------------------------------------------------------------------
 # representing-distribution pairings
 
-def eta_pairing(gamma, x, f, n: int = 120, x_max: float = 14.0):
+def eta_pairing(rs: RootSystem, x, f, n: int = 120, x_max: float = 14.0):
     """Pairing with the representing distribution of the inverse operator:
     the dual measure at x applied to the multiplier image of f.
 
     Must agree with the multiplier-after-dual inverse path; the suites
     verify that agreement pointwise.
     """
-    return inv_V_via_Q(gamma, f, x, n=n, x_max=x_max)
+    return inv_V_via_Q(rs, f, x, n=n, x_max=x_max)
 
 
-def z_pairing(gamma, x, f, plan: TransformPlan = None, n: int = 64):
+def z_pairing(rs: RootSystem, x, f, plan: TransformPlan = None, n: int = 64):
     """Pairing with the representing distribution of the inverse dual
     operator: integrate the multiplier image of f over the averaging
     measure at x."""
-    g = float(gamma)
-    gq = _as_fraction(gamma)
-    if isinstance(f, (PolyGauss, SmoothBump)) and gq.denominator == 1 and gq > 0:
-        pf = local_P(gamma, f)
-        return V_k_num(g, pf, x, n=n)
-    return inv_tV_via_VkP(gamma, f, x, plan=plan, n=n)
+    if isinstance(f, (PolyGauss, SmoothBump)) and _positive_integer(rs):
+        return V_k_num(rs, local_P(rs, f), x, n=n)
+    return inv_tV_via_VkP(rs, f, x, plan=plan, n=n)
 
 
 # ---------------------------------------------------------------------------
 # tensor extension over product systems
 
 def V_k_num_product(rs: RootSystem, f, points, n: int = 48):
-    """Intertwining operator for a product system: tensor of line measures."""
-    profile = rs.axis_profile()
-    if profile is None:
-        raise UnsupportedCaseError("tensor averaging needs a product system")
+    """Intertwining operator for a product system: tensor of line measures.
+
+    f is called once, on every base point times every tensor node.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rules = []
-    for scale, k in profile:
-        g = float(k)
-        if g == 0:
-            rules.append((np.array([1.0]), np.array([1.0])))
-        else:
-            rules.append(mu_quadrature(g, n))
+    rules = [mu_quadrature(g, n) if g else (np.ones(1), np.ones(1)) for g in _axis_gammas(rs)]
     mesh_t = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     mesh_w = np.meshgrid(*[r[1] for r in rules], indexing="ij")
     tmat = np.stack([m.reshape(-1) for m in mesh_t], axis=-1)
     weights = np.ones(tmat.shape[0])
     for wm in mesh_w:
         weights = weights * wm.reshape(-1)
-    out = np.empty(pts.shape[0])
-    for i, xp in enumerate(pts):
-        # an axis with xp[j] = 0 collapses to the point mass automatically
-        vals = np.asarray(f(xp[None, :] * tmat))
-        out[i] = float(weights @ vals)
+    # an axis with a zero coordinate collapses to the point mass automatically
+    vals = np.asarray(f((pts[:, None, :] * tmat[None, :, :]).reshape(-1, pts.shape[1])))
+    out = vals.reshape(len(pts), -1) @ weights
     return out if np.asarray(points).ndim == 2 else float(out[0])
 
 
@@ -453,13 +423,13 @@ def tV_k_num_product(rs: RootSystem, f, points, n: int = 80, x_max: float = 14.0
     profile = rs.axis_profile()
     if profile is None or rs.dimension != 2:
         raise UnsupportedCaseError("tensor dual averaging covers two-factor products")
-    g1, g2 = (float(k) for _, k in profile)
+    line1, line2 = (rank_one(k) for _, k in profile)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(pts.shape[0])
     for i, (y1, y2) in enumerate(pts):
         inner = lambda x1s: np.array(
-            [tV_k_num(g2, lambda x2s: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1)), y2,
+            [tV_k_num(line2, lambda x2s: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1)), y2,
                       n=n, x_max=x_max) for x1 in np.atleast_1d(x1s)]
         )
-        out[i] = tV_k_num(g1, inner, y1, n=n, x_max=x_max)
+        out[i] = tV_k_num(line1, inner, y1, n=n, x_max=x_max)
     return out if np.asarray(points).ndim == 2 else float(out[0])

@@ -65,30 +65,23 @@ from .rootsys import RootSystem, mehta_by_quadrature, mehta_constant
 from .transform import (
     DecayClass,
     SampledFunction,
+    _axis_gammas,
     dunkl_roundtrip_many,
     dunkl_transform_many,
     fourier_bessel,
     gaussian_eigen_constant,
+    line_gamma,
     make_plan,
 )
 
 __all__ = ["SUITES", "SuiteConfig", "run_suite", "suite_names"]
 
 
-def _line_gamma(rs: RootSystem) -> float:
-    """Multiplicity of the single reflection on the line, as a float."""
-    profile = rs.axis_profile()
-    if rs.dimension != 1 or profile is None:
-        raise UnsupportedCaseError(
-            "this suite runs on the one-dimensional line; "
-            "pass a rank-one system (preset z2:<k>)"
-        )
-    return float(profile[0][1])
-
-
 def _line_plan(rs: RootSystem, grid_n):
+    """The plan of a line suite; refuses a system that is not a line."""
     if grid_n is None:
-        return default_line_plan(_line_gamma(rs))
+        return default_line_plan(rs)
+    line_gamma(rs)
     return make_plan(rs, radius=10.0, grid_n=grid_n, freq_radius=9.0, freq_count=257)
 
 
@@ -178,7 +171,7 @@ def normalization_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
     profile = rs.axis_profile()
     n = grid_n or 64
     if profile is not None:
-        masses = [abs(float(np.sum(mu_quadrature(float(k), n)[1])) - 1.0) for _, k in profile if k != 0]
+        masses = [abs(float(np.sum(mu_quadrature(g, n)[1])) - 1.0) for g in _axis_gammas(rs) if g != 0]
         if masses:
             report.add(
                 "measure-mass",
@@ -208,7 +201,7 @@ def normalization_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
 def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Quadrature V against the exact graded-matrix V on the line."""
-    gam = _line_gamma(rs)
+    line_gamma(rs)
     report = VerificationReport("cross-engine")
     n = grid_n or 64
     xs = np.array([-1.7, -0.4, 0.3, 1.0, 2.5])
@@ -216,7 +209,7 @@ def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificati
     for deg in range(9):
         p = RationalPoly.monomial(1, (deg,))
         exact = intertwine(rs, p).evaluate_float(xs)
-        num = V_k_num(gam, lambda t, deg=deg: np.asarray(t) ** deg, xs, n=n)
+        num = V_k_num(rs, lambda t, deg=deg: np.asarray(t) ** deg, xs, n=n)
         denom = np.abs(exact)
         if np.min(denom) == 0.0:
             denom = np.maximum(denom, 1.0)
@@ -227,15 +220,15 @@ def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificati
         worst(errors),
         1e-10,
     )
-    if gam == 1.0:
-        val = V_k_num(1.0, lambda t: np.asarray(t) ** 2, np.array([1.0]), n=n)[0]
+    if rs.gamma == 1:
+        val = V_k_num(rs, lambda t: np.asarray(t) ** 2, np.array([1.0]), n=n)[0]
         report.add(
             "second-moment-anchor",
             "V(y^2)(1) = 1/3 at unit multiplicity",
             abs(float(val) - 1.0 / 3.0),
             1e-10,
         )
-    odd = V_k_num(gam, lambda t: np.asarray(t) ** 3, np.array([1.25, -1.25]), n=n)
+    odd = V_k_num(rs, lambda t: np.asarray(t) ** 3, np.array([1.25, -1.25]), n=n)
     report.add(
         "parity",
         "V preserves parity: V(y^3)(-x) = -V(y^3)(x)",
@@ -269,12 +262,12 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
     )
 
     profile = rs.axis_profile()
-    if d == 1 and profile is not None:
-        gam = float(profile[0][1])
+    if d == 1:
+        gam = line_gamma(rs)
         n = grid_n or 64
         xs = np.array([-2.0, -0.6, 0.7, 1.8])
         errors = [
-            _rel(V_k_num(gam, lambda y, t=t: np.exp(np.asarray(y) * t), xs, n=n), kernel_1d(gam, xs, t))
+            _rel(V_k_num(rs, lambda y, t=t: np.exp(np.asarray(y) * t), xs, n=n), kernel_1d(gam, xs, t))
             for t in (-1.5, -0.5, 0.8, 2.0)
         ]
         report.add(
@@ -350,10 +343,10 @@ def transform_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     if d == 1:
-        gam = _line_gamma(rs)
+        gam = line_gamma(rs)
         f = PolyGauss.create([1, 1, Fraction(1, 2)])
         nodes = plan.space_plain.nodes
-        tv = tV_k_num(gam, f, nodes, n=100)
+        tv = tV_k_num(rs, f, nodes, n=100)
         ts = np.linspace(-3.0, 3.0, 13)
         phase = np.exp(-1j * np.outer(nodes, ts))
         via_dual = (plan.space_plain.weights * tv) @ phase
@@ -390,18 +383,17 @@ def transform_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
 
 def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Agreement of independent inversion routes and forward roundtrips."""
-    gam = _line_gamma(rs)
     plan = _line_plan(rs, grid_n)
     report = VerificationReport("inversion")
-    integer = float(gam).is_integer() and gam >= 1
+    integer = rs.is_integer_case and rs.gamma >= 1
     report.env["integer_multiplicity"] = bool(integer)
 
     fs = [PolyGauss.monomial(m) for m in range(5)]
     xs = np.array([-2.3, -0.7, 0.0, 0.5, 1.4, 2.3])
 
-    path_p = [inv_V_via_P(gam, f, xs, plan) for f in fs]
+    path_p = [inv_V_via_P(rs, f, xs, plan) for f in fs]
     if integer:
-        path_q = [inv_V_via_Q(gam, f, xs) for f in fs]
+        path_q = [inv_V_via_Q(rs, f, xs) for f in fs]
         report.add(
             "inverse-paths-agree",
             "multiplier route and difference-operator route to V^(-1) agree",
@@ -413,13 +405,13 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     for f in fs:
         if integer:
             handle = lambda pts, f=f: np.reshape(
-                inv_V_via_Q(gam, f, np.ravel(pts)), np.shape(pts)
+                inv_V_via_Q(rs, f, np.ravel(pts)), np.shape(pts)
             )
         else:
             handle = lambda pts, f=f: np.reshape(
-                inv_V_via_P(gam, f, np.ravel(pts), plan), np.shape(pts)
+                inv_V_via_P(rs, f, np.ravel(pts), plan), np.shape(pts)
             )
-        backs.append(np.abs(V_k_num(gam, handle, xs, n=64) - f(xs)))
+        backs.append(np.abs(V_k_num(rs, handle, xs, n=64) - f(xs)))
     report.add(
         "forward-roundtrip",
         "V applied after V^(-1) returns the input on Hermite-type functions",
@@ -428,7 +420,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     rels = [
-        _rel(inv_tV_via_VkP(gam, f, xs, plan), np.real(dual_inverse_via_transform(gam, f, xs, plan)))
+        _rel(inv_tV_via_VkP(rs, f, xs, plan), np.real(dual_inverse_via_transform(rs, f, xs, plan)))
         for f in fs
     ]
     report.add(
@@ -442,9 +434,9 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     backs = []
     for f in fs[:3]:
         handle = lambda pts, f=f: np.reshape(
-            np.real(dual_inverse_via_transform(gam, f, np.ravel(pts), plan)), np.shape(pts)
+            np.real(dual_inverse_via_transform(rs, f, np.ravel(pts), plan)), np.shape(pts)
         )
-        backs.append(np.abs(tV_k_num(gam, handle, xs2, n=100, x_max=12.0) - f(xs2)))
+        backs.append(np.abs(tV_k_num(rs, handle, xs2, n=100, x_max=12.0) - f(xs2)))
     report.add(
         "dual-roundtrip",
         "the dual intertwiner applied after its inverse returns the input",
@@ -456,8 +448,8 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
 
 def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Pairings against the compactly supported representing distributions."""
-    gam = _line_gamma(rs)
-    if not float(gam).is_integer() or gam < 1:
+    line_gamma(rs)
+    if not (rs.is_integer_case and rs.gamma >= 1):
         raise UnsupportedCaseError(
             "distributional pairings use the difference-operator route and "
             "need a positive integer multiplicity"
@@ -469,9 +461,9 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
     gaps = []
     for f in fs:
-        ref = inv_V_via_P(gam, f, np.array(xs), plan)
+        ref = inv_V_via_P(rs, f, np.array(xs), plan)
         for x, r in zip(xs, ref):
-            gaps.append(abs(eta_pairing(gam, x, f) - float(r)) / max(1.0, abs(float(r))))
+            gaps.append(abs(eta_pairing(rs, x, f) - float(r)) / max(1.0, abs(float(r))))
     report.add(
         "inverse-pairing",
         "pairing f with the distribution representing V^(-1) matches V^(-1) f",
@@ -481,9 +473,9 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
     gaps = []
     for f in fs:
-        ref = np.real(dual_inverse_via_transform(gam, f, np.array(xs), plan))
+        ref = np.real(dual_inverse_via_transform(rs, f, np.array(xs), plan))
         for x, r in zip(xs, ref):
-            gaps.append(abs(z_pairing(gam, x, f, plan) - float(r)) / max(1.0, abs(float(r))))
+            gaps.append(abs(z_pairing(rs, x, f, plan) - float(r)) / max(1.0, abs(float(r))))
     report.add(
         "dual-inverse-pairing",
         "pairing f with the distribution representing the dual inverse matches it",
@@ -495,14 +487,14 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
     report.add(
         "pairing-support",
         "the V^(-1) pairing of a bump vanishes identically beyond its support",
-        worst([abs(eta_pairing(gam, x, bump)) for x in (1.2, -1.2, 2.0, -2.0)]),
+        worst([abs(eta_pairing(rs, x, bump)) for x in (1.2, -1.2, 2.0, -2.0)]),
         0.0,
     )
 
     f, g = fs[0], fs[2]
     both = f + g
     gaps = [
-        abs(eta_pairing(gam, x, both) - eta_pairing(gam, x, f) - eta_pairing(gam, x, g))
+        abs(eta_pairing(rs, x, both) - eta_pairing(rs, x, f) - eta_pairing(rs, x, g))
         for x in (0.4, 1.1)
     ]
     report.add("pairing-linearity", "the pairing is linear in the test function", worst(gaps), 1e-8)
@@ -511,21 +503,21 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
 def support_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Support preservation of the multiplier operators and the dual image."""
-    gam = _line_gamma(rs)
+    line_gamma(rs)
     report = VerificationReport("support")
     bump = standard_bump()
     outside = np.array([1.000001, 1.2, 1.7, 2.5, 4.0])
     outside = np.concatenate([outside, -outside])
 
-    if float(gam).is_integer() and gam >= 1:
-        pf = local_P(gam, bump)
+    if rs.is_integer_case and rs.gamma >= 1:
+        pf = local_P(rs, bump)
         report.add(
             "multiplier-support",
             "P of a bump vanishes identically outside the bump support",
             float(np.max(np.abs(pf(outside)))),
             0.0,
         )
-        qf = local_Q(gam, bump)
+        qf = local_Q(rs, bump)
         report.add(
             "difference-multiplier-support",
             "Q of a bump vanishes identically outside the bump support",
@@ -537,14 +529,14 @@ def support_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRep
 
     ys = np.array([1.05, 1.2, 2.0, 3.0])
     ys = np.concatenate([ys, -ys])
-    vals = tV_k_num(gam, bump, ys, n=grid_n or 120)
+    vals = tV_k_num(rs, bump, ys, n=grid_n or 120)
     report.add(
         "dual-image-support",
         "the dual intertwiner of a bump vanishes outside a 5 percent margin",
         float(np.max(np.abs(vals))),
         1e-8,
     )
-    inside = tV_k_num(gam, bump, np.array([0.0, 0.35, 0.7, 0.9]), n=grid_n or 120)
+    inside = tV_k_num(rs, bump, np.array([0.0, 0.35, 0.7, 0.9]), n=grid_n or 120)
     report.add(
         "dual-image-nonzero-inside",
         "the dual image stays bounded away from zero inside the support",
@@ -560,10 +552,10 @@ def support_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRep
 
 def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Generalized translation paths, the convolution law, and commutation."""
-    gam = _line_gamma(rs)
+    gam = line_gamma(rs)
     plan = _line_plan(rs, grid_n)
     report = VerificationReport("translation")
-    integer = float(gam).is_integer() and gam >= 1
+    integer = rs.is_integer_case and rs.gamma >= 1
 
     fs = [gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)]
     ys = np.linspace(-3.0, 3.0, 25)
@@ -573,7 +565,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     # every route evaluates each function once, at all four (x, y) pairs
     xs, ys = np.array([0.5, 1.2, 0.0, -0.8]), np.array([1.0, -0.6, 1.5, -0.9])
     spectral = [np.real(translate_spectral_many(rs, f, xs, ys, plan)) for f in fs]
-    if gam == 0.0:
+    if rs.gamma == 0:
         shifts = [np.abs(tau - f(xs + ys)) for f, tau in zip(fs, spectral)]
         report.add(
             "classical-shift",
@@ -583,7 +575,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
         )
     else:
         gaps = [
-            np.abs(tau - translate_measure(gam, f, xs, ys, plan=plan)) for f, tau in zip(fs, spectral)
+            np.abs(tau - translate_measure(rs, f, xs, ys, plan=plan)) for f, tau in zip(fs, spectral)
         ]
         report.add(
             "translation-paths-product",
@@ -593,7 +585,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
         )
         if integer:
             gaps = [
-                np.abs(tau - translate_measure(gam, f, xs, ys, method="Q", plan=plan))
+                np.abs(tau - translate_measure(rs, f, xs, ys, method="Q", plan=plan))
                 for f, tau in zip(fs, spectral)
             ]
             report.add(
@@ -623,7 +615,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
 
     # the bump transform comes from its support-fitted grid; the global grid
     # cannot resolve a narrow mollifier
-    phi = BumpProfile.create(gam, 0.5, grid_n=160)
+    phi = BumpProfile.create(rs, 0.5, grid_n=160)
     conv_b = spectral_convolution(rs, phi.transform_at(plan.freq.nodes), g(nodes), nodes, plan)
     lhs = dunkl_transform_many(rs, lambda _: conv_b, ts, plan)
     rhs = phi.transform_at(ts) * dunkl_transform_many(rs, g, ts, plan)
@@ -661,7 +653,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     deriv = (fp(ypts + h) - fp(ypts - h)) / (2 * h)
     if gam > 0:
         deriv = deriv + gam * (fp(ypts) - fp(-ypts)) / ypts
-    rhs_op = np.real(translate_spectral_many(rs, f.dunkl(gam), x0, ypts, plan))
+    rhs_op = np.real(translate_spectral_many(rs, f.dunkl(rs.gamma), x0, ypts, plan))
     report.add(
         "translation-commutes-with-operator",
         "the difference-differential operator commutes with translation",
@@ -673,10 +665,9 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
 
 def approx_identity_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Mollification of a weighted density converging back to the density."""
-    gam = _line_gamma(rs)
     plan = _line_plan(rs, grid_n)
     S = ConcreteDistribution.weighted(lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / 8.0))
-    return approx_identity_check(gam, S, DEFAULT_EPS, plan)
+    return approx_identity_check(rs, S, DEFAULT_EPS, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,6 @@ def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
     )
 
 
-def hermite_grid(n: int = 64) -> QuadratureGrid:
-    from scipy.special import roots_hermite
-
-    x, w = roots_hermite(n)
-    return QuadratureGrid(x, w, "gauss-hermite", (-math.inf, math.inf), math.sqrt(math.pi))
-
-
 def tensor_grid(axes) -> QuadratureGrid:
     """Tensor product of one-dimensional grids."""
     axes = tuple(axes)
@@ -314,12 +307,31 @@ def make_plan(
 
 
 def _axis_gammas(rs: RootSystem) -> list:
+    """The multiplicity on each coordinate axis, as floats.
+
+    With line_gamma, this is where the numeric layers leave the exact
+    multiplicities of a RootSystem.
+    """
+    if not isinstance(rs, RootSystem):
+        raise InvalidArgumentError(
+            f"expected a RootSystem, got {rs!r}; a multiplicity k on the line is rank_one(k)"
+        )
     profile = rs.axis_profile()
     if profile is None:
         raise UnsupportedCaseError(
             "numeric transforms exist only for products of one-dimensional factors"
         )
     return [float(k) for _, k in profile]
+
+
+def line_gamma(rs: RootSystem) -> float:
+    """The multiplicity of the one reflection of a line rs, as a float."""
+    gammas = _axis_gammas(rs)
+    if len(gammas) != 1:
+        raise UnsupportedCaseError(
+            "this runs only on the one-dimensional line; pass a rank-one system (preset z2:<k>)"
+        )
+    return gammas[0]
 
 
 def gaussian_eigen_constant(rs: RootSystem) -> float:

@@ -37,10 +37,21 @@ def rs_product():
 
 
 @pytest.fixture(scope="session")
-def plan_one():
-    return default_line_plan(1.0)
+def lines():
+    """Rank-one systems keyed by the float that names them in test ids."""
+    return {
+        0.5: rank_one(Fraction(1, 2)),
+        1.0: rank_one(1),
+        2.0: rank_one(2),
+        7.0 / 3.0: rank_one(Fraction(7, 3)),
+    }
 
 
 @pytest.fixture(scope="session")
-def plan_two():
-    return default_line_plan(2.0)
+def plan_one(rs_one):
+    return default_line_plan(rs_one)
+
+
+@pytest.fixture(scope="session")
+def plan_two(rs_two):
+    return default_line_plan(rs_two)

@@ -72,7 +72,7 @@ def test_criterion_03_cross_engine():
         worst = max(worst, _check(_run("cross-engine", rs, label),
                                   "monomials-numeric-vs-exact").residual)
     xs = np.array([-2.0, -0.7, 0.5, 1.0, 3.0])
-    anchor = np.max(np.abs(V_k_num(1.0, lambda t: np.asarray(t) ** 2, xs) - xs ** 2 / 3.0)
+    anchor = np.max(np.abs(V_k_num(rank_one(1), lambda t: np.asarray(t) ** 2, xs) - xs ** 2 / 3.0)
                     / np.maximum(1.0, xs ** 2 / 3.0))
     worst = max(worst, float(anchor))
     _emit(3, "quadrature engine matches exact polynomial engine within 1e-10",

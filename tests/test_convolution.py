@@ -1,5 +1,4 @@
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,21 +39,21 @@ def test_translate_at_zero_is_identity(rs_one, plan_one):
 
 def test_translate_gamma_zero_is_shift(rs_zero):
     f = gaussian()
-    plan = default_line_plan(0.0)
+    plan = default_line_plan(rs_zero)
     x, ys = 0.8, np.array([-1.0, 0.2, 1.5])
     vals = translate_spectral_many(rs_zero, f, x, ys, plan)
     assert np.max(np.abs(np.real(vals) - f(x + ys))) < 1e-9
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
-def test_translate_paths_agree(gamma):
-    rs = rank_one(int(gamma))
-    plan = default_line_plan(gamma)
+def test_translate_paths_agree(gamma, lines):
+    rs = lines[gamma]
+    plan = default_line_plan(rs)
     f = gaussian()
     for x, y in [(0.5, 1.0), (1.2, -0.6), (-0.8, -0.9)]:
         spectral = float(np.real(translate_spectral(rs, f, x, y, plan)))
-        via_p = translate_measure(gamma, f, x, y, method="P", plan=plan)
-        via_q = translate_measure(gamma, f, x, y, method="Q", plan=plan)
+        via_p = translate_measure(rs, f, x, y, method="P", plan=plan)
+        via_q = translate_measure(rs, f, x, y, method="Q", plan=plan)
         assert spectral == pytest.approx(via_p, abs=2e-6)
         assert spectral == pytest.approx(via_q, abs=2e-6)
 
@@ -80,40 +79,41 @@ PAIRS_Y = np.array([1.0, -0.6, 1.5, -0.9])
 @pytest.mark.parametrize("gamma, method", [
     (1.0, "P"), (2.0, "P"), (7.0 / 3.0, "P"), (1.0, "Q"), (2.0, "Q"),
 ])
-def test_translate_measure_batch_matches_pair_loop(gamma, method):
-    plan = default_line_plan(gamma)
+def test_translate_measure_batch_matches_pair_loop(gamma, method, lines):
+    rs = lines[gamma]
+    plan = default_line_plan(rs)
     for f in (gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)):
-        batch = translate_measure(gamma, f, PAIRS_X, PAIRS_Y, method=method, plan=plan)
+        batch = translate_measure(rs, f, PAIRS_X, PAIRS_Y, method=method, plan=plan)
         loop = [
-            translate_measure(gamma, f, x, y, method=method, plan=plan) for x, y in zip(PAIRS_X, PAIRS_Y)
+            translate_measure(rs, f, x, y, method=method, plan=plan) for x, y in zip(PAIRS_X, PAIRS_Y)
         ]
         assert batch.shape == PAIRS_X.shape
         np.testing.assert_allclose(batch, loop, rtol=1e-12)
 
 
-def test_translate_measure_broadcasts_one_base_point():
-    plan = default_line_plan(1.0)
+def test_translate_measure_broadcasts_one_base_point(rs_one, plan_one):
     f = gaussian()
-    batch = translate_measure(1.0, f, 0.7, PAIRS_Y, plan=plan)
-    loop = [translate_measure(1.0, f, 0.7, y, plan=plan) for y in PAIRS_Y]
+    batch = translate_measure(rs_one, f, 0.7, PAIRS_Y, plan=plan_one)
+    loop = [translate_measure(rs_one, f, 0.7, y, plan=plan_one) for y in PAIRS_Y]
     np.testing.assert_allclose(batch, loop, rtol=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 7.0 / 3.0])
-def test_separable_measure_route_matches_direct_double_average(gamma):
+def test_separable_measure_route_matches_direct_double_average(gamma, lines):
     # the double average of the multiplier-after-dual inverse at every node pair
-    plan = default_line_plan(gamma)
+    rs = lines[gamma]
+    plan = default_line_plan(rs)
     f = gaussian()
     t, w = mu_quadrature(gamma, 48)
     for x, y in zip(PAIRS_X, PAIRS_Y):
-        vals = inv_V_via_P(gamma, f, np.add.outer(x * t, y * t).reshape(-1), plan=plan)
+        vals = inv_V_via_P(rs, f, np.add.outer(x * t, y * t).reshape(-1), plan=plan)
         direct = w @ vals.reshape(48, 48) @ w
-        assert translate_measure(gamma, f, x, y, plan=plan) == pytest.approx(direct, rel=1e-12)
+        assert translate_measure(rs, f, x, y, plan=plan) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("method", ["P", "Q"])
-def test_translate_measure_scalar_pair_gives_float(method):
-    val = translate_measure(1.0, gaussian(), 0.5, 1.0, method=method, plan=default_line_plan(1.0))
+def test_translate_measure_scalar_pair_gives_float(method, rs_one, plan_one):
+    val = translate_measure(rs_one, gaussian(), 0.5, 1.0, method=method, plan=plan_one)
     assert type(val) is float
 
 
@@ -134,18 +134,17 @@ def count_tV(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [4, 16])
-def test_measure_route_applies_the_dual_once_per_call(pairs, count_tV):
-    plan = default_line_plan(1.0)
+def test_measure_route_applies_the_dual_once_per_call(pairs, count_tV, rs_one, plan_one):
     xs, ys = np.linspace(-1.2, 1.2, pairs), np.linspace(1.5, -0.9, pairs)
-    translate_measure(1.0, gaussian(), xs, ys, method="P", plan=plan)
+    translate_measure(rs_one, gaussian(), xs, ys, method="P", plan=plan_one)
     assert len(count_tV) == 1
-    np.testing.assert_array_equal(count_tV[0], plan.space_plain.nodes)
+    np.testing.assert_array_equal(count_tV[0], plan_one.space_plain.nodes)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 7.0 / 3.0])
-def test_translate_spectral_pairs_match_scalar_loop(gamma):
-    rs = rank_one(1) if gamma == 1.0 else rank_one(Fraction(7, 3))
-    plan = default_line_plan(gamma)
+def test_translate_spectral_pairs_match_scalar_loop(gamma, lines):
+    rs = lines[gamma]
+    plan = default_line_plan(rs)
     for f in (gaussian(), PolyGauss.monomial(1)):
         batch = translate_spectral_many(rs, f, PAIRS_X, PAIRS_Y, plan)
         loop = [translate_spectral(rs, f, x, y, plan) for x, y in zip(PAIRS_X, PAIRS_Y)]
@@ -217,17 +216,16 @@ def test_point_mass_convolution_is_translation(rs_one, plan_one):
     S = ConcreteDistribution.point_mass(z)
     phi = gaussian()
     for x in (0.0, 0.5, -1.2):
-        lhs = float(np.real(distribution_convolve(S, phi, x, rs_one, plan_one)))
+        lhs = float(np.real(distribution_convolve(rs_one, S, phi, x, plan_one)))
         rhs = float(np.real(translate_spectral(rs_one, phi, -z, x, plan_one)))
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_point_mass_convolution_classical_limit(rs_zero):
-    plan = default_line_plan(0.0)
     S = ConcreteDistribution.point_mass(0.4)
     phi = gaussian()
     for x in (0.0, 0.9, -1.3):
-        lhs = float(np.real(distribution_convolve(S, phi, x, rs_zero, plan)))
+        lhs = float(np.real(distribution_convolve(rs_zero, S, phi, x)))
         assert lhs == pytest.approx(phi(np.array([x - 0.4]))[0], abs=1e-9)
 
 
@@ -240,50 +238,42 @@ def test_weighted_distribution_pairing(rs_one, plan_one):
     assert complex(S.pair(f, plan_one)).real == pytest.approx(expected, rel=1e-14)
 
 
-def test_point_mass_transform_is_kernel(rs_one, plan_one):
-    S = ConcreteDistribution.point_mass(0.9)
-    ys = np.array([0.0, 1.0, -2.0])
-    vals = S.transform_values(rs_one, ys, plan_one)
-    ref = kernel_1d(1.0, 0.9, -1j * ys)
-    assert np.max(np.abs(vals - ref)) < 1e-14
-
-
 # ----------------------------------------------------------------- bump
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-def test_bump_unit_mass(gamma):
-    bump = BumpProfile.create(gamma)
+def test_bump_unit_mass(gamma, lines):
+    bump = BumpProfile.create(lines[gamma])
     assert bump.mass() == pytest.approx(1.0, abs=1e-12)
     assert bump.scaled(0.25).mass() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bump_transform_at_zero():
-    bump = BumpProfile.create(1.0, 0.5)
+def test_bump_transform_at_zero(rs_one):
+    bump = BumpProfile.create(rs_one, 0.5)
     assert complex(bump.transform_at(np.array([0.0]))[0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bump_support():
-    bump = BumpProfile.create(1.0, 0.5)
+def test_bump_support(rs_one):
+    bump = BumpProfile.create(rs_one, 0.5)
     vals = bump(np.array([0.51, 0.7, -0.6]))
     assert np.max(np.abs(vals)) == 0.0
     assert bump(np.array([0.2]))[0] > 0.0
 
 
-def test_bump_epsilon_validation():
+def test_bump_epsilon_validation(rs_one):
     with pytest.raises(InvalidArgumentError):
-        BumpProfile.create(1.0, 1.5)
+        BumpProfile.create(rs_one, 1.5)
     with pytest.raises(InvalidArgumentError):
-        BumpProfile.create(1.0, 0.0)
+        BumpProfile.create(rs_one, 0.0)
 
 
 # ----------------------------------------------------------------- approximate identity
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
-def test_approx_identity_passes(gamma):
+def test_approx_identity_passes(gamma, lines):
     S = ConcreteDistribution.weighted(lambda x: np.exp(-np.asarray(x) ** 2 / 8.0))
-    report = approx_identity_check(gamma, S)
+    report = approx_identity_check(lines[gamma], S)
     assert report.status == "pass"
     by_id = {c.id: c for c in report.checks}
     assert by_id["residual-decay"].residual <= 0.2
@@ -291,26 +281,25 @@ def test_approx_identity_passes(gamma):
     assert np.isfinite(float(report.env["fitted_M"]))
 
 
-def test_approx_identity_eps_validation():
+def test_approx_identity_eps_validation(rs_one):
     S = ConcreteDistribution.weighted(lambda x: np.exp(-np.asarray(x) ** 2 / 8.0))
-    with pytest.raises(InvalidArgumentError):
-        approx_identity_check(1.0, S, eps_seq=(0.5, 0.5))
-    with pytest.raises(InvalidArgumentError):
-        approx_identity_check(1.0, S, eps_seq=(1.5, 0.5))
-    with pytest.raises(InvalidArgumentError):
-        approx_identity_check(1.0, S, eps_seq=(0.5, 0.01))
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
+        approx_identity_check(rs_one, S, eps_seq=(0.5, 0.5))
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
+        approx_identity_check(rs_one, S, eps_seq=(1.5, 0.5))
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
+        approx_identity_check(rs_one, S, eps_seq=(0.5, 0.01))
     with pytest.raises(UnsupportedCaseError):
-        approx_identity_check(1.0, ConcreteDistribution.point_mass(0.0))
+        approx_identity_check(rs_one, ConcreteDistribution.point_mass(0.0))
 
 
 # ----------------------------------------------------------------- properties
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.floats(min_value=-1.2, max_value=1.2), st.sampled_from([1.0, 2.0]))
-def test_translation_linearity(x, gamma):
-    rs = rank_one(int(gamma))
-    plan = default_line_plan(gamma)
+@given(st.floats(min_value=-1.2, max_value=1.2), st.sampled_from([rank_one(1), rank_one(2)]))
+def test_translation_linearity(x, rs):
+    plan = default_line_plan(rs)
     f = gaussian()
     g = PolyGauss.monomial(2)
     ys = np.array([0.4])

@@ -8,10 +8,10 @@ import pytest
 
 from dunklkit import kernel
 from dunklkit.cli import parse_preset
-from dunklkit.errors import AccuracyWarning, InvalidArgumentError
+from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit.kernel import kernel_1d
-from dunklkit.rootsys import mehta_constant, rank_one
+from dunklkit.rootsys import axis_product, mehta_constant, rank_one
 from dunklkit.suites import SuiteConfig, run_suite
 from dunklkit.transform import (
     _TARGET_KERNELS,
@@ -24,8 +24,8 @@ from dunklkit.transform import (
     dunkl_transform_many,
     fourier_bessel,
     gaussian_eigen_constant,
-    hermite_grid,
     inverse_constant,
+    line_gamma,
     make_plan,
     multiplier_P_many,
     plain_line_grid,
@@ -44,8 +44,20 @@ def test_weighted_grid_gaussian_mass():
         assert val == pytest.approx(1.0 / mehta_constant(rank_one(Fraction(gamma))), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, Fraction(7, 3), 2.0])
+def test_a_bare_multiplicity_is_not_a_system(k):
+    with pytest.raises(InvalidArgumentError, match=r"rank_one\(k\)"):
+        line_gamma(k)
+
+
+def test_line_gamma_reads_the_line_and_refuses_a_product():
+    assert line_gamma(rank_one(Fraction(7, 3))) == 7.0 / 3.0
+    with pytest.raises(UnsupportedCaseError, match="rank-one"):
+        line_gamma(axis_product(1, 2))
+
+
 def test_grid_calibration_small():
-    for grid in (weighted_line_grid(1.0), plain_line_grid(), hermite_grid()):
+    for grid in (weighted_line_grid(1.0), plain_line_grid()):
         assert grid.calibration_residual() < 1e-9
 
 
