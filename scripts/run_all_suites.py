@@ -4,9 +4,17 @@
 Combinations a suite does not support (product systems for the line-only
 suites, fractional multiplicities for the distribution pairings) are listed
 as skipped rather than failed.  Exits nonzero if any executed check fails.
+
+Each row ends with the first 12 hex digits of the sha256 of the report body
+and the wall time.  The body leaves out timing, so two checkouts give the
+same reports exactly when their tables differ only in the times:
+
+    diff <(python3 scripts/run_all_suites.py | sed -E 's/ +[0-9]+ ms$//') \
+         <(cd ../other && python3 scripts/run_all_suites.py | sed -E 's/ +[0-9]+ ms$//')
 """
 
 import argparse
+import hashlib
 import sys
 
 from dunklkit.cli import parse_preset
@@ -39,7 +47,8 @@ def main(argv=None) -> int:
             mark = "ok" if report.all_passed else "FAIL"
             print(
                 f"  {suite:<{width}} {mark:<6} max residual {largest:.3e}  "
-                f"{len(report.checks)} checks  {report.elapsed_ms:.0f} ms"
+                f"{len(report.checks)} checks  body {hashlib.sha256(report.body_bytes()).hexdigest()[:12]}  "
+                f"{report.elapsed_ms:.0f} ms"
             )
             if not report.all_passed:
                 failures += 1

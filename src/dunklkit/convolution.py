@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedCaseError
 from .functions import standard_bump
-from .intertwine1d import default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
+from .intertwine1d import _per_function, default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
 from .kernel import kernel_1d
 from .report import VerificationReport, worst
 from .rootsys import RootSystem
@@ -56,14 +56,15 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     translates onto every y through one multiplier; several are contracted
     pair by pair against the plan's axis matrices K(t_j, i x_j).
     """
+    gammas = _axis_gammas(rs)
+    d = len(gammas)
     if plan is None:
-        if rs.dimension != 1:
+        if d != 1:
             raise InvalidArgumentError("a plan is required beyond one dimension")
         plan = default_line_plan(rs)
-    d = rs.dimension
     hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
     xs = np.asarray(x, dtype=float).reshape(-1, d)
-    kx = [plan.axis_kernel("freq", j, g, 1j, xs[:, j]) for j, g in enumerate(_axis_gammas(rs))]
+    kx = [plan.axis_kernel("freq", j, g, 1j, xs[:, j]) for j, g in enumerate(gammas)]
     if len(xs) == 1:
         mult = functools.reduce(np.multiply.outer, [k[:, 0] for k in kx]).reshape(-1)
         return dunkl_inverse_many(rs, hv * mult, ys, plan)
@@ -73,7 +74,7 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
     """Translation through the transform: multiply by K(ix, .) and invert."""
-    ys = [y] if rs.dimension == 1 else [list(np.atleast_1d(y))]
+    ys = [y] if len(_axis_gammas(rs)) == 1 else [list(np.atleast_1d(y))]
     val = translate_spectral_many(rs, f, x, ys, plan)[0]
     return float(np.real(val))
 
@@ -84,39 +85,40 @@ def translate_measure(rs: RootSystem, f, x, y, n: int = 48, method: str = "P",
     sum_ij w_i w_j (V_k^-1 f)(x t_i + y t_j) over the averaging rule (t, w).
 
     x and y broadcast as pairs; one pair gives a float, arrays an array of
-    their broadcast shape.  method "P" routes the inverse through the Fourier
-    multiplier (any positive multiplicity): tV_k f is computed once per call
+    their broadcast shape; a sequence of functions f adds a leading axis.
+    method "P" routes the inverse through the Fourier multiplier (any
+    positive multiplicity): tV_k f is computed once per call for every f
     and Fourier transformed onto the plan's frequency nodes t_l, which makes
     the double average separable, sum_l c_l A_l(x) A_l(y) with
     A_l(b) = sum_i w_i exp(i t_l b t_i).
     method "Q" routes the inverse through the difference-differential
-    multiplier (positive integer multiplicity, closed families only), pair by
-    pair.
+    multiplier (positive integer multiplicity, closed families only): one
+    dual pass per pair serves every function.
     """
     g = line_gamma(rs)
     if g <= 0:
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
+    fs = [f] if callable(f) else list(f)
     t, w = mu_quadrature(g, n)
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if method == "P":
         if plan is None:
             plan = default_line_plan(rs)
-        dual = classical_fourier_many(lambda p: tV_k_num(rs, f, p), plan.freq.nodes, plan)
-        coef = plan.freq.weights * dual
+        coef = [plan.freq.weights * classical_fourier_many(lambda _: tv, plan.freq.nodes, plan)
+                for tv in tV_k_num(rs, fs, plan.space_plain.nodes)]
         base = np.concatenate([xs.reshape(-1), ys.reshape(-1)])
         avg = np.exp(1j * np.multiply.outer(plan.freq.nodes, np.multiply.outer(base, t))) @ w
         ax, ay = np.split(avg, 2, axis=1)
         pref = p_multiplier_constant(rs) / (2.0 * math.pi)
-        out = pref * np.real(coef @ (ax * ay))
+        out = np.array([pref * np.real(c @ (ax * ay)) for c in coef])
     elif method == "Q":
-        out = np.array([
-            w @ np.reshape(inv_V_via_Q(rs, f, np.add.outer(a * t, b * t).reshape(-1)), (n, n)) @ w
-            for a, b in zip(xs.flat, ys.flat)
-        ])
+        out = np.zeros((len(fs), xs.size))
+        for j, (a, b) in enumerate(zip(xs.flat, ys.flat)):
+            vals = inv_V_via_Q(rs, fs, np.add.outer(a * t, b * t).reshape(-1))
+            out[:, j] = [w @ np.reshape(v, (n, n)) @ w for v in vals]
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    out = out.reshape(xs.shape)
-    return float(out) if out.ndim == 0 else out
+    return _per_function(f, xs, out)
 
 
 def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.ndarray:
@@ -125,8 +127,7 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.nd
     Only the one-dimensional line is wired; higher rank goes through
     repeated calls to the translation primitive.
     """
-    if rs.dimension != 1:
-        raise UnsupportedCaseError("batch convolution is one-dimensional")
+    line_gamma(rs)
     if plan is None:
         plan = default_line_plan(rs)
     hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
@@ -150,7 +151,7 @@ def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan) -> n
 
 def convolve(rs: RootSystem, f, g, x, plan: TransformPlan = None) -> float:
     """Weighted convolution: integrate tau_x f(-y) g(y) against the weight."""
-    if rs.dimension == 1:
+    if len(_axis_gammas(rs)) == 1:
         return float(np.real(convolve_many(rs, f, g, [x], plan)[0]))
     if plan is None:
         raise InvalidArgumentError("a plan is required beyond one dimension")

@@ -188,23 +188,30 @@ def _sinhc(s):
         return np.where(s == 0.0, 1.0, np.sinh(s) / s)
 
 
-def _dual_side(g, f, a, sigma, x_max, n, same_side: bool):
-    """One half-line piece of the dual operator at base points a = |y| > 0.
+def _dual_side(g, u, x_max, n, same_side: bool):
+    """The f-independent rule of one half-line piece of the dual operator at
+    distinct base points u != 0: arguments, smooth factor, scale and weights.
 
-    With t = sigma' a cosh(s) the integrand becomes a power of s times a
+    With t = sigma' |u| cosh(s) the integrand becomes a power of s times a
     smooth factor; the power goes into the Jacobi rule.
     """
+    a, sigma = np.abs(u), np.sign(u)
     power = 2.0 * g - 1.0 if same_side else 2.0 * g + 1.0
     other = 2.0 * g + 1.0 if same_side else 2.0 * g - 1.0
-    u, w = _half_rule(n, power)
+    t, w = _half_rule(n, power)
     S = np.arccosh(x_max / a)
-    s = S[None, :] * u[:, None]
+    s = S[None, :] * t[:, None]
     half = s / 2.0
     smooth = _sinhc(half) ** power * np.cosh(half) ** other
     sign = sigma if same_side else -sigma
     args = (sign * a)[None, :] * np.cosh(s)
-    fvals = np.asarray(f(args.reshape(-1))).reshape(args.shape)
     scale = mass_constant(g) * a ** (2.0 * g) * 2.0 ** (2.0 * g - power) * S ** (power + 1.0)
+    return args, smooth, scale, w
+
+
+def _apply_side(side, f):
+    args, smooth, scale, w = side
+    fvals = np.asarray(f(args.reshape(-1))).reshape(args.shape)
     return scale * np.einsum("i,im->m", w, smooth * fvals)
 
 
@@ -215,6 +222,35 @@ def _dual_at_zero(g, f, x_max, n):
     return mass_constant(g) * x_max ** (2.0 * g) * float(np.sum(w * vals))
 
 
+def _cutoff(g, f, x_max, support_radius):
+    """Where the dual quadrature of f stops; x_max only once f is negligible there."""
+    if isinstance(f, SampledFunction):
+        if not f.decay.integrable:
+            raise InvalidArgumentError(
+                "the dual operator needs schwartz or compactly supported input"
+            )
+        if f.decay.kind == "compact" and support_radius is None:
+            return f.decay.radius
+    if support_radius is not None:
+        return support_radius
+    tail = float(np.max(np.abs(np.asarray(f(np.array([-x_max, x_max]))))))
+    weight_scale = mass_constant(g) * x_max ** (2.0 * g + 1.0)
+    if tail * weight_scale > 1e-5:
+        raise AccuracyError(
+            "input decays too slowly for the truncated dual quadrature",
+            residual=tail * weight_scale,
+        )
+    return x_max
+
+
+def _per_function(f, y, out):
+    """Drop out's leading function axis for one function f; one point y gives a float."""
+    out = out.reshape((len(out),) + np.shape(y))
+    if not callable(f):
+        return out
+    return float(out[0]) if np.ndim(y) == 0 else out[0]
+
+
 def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0, support_radius=None):
     """Apply the dual intertwining operator of the line rs by quadrature.
 
@@ -222,40 +258,30 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0, support_ra
     f contribute exactly zero.  support_radius truncates the domain exactly
     for compactly supported inputs; otherwise x_max must be far enough out
     that f is negligible there, which is verified.
+
+    f may be a sequence of functions.  They share the f-independent rule,
+    built once per cutoff on the distinct points of y, and the result gains
+    a leading function axis.
     """
     g = line_gamma(rs)
+    fs = [f] if callable(f) else list(f)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.zeros((len(fs),) + ys.shape)
     if g == 0:
-        vals = np.asarray(f(ys), dtype=float)
-        return float(vals[0]) if np.ndim(y) == 0 else vals
-    if isinstance(f, SampledFunction):
-        if not f.decay.integrable:
-            raise InvalidArgumentError(
-                "the dual operator needs schwartz or compactly supported input"
-            )
-        if f.decay.kind == "compact" and support_radius is None:
-            support_radius = f.decay.radius
-    cutoff = support_radius if support_radius is not None else x_max
-    if support_radius is None:
-        tail = float(np.max(np.abs(np.asarray(f(np.array([-cutoff, cutoff]))))))
-        weight_scale = mass_constant(g) * cutoff ** (2.0 * g + 1.0)
-        if tail * weight_scale > 1e-5:
-            raise AccuracyError(
-                "input decays too slowly for the truncated dual quadrature",
-                residual=tail * weight_scale,
-            )
-    out = np.zeros(ys.shape)
+        out[:] = [h(ys) for h in fs]
+        return _per_function(f, y, out)
+    cutoffs = [_cutoff(g, h, x_max, support_radius) for h in fs]
     zero = ys == 0.0
-    if np.any(zero):
-        out[zero] = _dual_at_zero(g, f, cutoff, n)
-    live = (~zero) & (np.abs(ys) < cutoff)
-    if np.any(live):
-        a = np.abs(ys[live])
-        sigma = np.sign(ys[live])
-        out[live] = _dual_side(g, f, a, sigma, cutoff, n, True) + _dual_side(
-            g, f, a, sigma, cutoff, n, False
-        )
-    return float(out[0]) if np.ndim(y) == 0 else out
+    for cutoff in set(cutoffs):
+        live = (~zero) & (np.abs(ys) < cutoff)
+        u, back = np.unique(ys[live], return_inverse=True)
+        sides = [_dual_side(g, u, cutoff, n, same) for same in (True, False)] if u.size else []
+        for i in (i for i, c in enumerate(cutoffs) if c == cutoff):
+            if np.any(zero):
+                out[i][zero] = _dual_at_zero(g, fs[i], cutoff, n)
+            if sides:
+                out[i][live] = (_apply_side(sides[0], fs[i]) + _apply_side(sides[1], fs[i]))[back]
+    return _per_function(f, y, out)
 
 
 def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
@@ -363,15 +389,17 @@ def inv_V_via_Q(rs: RootSystem, f, x, n: int = 120, x_max: float = 14.0):
     dual operator applied to the difference-differential multiplier image.
 
     f must belong to a family closed under the Dunkl operator (PolyGauss or
-    SmoothBump), so the multiplier image is exact.
+    SmoothBump), so the multiplier image is exact.  A sequence of such
+    functions shares one dual pass, and the result gains a leading axis.
     """
-    if not isinstance(f, (PolyGauss, SmoothBump)):
+    fs = [f] if callable(f) else list(f)
+    if not all(isinstance(h, (PolyGauss, SmoothBump)) for h in fs):
         raise UnsupportedCaseError(
             "this path needs a function family closed under the Dunkl operator"
         )
-    qf = local_Q(rs, f)
-    support = 1.0 if isinstance(f, SmoothBump) else None
-    return tV_k_num(rs, qf, x, n=n, x_max=x_max, support_radius=support)
+    # a bump's image keeps the support [-1, 1], which fixes its cutoff
+    qfs = [q.as_sampled() if isinstance(q, SmoothBump) else q for q in (local_Q(rs, h) for h in fs)]
+    return tV_k_num(rs, qfs[0] if callable(f) else qfs, x, n=n, x_max=x_max)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,28 @@ def test_measure_route_applies_the_dual_once_per_call(pairs, count_tV, rs_one, p
     np.testing.assert_array_equal(count_tV[0], plan_one.space_plain.nodes)
 
 
+def test_q_route_applies_the_dual_once_per_pair_for_every_function(count_tV, rs_one, plan_one):
+    fs = [gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)]
+    translate_measure(rs_one, fs, PAIRS_X, PAIRS_Y, method="Q", plan=plan_one)
+    assert len(count_tV) == len(PAIRS_X)
+
+
+@pytest.mark.parametrize("gamma, method", [(1.0, "P"), (2.0, "P"), (1.0, "Q"), (2.0, "Q")])
+def test_translate_measure_of_a_sequence_matches_the_per_function_calls(gamma, method, lines):
+    rs = lines[gamma]
+    plan = default_line_plan(rs)
+    fs = [gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)]
+    together = translate_measure(rs, fs, PAIRS_X, PAIRS_Y, method=method, plan=plan)
+    assert together.shape == (len(fs), len(PAIRS_X))
+    np.testing.assert_array_equal(
+        together, [translate_measure(rs, f, PAIRS_X, PAIRS_Y, method=method, plan=plan) for f in fs]
+    )
+    one_pair = translate_measure(rs, fs, 0.5, 1.0, method=method, plan=plan)
+    np.testing.assert_array_equal(
+        one_pair, [translate_measure(rs, f, 0.5, 1.0, method=method, plan=plan) for f in fs]
+    )
+
+
 @pytest.mark.parametrize("gamma", [1.0, 7.0 / 3.0])
 def test_translate_spectral_pairs_match_scalar_loop(gamma, lines):
     rs = lines[gamma]

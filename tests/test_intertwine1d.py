@@ -36,8 +36,12 @@ from dunklkit.convolution import (
     BumpProfile,
     ConcreteDistribution,
     approx_identity_check,
+    convolve,
+    convolve_many,
     distribution_convolve,
     translate_measure,
+    translate_spectral,
+    translate_spectral_many,
 )
 from dunklkit.polyexact import RationalPoly, intertwine, operator_prefactor
 from dunklkit.rootsys import axis_product, rank_one
@@ -182,6 +186,41 @@ def test_dual_of_bump_vanishes_outside(rs_two):
     bump = standard_bump()
     ys = np.array([1.05, 1.5, 3.0, -1.2])
     assert np.max(np.abs(tV_k_num(rs_two, bump, ys))) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_dual_of_a_sequence_matches_the_per_function_loop(gamma, lines):
+    # y = 0, points at and beyond both cutoffs (14 and the bump's 1), and repeats
+    rs = lines[gamma]
+    fs = [gaussian(), PolyGauss.monomial(1), standard_bump().as_sampled(), PolyGauss.monomial(3)]
+    ys = np.array([0.7, -1.3, 0.0, 14.0, 0.7, 0.5, -15.0, -1.3, 0.0, 2.2, 0.7])
+    together = tV_k_num(rs, fs, ys)
+    assert together.shape == (len(fs), len(ys))
+    np.testing.assert_array_equal(together, [tV_k_num(rs, f, ys) for f in fs])
+    np.testing.assert_array_equal(tV_k_num(rs, fs, 0.7), [tV_k_num(rs, f, 0.7) for f in fs])
+    assert type(tV_k_num(rs, fs[0], 0.7)) is float
+
+
+def test_dual_evaluates_each_function_on_the_distinct_points_only(rs_one):
+    n, distinct = 40, np.array([-1.3, 0.4, 0.9, 2.2])
+    sizes = []
+
+    def f(t):
+        sizes.append(np.size(t))
+        return gaussian()(t)
+
+    for k in (1, 5):
+        sizes.clear()
+        tV_k_num(rs_one, f, np.tile(distinct, k), n=n, support_radius=8.0)
+        assert sum(sizes) <= 2 * n * len(distinct)
+
+
+def test_a_nan_function_leaves_the_others_of_a_sequence_finite(rs_one):
+    ys = np.array([-1.3, 0.0, 0.4, 0.4, 2.2])
+    nan = lambda t: np.full(np.shape(t), np.nan)
+    out = tV_k_num(rs_one, [nan, gaussian()], ys)
+    assert np.all(np.isnan(out[0]))
+    np.testing.assert_array_equal(out[1], tV_k_num(rs_one, gaussian(), ys))
 
 
 # ----------------------------------------------------------------- inverses
@@ -360,7 +399,9 @@ def _return_nan(monkeypatch, name):
     original = getattr(intertwine1d, name)
 
     def nan(rs, f, points, *args, **kwargs):
-        return np.full(np.shape(points), np.nan)[()]
+        # a sequence of functions gets a leading function axis, as the real engines give
+        functions = () if callable(f) else (len(f),)
+        return np.full(functions + np.shape(points), np.nan)[()]
 
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("dunklkit") and getattr(module, name, None) is original:
@@ -411,6 +452,10 @@ OLD_CONVENTION = {
     "z_pairing": lambda k: z_pairing(k, 0.5, gaussian()),
     "default_line_plan": lambda k: default_line_plan(k),
     "translate_measure": lambda k: translate_measure(k, gaussian(), 0.5, 1.0),
+    "translate_spectral_many": lambda k: translate_spectral_many(k, gaussian(), 0.0, [0.0]),
+    "translate_spectral": lambda k: translate_spectral(k, gaussian(), 0.0, 0.5),
+    "convolve_many": lambda k: convolve_many(k, gaussian(), gaussian(), [0.0]),
+    "convolve": lambda k: convolve(k, gaussian(), gaussian(), 0.0),
     "BumpProfile.create": lambda k: BumpProfile.create(k),
     "approx_identity_check": lambda k: approx_identity_check(k, ConcreteDistribution.weighted(gaussian())),
     "distribution_convolve": lambda k: distribution_convolve(
