@@ -235,7 +235,7 @@ def _cutoff(g, f, x_max, support_radius):
         return support_radius
     tail = float(np.max(np.abs(np.asarray(f(np.array([-x_max, x_max]))))))
     weight_scale = mass_constant(g) * x_max ** (2.0 * g + 1.0)
-    if tail * weight_scale > 1e-5:
+    if not tail * weight_scale <= 1e-5:  # a NaN tail is refused too
         raise AccuracyError(
             "input decays too slowly for the truncated dual quadrature",
             residual=tail * weight_scale,

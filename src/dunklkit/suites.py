@@ -33,7 +33,7 @@ from .convolution import (
     translate_measure,
     translate_spectral_many,
 )
-from .errors import InvalidArgumentError, UnsupportedCaseError
+from .errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
 from .functions import PolyGauss, gaussian, standard_bump
 from .intertwine1d import (
     V_k_num,
@@ -431,16 +431,20 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     xs2 = np.array([-1.6, -0.4, 0.3, 1.1])
-    backs = []
-    for f in fs[:3]:
-        handle = lambda pts, f=f: np.reshape(
+    handles = [
+        lambda pts, f=f: np.reshape(
             np.real(dual_inverse_via_transform(rs, f, np.ravel(pts), plan)), np.shape(pts)
         )
-        backs.append(np.abs(tV_k_num(rs, handle, xs2, n=100, x_max=12.0) - f(xs2)))
+        for f in fs[:3]
+    ]
+    try:
+        backs = tV_k_num(rs, handles, xs2, n=100, x_max=12.0) - [f(xs2) for f in fs[:3]]
+    except AccuracyError:  # an inverse that is not finite, or not negligible, at the cutoff
+        backs = np.nan
     report.add(
         "dual-roundtrip",
         "the dual intertwiner applied after its inverse returns the input",
-        worst(backs),
+        worst(np.abs(backs)),
         1e-5,
     )
     return report

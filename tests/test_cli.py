@@ -247,3 +247,12 @@ def test_run_all_suites_prints_a_nan_residual(monkeypatch, capsys):
     monkeypatch.setattr(script, "run_suite", lambda config: report)
     assert script.main(["--presets", "z2:1", "--suites", "support"]) == 1
     assert "max residual nan" in capsys.readouterr().out
+
+
+def test_convergence_study_runs_a_small_grid(capsys):
+    spec = importlib.util.spec_from_file_location("convergence_study", SCRIPTS / "convergence_study.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--suite", "support", "--grids", "48"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["48", "pass"] == [rows[-1][0], rows[-1][2]]

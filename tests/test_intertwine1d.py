@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from dunklkit import intertwine1d
 from dunklkit.cli import parse_preset
-from dunklkit.errors import DegeneratePointError, InvalidArgumentError, UnsupportedCaseError
+from dunklkit.errors import (
+    AccuracyError,
+    DegeneratePointError,
+    InvalidArgumentError,
+    UnsupportedCaseError,
+)
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit.intertwine1d import (
     DualDensity,
@@ -217,10 +222,20 @@ def test_dual_evaluates_each_function_on_the_distinct_points_only(rs_one):
 
 def test_a_nan_function_leaves_the_others_of_a_sequence_finite(rs_one):
     ys = np.array([-1.3, 0.0, 0.4, 0.4, 2.2])
-    nan = lambda t: np.full(np.shape(t), np.nan)
+    # NaN inside, 0 at the cutoff x_max = 14, so the tail check lets it through
+    nan = lambda t: np.where(np.abs(t) < 10.0, np.nan, 0.0)
     out = tV_k_num(rs_one, [nan, gaussian()], ys)
     assert np.all(np.isnan(out[0]))
     np.testing.assert_array_equal(out[1], tV_k_num(rs_one, gaussian(), ys))
+
+
+def test_a_function_not_finite_at_the_cutoff_is_refused(rs_one):
+    ys = [0.5, 0.0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(AccuracyError, match="decays too slowly"):
+            tV_k_num(rs_one, lambda t: np.full(np.shape(t), bad), ys)
+        with pytest.raises(AccuracyError, match="decays too slowly"):
+            tV_k_num(rs_one, [gaussian(), lambda t: np.full(np.shape(t), bad)], ys)
 
 
 # ----------------------------------------------------------------- inverses

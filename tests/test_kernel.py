@@ -10,6 +10,7 @@ from dunklkit.cli import parse_preset
 from dunklkit.errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.kernel import (
     KernelConfig,
+    _bessel_series,
     bessel_j_normalized,
     check_bounds,
     kernel_1d,
@@ -139,9 +140,15 @@ def test_real_argument_positive(x, y, gamma):
 
 # -- accuracy against an independent high-precision reference ---------------
 
-_ALPHAS = [0.0, 0.5, 11 / 6, 2.5]
-# (0, 30], with extra points on both sides of the series radius |u| = 12
-_U = np.concatenate([np.linspace(0.05, 30.0, 240), [11.95, 11.999, 12.0, 12.001, 12.05]])
+_ALPHAS = [-0.5, 0.0, 0.5, 1.5, 11 / 6, 2.5, 19 / 2]
+# (0, 30], with extra points on both sides of the series radius |u| = 12, of
+# |u| = 4 and of alpha + 1 for alpha = 3/2, 5/2 and 19/2, where the
+# half-integer orders leave the series
+_U = np.concatenate([
+    np.linspace(0.05, 30.0, 240),
+    [11.95, 11.999, 12.0, 12.001, 12.05, 3.99, 4.0, 4.01],
+    [2.49, 2.5, 2.51, 3.49, 3.5, 3.51, 10.49, 10.5, 10.51],
+])
 
 
 def _reference(alpha, u, imaginary):
@@ -158,8 +165,10 @@ def test_bessel_real_argument_matches_mpmath(alpha):
     got = bessel_j_normalized(alpha, _U)
     ref = np.array([_reference(alpha, u, False) for u in _U])
     assert np.max(np.abs(got.imag)) == 0.0
-    # the series near |u| = 12 cancels terms of size ~1e4: about 6e-13 at alpha = 0
-    assert np.max(np.abs(got.real - ref)) <= 1e-12
+    # half-integer orders use cos, sin and an upward recurrence beyond max(4, alpha + 1);
+    # elsewhere the series near |u| = 12 cancels terms of size ~1e4: about 6e-13 at alpha = 0
+    bound = 1e-15 if float(alpha + 0.5).is_integer() else 1e-12
+    assert np.max(np.abs(got.real - ref)) <= bound
 
 
 @pytest.mark.parametrize("alpha", _ALPHAS)
@@ -168,6 +177,45 @@ def test_bessel_imaginary_argument_matches_mpmath(alpha):
     ref = np.array([_reference(alpha, u, True) for u in _U])
     assert np.max(np.abs(got.imag)) == 0.0
     assert np.max(np.abs(got.real - ref) / ref) <= 5e-15
+
+
+def _series_testing_every_term(alpha, w, max_terms=400):
+    """The series with the batch stop test on every term: the reference for the skip."""
+    term = np.ones_like(w)
+    total = np.ones_like(w)
+    for n in range(1, max_terms + 1):
+        term *= w
+        term /= n * (n + alpha)
+        total += term
+        if np.max(np.abs(term)) <= 1e-18 * max(1.0, np.min(np.abs(total))):
+            return total
+    raise AccuracyError("Bessel series did not converge")
+
+
+def test_bessel_series_skip_stops_where_the_every_term_test_stops():
+    rng = np.random.default_rng(7)
+    mixed = np.concatenate([[0.0, 1e-3, 0.5, 12.0], rng.uniform(0.0, 12.0, 60)])
+    angles = rng.uniform(0.0, 2.0 * np.pi, 40)
+    complex_u = rng.uniform(0.0, 30.0, 40) * np.exp(1j * angles)
+    # a point whose sum is large beside one of about the same |w| whose sum is
+    # small: the batch test is stricter there than the large point's own test
+    lopsided = np.array([30j * np.exp(-0.01j), 29.5 * np.exp(0.01j)])
+    batches = [
+        -((np.array([7.3]) / 2.0) ** 2),
+        (np.array([7.3]) / 2.0) ** 2,
+        -((np.array([5.0 + 6.0j]) / 2.0) ** 2),
+        -((mixed / 2.0) ** 2),
+        (mixed / 2.0) ** 2,
+        np.concatenate([(mixed / 2.0) ** 2, -((mixed / 2.0) ** 2)]),
+        -((complex_u / 2.0) ** 2),
+        -((lopsided / 2.0) ** 2),
+        -((np.concatenate([complex_u, lopsided, mixed]) / 2.0) ** 2),
+    ]
+    for alpha in _ALPHAS:
+        for w in batches:
+            got = _bessel_series(alpha, w)
+            assert got.tobytes() == _series_testing_every_term(alpha, w).tobytes()
+    assert _bessel_series(0.5, np.empty(0)).shape == (0,)
 
 
 def test_bessel_batch_matches_single_points():
