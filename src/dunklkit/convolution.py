@@ -24,6 +24,7 @@ from .rootsys import RootSystem
 from .transform import (
     TransformPlan,
     _axis_gammas,
+    _one_point,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
@@ -74,15 +75,14 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
     """Translation through the transform: multiply by K(ix, .) and invert."""
-    ys = [y] if len(_axis_gammas(rs)) == 1 else [list(np.atleast_1d(y))]
-    val = translate_spectral_many(rs, f, x, ys, plan)[0]
-    return float(np.real(val))
+    _axis_gammas(rs)  # a float multiplicity is refused by name before rs.dimension is read
+    return float(np.real(translate_spectral_many(rs, f, x, _one_point(rs, y), plan)[0]))
 
 
-def translate_measure(rs: RootSystem, f, x, y, n: int = 48, method: str = "P",
-                      plan: TransformPlan = None):
+def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: TransformPlan = None):
     """Translation as a double average of the inverse-intertwined function:
-    sum_ij w_i w_j (V_k^-1 f)(x t_i + y t_j) over the averaging rule (t, w).
+    sum_ij w_i w_j (V_k^-1 f)(x t_i + y t_j) over the 48-node averaging rule
+    (t, w).
 
     x and y broadcast as pairs; one pair gives a float, arrays an array of
     their broadcast shape; a sequence of functions f adds a leading axis.
@@ -99,7 +99,7 @@ def translate_measure(rs: RootSystem, f, x, y, n: int = 48, method: str = "P",
     if g <= 0:
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
     fs = [f] if callable(f) else list(f)
-    t, w = mu_quadrature(g, n)
+    t, w = mu_quadrature(g, 48)
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if method == "P":
         if plan is None:
@@ -115,7 +115,7 @@ def translate_measure(rs: RootSystem, f, x, y, n: int = 48, method: str = "P",
         out = np.zeros((len(fs), xs.size))
         for j, (a, b) in enumerate(zip(xs.flat, ys.flat)):
             vals = inv_V_via_Q(rs, fs, np.add.outer(a * t, b * t).reshape(-1))
-            out[:, j] = [w @ np.reshape(v, (n, n)) @ w for v in vals]
+            out[:, j] = [w @ np.reshape(v, (len(t), len(t))) @ w for v in vals]
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
     return _per_function(f, xs, out)
@@ -204,34 +204,36 @@ def distribution_convolve(rs: RootSystem, S: ConcreteDistribution, phi, x,
 # ---------------------------------------------------------------------------
 # the approximate identity
 
+_BUMP_GRID_N = 160
+
 @dataclass(frozen=True)
 class BumpProfile:
     """Radial bump scaled to support radius epsilon, with unit weighted mass.
 
-    The normalization constant is fixed once on a support-fitted grid; the
-    scaling is exactly mass-preserving, so the transform at zero computed on
-    the matching scaled grid reproduces 1 to rounding.
+    The normalization constant is fixed once on a support-fitted grid of
+    _BUMP_GRID_N nodes; the scaling is exactly mass-preserving, so the
+    transform at zero computed on the matching scaled grid reproduces 1 to
+    rounding.
     """
 
     rs: RootSystem
     epsilon: float
     norm: float
-    grid_n: int = 160
 
     @staticmethod
-    def create(rs: RootSystem, epsilon: float = 1.0, grid_n: int = 160) -> "BumpProfile":
+    def create(rs: RootSystem, epsilon: float = 1.0) -> "BumpProfile":
         g = line_gamma(rs)
         if not 0.0 < epsilon <= 1.0:
             raise InvalidArgumentError("epsilon must lie in (0, 1]")
         base = standard_bump()
-        grid = weighted_line_grid(g, 1.0, grid_n)
+        grid = weighted_line_grid(g, 1.0, _BUMP_GRID_N)
         mass = float(np.sum(grid.weights * base(grid.nodes)))
-        return BumpProfile(rs, float(epsilon), 1.0 / mass, grid_n)
+        return BumpProfile(rs, float(epsilon), 1.0 / mass)
 
     def scaled(self, epsilon: float) -> "BumpProfile":
         if not 0.0 < epsilon <= 1.0:
             raise InvalidArgumentError("epsilon must lie in (0, 1]")
-        return BumpProfile(self.rs, float(epsilon), self.norm, self.grid_n)
+        return BumpProfile(self.rs, float(epsilon), self.norm)
 
     def profile(self, r):
         """The unscaled radial profile, support in [0, 1]."""
@@ -243,7 +245,7 @@ class BumpProfile:
         return scale * self.norm * standard_bump()(np.asarray(x, dtype=float) / e)
 
     def support_grid(self):
-        return weighted_line_grid(line_gamma(self.rs), self.epsilon, self.grid_n)
+        return weighted_line_grid(line_gamma(self.rs), self.epsilon, _BUMP_GRID_N)
 
     def mass(self) -> float:
         grid = self.support_grid()
@@ -260,13 +262,23 @@ class BumpProfile:
 DEFAULT_EPS = (0.5, 0.2, 0.1, 0.05)
 
 
+# wide fixed test functions keep the curvature constant of the epsilon^2
+# residual small enough to resolve the smallest scale
+_TEST_SET = (
+    lambda x: np.exp(-(x * x) / 8.0),
+    lambda x: x * x * np.exp(-(x * x) / 8.0),
+    lambda x: (1.0 + x) * np.exp(-(x * x) / 8.0),
+)
+
+
 def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequence[float] = DEFAULT_EPS,
-                          plan: TransformPlan = None, test_set=None) -> VerificationReport:
+                          plan: TransformPlan = None) -> VerificationReport:
     """Convergence of mollified distributions back to the distribution.
 
-    Residuals pair (S * bump_eps) times the weight against a fixed test set
-    and compare with pairing S directly; the frequency-side quadratic bound
-    is fitted at the largest epsilon and checked at the smaller ones.
+    Residuals pair (S * bump_eps) times the weight against three fixed
+    Gaussian-type test functions (exp(-x^2/8) times 1, x^2 and 1 + x) and
+    compare with pairing S directly; the frequency-side quadratic bound is
+    fitted at the largest epsilon and checked at the smaller ones.
     """
     g = line_gamma(rs)
     eps = [float(e) for e in eps_seq]
@@ -282,14 +294,6 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
         raise UnsupportedCaseError("the convergence check pairs against the weighted kind")
     if plan is None:
         plan = default_line_plan(rs)
-    if test_set is None:
-        # wide fixed test functions keep the curvature constant of the
-        # epsilon^2 residual small enough to resolve the smallest scale
-        test_set = [
-            lambda x: np.exp(-(x * x) / 8.0),
-            lambda x: x * x * np.exp(-(x * x) / 8.0),
-            lambda x: (1.0 + x) * np.exp(-(x * x) / 8.0),
-        ]
     report = VerificationReport("approx-identity", env={
         "gamma": g, "eps": eps, "grid_n": len(plan.space.nodes),
     })
@@ -298,7 +302,7 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
     nodes = plan.space.nodes
     weights = plan.space.weights
     gv = np.asarray(S.g(nodes))
-    base_pairs = [complex(np.sum(weights * gv * np.asarray(psi(nodes)))) for psi in test_set]
+    base_pairs = [complex(np.sum(weights * gv * np.asarray(psi(nodes)))) for psi in _TEST_SET]
 
     residuals = []
     m_fits = []
@@ -315,7 +319,7 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
         conv = spectral_convolution(rs, phi.transform_at(plan.freq.nodes), gv, nodes, plan)
         residuals.append(worst([
             abs(complex(np.sum(weights * conv * np.asarray(psi(nodes)))) - base) / max(1e-12, abs(base))
-            for psi, base in zip(test_set, base_pairs)
+            for psi, base in zip(_TEST_SET, base_pairs)
         ]))
         tv = phi.transform_at(ybox)
         m_fits.append(float(np.max(np.abs(tv - 1.0) / (e * ybox**2))))

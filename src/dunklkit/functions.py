@@ -8,9 +8,9 @@ supported mollifier profile with an exact derivative recursion.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence, Union
 
 import numpy as np
@@ -28,8 +28,46 @@ def _trim(coeffs):
     return tuple(c)
 
 
+def _add(a, b) -> tuple:
+    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def _odd_quotient(coeffs) -> list:
+    """Coefficients of (p(x) - p(-x)) / x: the odd part of p is divisible by
+    x, so the quotient is an exact coefficient shift and no pole appears."""
+    shifted = [Fraction(0)] * max(1, len(coeffs) - 1)
+    for i, c in enumerate(coeffs):
+        if i % 2 == 1:
+            shifted[i - 1] += 2 * c
+    return shifted
+
+
+class _PolyFamily:
+    """What both families share: a polynomial factor p with exact
+    coefficients, kept in the field coeffs of each dataclass."""
+
+    def _p(self, x: np.ndarray) -> np.ndarray:
+        p = np.zeros_like(x)
+        for c in reversed(self.coeffs):
+            p = p * x + float(c)
+        return p
+
+    def scale(self, c: Number):
+        c = Fraction(c)
+        return replace(self, coeffs=_trim(ci * c for ci in self.coeffs))
+
+    def reflect(self):
+        return replace(self, coeffs=_trim(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+
+    def dunkl_power(self, gamma: Number, m: int):
+        f = self
+        for _ in range(m):
+            f = f.dunkl(gamma)
+        return f
+
+
 @dataclass(frozen=True)
-class PolyGauss:
+class PolyGauss(_PolyFamily):
     """p(x) exp(-x^2 / 2) with coefficients kept as exact Fractions."""
 
     coeffs: tuple
@@ -50,29 +88,10 @@ class PolyGauss:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        p = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            p = p * x + float(c)
-        return p * np.exp(-(x * x) / 2.0)
-
-    def poly_at(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self._p(x) * np.exp(-(x * x) / 2.0)
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return PolyGauss(_trim(x + y for x, y in zip(a, b)))
-
-    def scale(self, c: Number) -> "PolyGauss":
-        c = Fraction(c)
-        return PolyGauss(_trim(ci * c for ci in self.coeffs))
-
-    def reflect(self) -> "PolyGauss":
-        return PolyGauss(_trim(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        return PolyGauss(_add(self.coeffs, other.coeffs))
 
     def derivative(self) -> "PolyGauss":
         # (p e^{-x^2/2})' = (p' - x p) e^{-x^2/2}
@@ -85,32 +104,9 @@ class PolyGauss:
         return PolyGauss(_trim(out))
 
     def dunkl(self, gamma: Number) -> "PolyGauss":
-        """One-dimensional Dunkl operator: f' + gamma (f - f(-x)) / x.
-
-        The odd part of p is divisible by x, so the quotient is an exact
-        coefficient shift and no pole ever appears.
-        """
+        """One-dimensional Dunkl operator: f' + gamma (f - f(-x)) / x."""
         g = Fraction(gamma)
-        d = self.derivative()
-        n = len(self.coeffs)
-        shifted = [Fraction(0)] * max(1, n - 1)
-        for i, c in enumerate(self.coeffs):
-            if i % 2 == 1:
-                shifted[i - 1] += 2 * c
-        out = list(d.coeffs)
-        out += [Fraction(0)] * (len(shifted) - len(out))
-        for i, c in enumerate(shifted):
-            out[i] += g * c
-        return PolyGauss(_trim(out))
-
-    def dunkl_power(self, gamma: Number, m: int) -> "PolyGauss":
-        f = self
-        for _ in range(m):
-            f = f.dunkl(gamma)
-        return f
-
-    def as_sampled(self, radius: float = 10.0, name: str = "") -> SampledFunction:
-        return SampledFunction(self.__call__, DecayClass.schwartz(radius), name or f"polygauss deg {self.degree}")
+        return PolyGauss(_add(self.derivative().coeffs, [g * c for c in _odd_quotient(self.coeffs)]))
 
 
 def gaussian() -> PolyGauss:
@@ -118,7 +114,7 @@ def gaussian() -> PolyGauss:
 
 
 @dataclass(frozen=True)
-class SmoothBump:
+class SmoothBump(_PolyFamily):
     """p(x) (1 - x^2)^(-m) exp(-1 / (1 - x^2)) on (-1, 1), zero outside.
 
     Differentiation raises m by two and updates p polynomially, so all
@@ -140,25 +136,15 @@ class SmoothBump:
         inside = np.abs(x) < 1.0
         xi = x[inside]
         u = 1.0 - xi * xi
-        p = np.zeros_like(xi)
-        for c in reversed(self.coeffs):
-            p = p * xi + float(c)
-        out[inside] = p * u ** (-self.m) * np.exp(-1.0 / u)
+        out[inside] = self._p(xi) * u ** (-self.m) * np.exp(-1.0 / u)
         return out
-
-    def scale(self, c: Number) -> "SmoothBump":
-        c = Fraction(c)
-        return SmoothBump(_trim(ci * c for ci in self.coeffs), self.m)
 
     def __add__(self, other: "SmoothBump") -> "SmoothBump":
         if self.m != other.m:
             # lift both to the larger m: multiply p by (1-x^2)^(dm)
             m = max(self.m, other.m)
             return self._lift(m) + other._lift(m)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return SmoothBump(_trim(x + y for x, y in zip(a, b)), self.m)
+        return SmoothBump(_add(self.coeffs, other.coeffs), self.m)
 
     def _lift(self, m: int) -> "SmoothBump":
         out = self
@@ -169,9 +155,6 @@ class SmoothBump:
                 c[i + 2] -= ci
             out = SmoothBump(_trim(c), out.m + 1)
         return out
-
-    def reflect(self) -> "SmoothBump":
-        return SmoothBump(_trim(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)), self.m)
 
     def derivative(self) -> "SmoothBump":
         # d/dx [p u^{-m} e^{-1/u}] with u = 1 - x^2:
@@ -193,23 +176,11 @@ class SmoothBump:
         return SmoothBump(_trim(out), self.m + 2)
 
     def dunkl(self, gamma: Number) -> "SmoothBump":
-        g = Fraction(gamma)
-        d = self.derivative()
-        shifted = [Fraction(0)] * max(1, len(self.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if i % 2 == 1:
-                shifted[i - 1] += 2 * c
-        odd = SmoothBump(_trim(shifted), self.m)._lift(self.m + 2)
-        return d + odd.scale(g)
+        odd = SmoothBump(_trim(_odd_quotient(self.coeffs)), self.m)._lift(self.m + 2)
+        return self.derivative() + odd.scale(gamma)
 
-    def dunkl_power(self, gamma: Number, m: int) -> "SmoothBump":
-        f = self
-        for _ in range(m):
-            f = f.dunkl(gamma)
-        return f
-
-    def as_sampled(self, name: str = "") -> SampledFunction:
-        return SampledFunction(self.__call__, DecayClass.compact(1.0), name or "smooth bump")
+    def as_sampled(self) -> SampledFunction:
+        return SampledFunction(self.__call__, DecayClass.compact(1.0), "smooth bump")
 
 
 def standard_bump() -> SmoothBump:

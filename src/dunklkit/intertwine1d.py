@@ -47,7 +47,12 @@ def default_line_plan(rs: RootSystem) -> TransformPlan:
     """Shared transform plan for one-dimensional work on the line rs; any
     other argument is refused."""
     line_gamma(rs)
-    return make_plan(rs, radius=10.0, grid_n=160, freq_radius=9.0, freq_count=257)
+    return make_plan(rs, grid_n=160, freq_radius=9.0)
+
+
+def _like(x, out):
+    """out for an array of points x; its one value as a float for a scalar x."""
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def mass_constant(gamma) -> float:
@@ -86,7 +91,8 @@ class IntertwiningDensity:
 
 
 def mu_density(rs: RootSystem, x, y):
-    """Density of the averaging measure on (-|x|, |x|), zero outside.
+    """Density of the averaging measure on (-|x|, |x|), zero outside and NaN
+    at NaN points.
 
     For negative base points the density is the reflection of the positive
     case, which is what the scaling rule of the kernel forces.
@@ -101,7 +107,7 @@ def mu_density(rs: RootSystem, x, y):
     a = abs(float(x))
     yy = np.asarray(y, dtype=float) * (1.0 if x > 0 else -1.0)
     inside = np.abs(yy) < a
-    out = np.zeros_like(yy)
+    out = np.where(np.isnan(yy) | math.isnan(a), np.nan, 0.0)
     c = mass_constant(g) * a ** (-2.0 * g)
     yi = yy[inside]
     out[inside] = c * (a - yi) ** (g - 1.0) * (a + yi) ** g
@@ -131,8 +137,7 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
     g = line_gamma(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if g == 0:
-        vals = np.asarray(f(xs), dtype=float)
-        return float(vals[0]) if np.ndim(x) == 0 else vals
+        return _like(x, np.asarray(f(xs), dtype=float))
     t, w = mu_quadrature(g, n)
     pts = xs[:, None] * t[None, :]
     vals = np.asarray(f(pts.reshape(-1))).reshape(pts.shape)
@@ -140,7 +145,7 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
     zero = xs == 0
     if np.any(zero):
         out[zero] = np.asarray(f(np.zeros(int(np.sum(zero)))))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _like(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +155,10 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
 class DualDensity:
     """Density of the dual measure at base point y against plain dx.
 
-    Supported on {|x| > |y|}; equals the averaging density with the roles
-    of the arguments exchanged, times the reflection weight in x:
-    c (|x| - sgn(x) y)^(gamma - 1) (|x| + sgn(x) y)^gamma, c = mass_constant.
+    Supported on {|x| > |y|}, and NaN at NaN points; equals the averaging
+    density with the roles of the arguments exchanged, times the reflection
+    weight in x: c (|x| - sgn(x) y)^(gamma - 1) (|x| + sgn(x) y)^gamma,
+    c = mass_constant.
     """
 
     rs: RootSystem
@@ -162,11 +168,11 @@ class DualDensity:
         g = line_gamma(self.rs)
         c = mass_constant(g)
         xx = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xx)
+        out = np.where(np.isnan(xx) | math.isnan(self.y), np.nan, 0.0)
         ok = np.abs(xx) > abs(self.y)
         a, sy = np.abs(xx[ok]), np.sign(xx[ok]) * self.y
         out[ok] = c * (a - sy) ** (g - 1.0) * (a + sy) ** g
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return _like(x, out)
 
     @property
     def support(self):
@@ -222,17 +228,16 @@ def _dual_at_zero(g, f, x_max, n):
     return mass_constant(g) * x_max ** (2.0 * g) * float(np.sum(w * vals))
 
 
-def _cutoff(g, f, x_max, support_radius):
-    """Where the dual quadrature of f stops; x_max only once f is negligible there."""
+def _cutoff(g, f, x_max):
+    """Where the dual quadrature of f stops: the declared support radius of a
+    compactly supported f, else x_max once f is negligible there."""
     if isinstance(f, SampledFunction):
         if not f.decay.integrable:
             raise InvalidArgumentError(
                 "the dual operator needs schwartz or compactly supported input"
             )
-        if f.decay.kind == "compact" and support_radius is None:
+        if f.decay.kind == "compact":
             return f.decay.radius
-    if support_radius is not None:
-        return support_radius
     tail = float(np.max(np.abs(np.asarray(f(np.array([-x_max, x_max]))))))
     weight_scale = mass_constant(g) * x_max ** (2.0 * g + 1.0)
     if not tail * weight_scale <= 1e-5:  # a NaN tail is refused too
@@ -251,13 +256,14 @@ def _per_function(f, y, out):
     return float(out[0]) if np.ndim(y) == 0 else out[0]
 
 
-def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0, support_radius=None):
+def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     """Apply the dual intertwining operator of the line rs by quadrature.
 
     The integral runs over {|t| >= |y|}; points with |y| beyond the reach of
-    f contribute exactly zero.  support_radius truncates the domain exactly
-    for compactly supported inputs; otherwise x_max must be far enough out
-    that f is negligible there, which is verified.
+    f (infinite ones included) give exactly zero, and NaN points give NaN.
+    A SampledFunction declared compact is integrated exactly up to its
+    support radius; any other f must be negligible at x_max, which is
+    verified.
 
     f may be a sequence of functions.  They share the f-independent rule,
     built once per cutoff on the distinct points of y, and the result gains
@@ -270,7 +276,8 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0, support_ra
     if g == 0:
         out[:] = [h(ys) for h in fs]
         return _per_function(f, y, out)
-    cutoffs = [_cutoff(g, h, x_max, support_radius) for h in fs]
+    out[:, np.isnan(ys)] = np.nan  # no cutoff holds a NaN point, so it would read 0
+    cutoffs = [_cutoff(g, h, x_max) for h in fs]
     zero = ys == 0.0
     for cutoff in set(cutoffs):
         live = (~zero) & (np.abs(ys) < cutoff)
@@ -294,8 +301,7 @@ def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
     hvals = dunkl_transform_many(rs, f, grid.nodes, plan)
     phase = np.exp(1j * np.outer(grid.nodes, ys))
     out = ((grid.weights * hvals) @ phase) / (2.0 * math.pi)
-    res = np.real(out)
-    return float(res[0]) if np.ndim(y) == 0 else res
+    return _like(y, np.real(out))
 
 
 def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None):
@@ -305,8 +311,7 @@ def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None)
         plan = default_line_plan(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
-    out = np.real(dunkl_inverse_many(rs, hvals, xs, plan))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _like(x, np.real(dunkl_inverse_many(rs, hvals, xs, plan)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,45 +351,38 @@ def local_Q(rs: RootSystem, f):
 # ---------------------------------------------------------------------------
 # inverse paths
 
-def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None, n: int = 120):
+def _inverse_entry(rs: RootSystem, f, x, plan, route):
+    """The entry rule of the multiplier inverse paths: integrable input
+    only, the line's default plan unless one is given, the identity at
+    gamma = 0, and a float for one point.  route(plan, xs) does the rest."""
+    g = line_gamma(rs)
+    if isinstance(f, SampledFunction) and not f.decay.integrable:
+        raise InvalidArgumentError(
+            "inverse paths need schwartz or compactly supported input"
+        )
+    if plan is None:
+        plan = default_line_plan(rs)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return _like(x, np.asarray(f(xs), dtype=float) if g == 0 else route(plan, xs))
+
+
+def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the intertwining operator as multiplier after dual:
     first apply the dual operator, then the Fourier-multiplier form."""
-    g = line_gamma(rs)
-    if isinstance(f, SampledFunction) and not f.decay.integrable:
-        raise InvalidArgumentError(
-            "inverse paths need schwartz or compactly supported input"
-        )
-    if plan is None:
-        plan = default_line_plan(rs)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if g == 0:
-        vals = np.asarray(f(xs), dtype=float)
-        return float(vals[0]) if np.ndim(x) == 0 else vals
-    tvf = lambda pts: tV_k_num(rs, f, pts, n=n)
-    out = np.real(multiplier_P_many(rs, tvf, xs, plan))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    def route(plan, xs):
+        return np.real(multiplier_P_many(rs, lambda pts: tV_k_num(rs, f, pts), xs, plan))
+    return _inverse_entry(rs, f, x, plan, route)
 
 
-def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None, n: int = 64):
+def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the dual operator: apply the multiplier form first, then
     average over the intertwining measure."""
-    g = line_gamma(rs)
-    if isinstance(f, SampledFunction) and not f.decay.integrable:
-        raise InvalidArgumentError(
-            "inverse paths need schwartz or compactly supported input"
-        )
-    if plan is None:
-        plan = default_line_plan(rs)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if g == 0:
-        vals = np.asarray(f(xs), dtype=float)
-        return float(vals[0]) if np.ndim(x) == 0 else vals
-    pf = lambda pts: np.real(multiplier_P_many(rs, f, pts, plan))
-    out = V_k_num(rs, pf, xs, n=n)
-    return out if np.ndim(x) else float(np.atleast_1d(out)[0])
+    def route(plan, xs):
+        return V_k_num(rs, lambda pts: np.real(multiplier_P_many(rs, f, pts, plan)), xs)
+    return _inverse_entry(rs, f, x, plan, route)
 
 
-def inv_V_via_Q(rs: RootSystem, f, x, n: int = 120, x_max: float = 14.0):
+def inv_V_via_Q(rs: RootSystem, f, x):
     """Inverse of the intertwining operator for integer multiplicities:
     dual operator applied to the difference-differential multiplier image.
 
@@ -399,29 +397,29 @@ def inv_V_via_Q(rs: RootSystem, f, x, n: int = 120, x_max: float = 14.0):
         )
     # a bump's image keeps the support [-1, 1], which fixes its cutoff
     qfs = [q.as_sampled() if isinstance(q, SmoothBump) else q for q in (local_Q(rs, h) for h in fs)]
-    return tV_k_num(rs, qfs[0] if callable(f) else qfs, x, n=n, x_max=x_max)
+    return tV_k_num(rs, qfs[0] if callable(f) else qfs, x)
 
 
 # ---------------------------------------------------------------------------
 # representing-distribution pairings
 
-def eta_pairing(rs: RootSystem, x, f, n: int = 120, x_max: float = 14.0):
+def eta_pairing(rs: RootSystem, x, f):
     """Pairing with the representing distribution of the inverse operator:
     the dual measure at x applied to the multiplier image of f.
 
     Must agree with the multiplier-after-dual inverse path; the suites
     verify that agreement pointwise.
     """
-    return inv_V_via_Q(rs, f, x, n=n, x_max=x_max)
+    return inv_V_via_Q(rs, f, x)
 
 
-def z_pairing(rs: RootSystem, x, f, plan: TransformPlan = None, n: int = 64):
+def z_pairing(rs: RootSystem, x, f, plan: TransformPlan = None):
     """Pairing with the representing distribution of the inverse dual
     operator: integrate the multiplier image of f over the averaging
     measure at x."""
     if isinstance(f, (PolyGauss, SmoothBump)) and _positive_integer(rs):
-        return V_k_num(rs, local_P(rs, f), x, n=n)
-    return inv_tV_via_VkP(rs, f, x, plan=plan, n=n)
+        return V_k_num(rs, local_P(rs, f), x)
+    return inv_tV_via_VkP(rs, f, x, plan=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,19 @@ def _require_integer_case(rs: RootSystem, what: str):
         raise UnsupportedCaseError(f"{what} exists only for integer multiplicities")
 
 
+def _root_power_product(rs: RootSystem, p: RationalPoly, dunkl: bool) -> RationalPoly:
+    """Scalar times the product over positive roots of (-1)^k (alpha . D)^(2k) applied to p."""
+    pref = operator_prefactor(rs).as_fraction()
+    out = p
+    sign = 1
+    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
+        n = int(k)
+        sign *= (-1) ** n
+        for _ in range(2 * n):
+            out = directional_apply(rs, alpha, out, dunkl=dunkl)
+    return (pref * sign) * out
+
+
 def apply_P_poly(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     """The local form of the first inversion multiplier on polynomials.
 
@@ -521,26 +534,10 @@ def apply_P_poly(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     Integer multiplicities only; the result is exact.
     """
     _require_integer_case(rs, "the differential form of the inversion multiplier")
-    pref = operator_prefactor(rs).as_fraction()
-    out = p
-    sign = 1
-    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
-        n = int(k)
-        sign *= (-1) ** n
-        for _ in range(2 * n):
-            out = directional_apply(rs, alpha, out, dunkl=False)
-    return (pref * sign) * out
+    return _root_power_product(rs, p, dunkl=False)
 
 
 def apply_Q_poly(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     """Same scalar and product shape as apply_P_poly with Dunkl gradients."""
     _require_integer_case(rs, "the Dunkl form of the inversion multiplier")
-    pref = operator_prefactor(rs).as_fraction()
-    out = p
-    sign = 1
-    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
-        n = int(k)
-        sign *= (-1) ** n
-        for _ in range(2 * n):
-            out = directional_apply(rs, alpha, out, dunkl=True)
-    return (pref * sign) * out
+    return _root_power_product(rs, p, dunkl=True)

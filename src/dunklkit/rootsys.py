@@ -27,6 +27,9 @@ from .errors import (
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
+# A reflection closure larger than this is taken as an infinite group.
+_MAX_ORDER = 1024
+
 
 def rational(value) -> Fraction:
     """Parse a rational from an int, Fraction, or 'p/q' string."""
@@ -111,7 +114,7 @@ class RootSystem:
     multiplicities: tuple[Fraction, ...]
 
     @staticmethod
-    def create(dimension: int, positive_roots, multiplicities, max_order: int = 1024):
+    def create(dimension: int, positive_roots, multiplicities):
         if dimension < 1:
             raise InvalidArgumentError("dimension must be >= 1")
         roots = tuple(_vec(r) for r in positive_roots)
@@ -135,7 +138,7 @@ class RootSystem:
                         f"positive roots {a} and {b} are parallel; the system must be reduced"
                     )
         rs = RootSystem(dimension, roots, mults)
-        group = close_group(rs, max_order=max_order)
+        group = close_group(rs)
         _check_invariance(rs, group)
         return rs
 
@@ -184,17 +187,18 @@ def _parallel(a: Vector, b: Vector) -> bool:
     return True
 
 
-def close_group(rs: RootSystem, max_order: int = 1024) -> ReflectionGroup:
+def close_group(rs: RootSystem) -> ReflectionGroup:
     """Close the generating reflections under products.
 
-    Raises NotARootSystemError when the closure exceeds max_order, which is the
-    practical signal that the given roots do not generate a finite group.
+    Raises NotARootSystemError when the closure exceeds _MAX_ORDER elements,
+    which is the practical signal that the given roots do not generate a
+    finite group.
     """
-    return _close_group_cached(rs.dimension, rs.positive_roots, max_order)
+    return _close_group_cached(rs.dimension, rs.positive_roots)
 
 
 @lru_cache(maxsize=None)
-def _close_group_cached(dimension, roots, max_order) -> ReflectionGroup:
+def _close_group_cached(dimension, roots) -> ReflectionGroup:
     generators = [reflection_matrix(a) for a in roots]
     seen = {identity_matrix(dimension)}
     frontier = list(seen)
@@ -206,9 +210,9 @@ def _close_group_cached(dimension, roots, max_order) -> ReflectionGroup:
                 if wg not in seen:
                     seen.add(wg)
                     new.append(wg)
-                    if len(seen) > max_order:
+                    if len(seen) > _MAX_ORDER:
                         raise NotARootSystemError(
-                            f"reflection closure exceeds {max_order} elements; "
+                            f"reflection closure exceeds {_MAX_ORDER} elements; "
                             "roots do not generate a finite group"
                         )
         frontier = new

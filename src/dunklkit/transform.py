@@ -187,7 +187,11 @@ def _require_integrable(f: SampledFunction, op: str, dimension: int = 1):
     check_decay(f, dimension)
 
 
-def check_decay(f: SampledFunction, dimension: int = 1, tol: float = 1e-8) -> float:
+# A schwartz function larger than this on its declared radius draws a warning.
+_DECAY_TOL = 1e-8
+
+
+def check_decay(f: SampledFunction, dimension: int = 1) -> float:
     """Largest |f| sampled on the calibration sphere of its declared radius."""
     r = f.decay.radius
     if dimension == 1:
@@ -201,7 +205,7 @@ def check_decay(f: SampledFunction, dimension: int = 1, tol: float = 1e-8) -> fl
             f"function {f.name or '<anon>'} is nonzero on its declared support boundary",
             AccuracyWarning,
         )
-    elif f.decay.kind == "schwartz" and worst > tol:
+    elif f.decay.kind == "schwartz" and worst > _DECAY_TOL:
         warnings.warn(
             f"function {f.name or '<anon>'} decays slower than declared "
             f"(|f| = {worst:.2e} at radius {r})",
@@ -218,11 +222,13 @@ def check_decay(f: SampledFunction, dimension: int = 1, tol: float = 1e-8) -> fl
 # set for several functions (the same quadrature points, the same samples).
 _TARGET_KERNELS = 8
 _PLAN_GRIDS = ("space", "space_plain", "freq")
+# Half-width of every plan's space grids.
+_SPACE_RADIUS = 10.0
 
 
 @dataclass(frozen=True, eq=False)
 class TransformPlan:
-    """Grids and frequency targets shared by a family of transform calls.
+    """Grids shared by a family of transform calls.
 
     The plan owns the one-dimensional kernel matrices that its transforms
     contract with; ``axis_kernel`` builds each on first use.
@@ -232,8 +238,6 @@ class TransformPlan:
     space: QuadratureGrid
     space_plain: QuadratureGrid
     freq: QuadratureGrid
-    freq_points: np.ndarray
-    radius: float
     freq_radius: float
     kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -280,30 +284,17 @@ class TransformPlan:
         return mat
 
 
-def make_plan(
-    rs: RootSystem,
-    radius: float = 10.0,
-    grid_n: Optional[int] = None,
-    freq_radius: float = 8.0,
-    freq_count: int = 257,
-    plain_n: Optional[int] = None,
-) -> TransformPlan:
+def make_plan(rs: RootSystem, grid_n: Optional[int] = None, freq_radius: float = 8.0) -> TransformPlan:
+    """Weighted and plain space grids on [-10, 10] per axis, with grid_n and
+    2 grid_n nodes, and a weighted frequency grid reaching 2 beyond freq_radius."""
     d = rs.dimension
     if grid_n is None:
         grid_n = 192 if d == 1 else 64
-    if plain_n is None:
-        plain_n = 2 * grid_n
-    space = weighted_grid(rs, radius, grid_n)
-    if d == 1:
-        space_plain = plain_line_grid(radius, plain_n)
-        freq_pts = np.linspace(-freq_radius, freq_radius, freq_count)
-    else:
-        space_plain = tensor_grid([plain_line_grid(radius, plain_n)] * d)
-        axis = np.linspace(-freq_radius, freq_radius, freq_count)
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        freq_pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    space = weighted_grid(rs, _SPACE_RADIUS, grid_n)
+    plain = plain_line_grid(_SPACE_RADIUS, 2 * grid_n)
+    space_plain = plain if d == 1 else tensor_grid([plain] * d)
     freq = weighted_grid(rs, freq_radius + 2.0, grid_n)
-    return TransformPlan(rs, space, space_plain, freq, freq_pts, radius, freq_radius)
+    return TransformPlan(rs, space, space_plain, freq, freq_radius)
 
 
 def _axis_gammas(rs: RootSystem) -> list:
@@ -354,6 +345,11 @@ def p_multiplier_constant(rs: RootSystem) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 
+def _one_point(rs: RootSystem, y) -> list:
+    """The one-point target list of a scalar transform at y."""
+    return [y] if rs.dimension == 1 else [list(np.atleast_1d(y))]
+
+
 def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, factors=None):
     """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
@@ -392,7 +388,7 @@ def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan) -> np.ndarr
 def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) -> complex:
     """Weighted integral of f against K(x, -i y)."""
     _require_integrable(f, "dunkl_transform", rs.dimension)
-    return complex(dunkl_transform_many(rs, f, [y] if rs.dimension == 1 else [list(np.atleast_1d(y))], plan)[0])
+    return complex(dunkl_transform_many(rs, f, _one_point(rs, y), plan)[0])
 
 
 def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan,
@@ -404,7 +400,7 @@ def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) ->
     """Inverse transform; h must decay (schwartz or compact)."""
     _require_integrable(h, "dunkl_inverse", rs.dimension)
     hvals = np.asarray(h.evaluator(plan.freq.nodes))
-    return complex(dunkl_inverse_many(rs, hvals, [x] if rs.dimension == 1 else [list(np.atleast_1d(x))], plan)[0])
+    return complex(dunkl_inverse_many(rs, hvals, _one_point(rs, x), plan)[0])
 
 
 def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
@@ -421,7 +417,7 @@ def classical_fourier_many(f, ys, plan: TransformPlan) -> np.ndarray:
 def classical_fourier(f: SampledFunction, y, plan: TransformPlan) -> complex:
     """Plain Fourier integral with kernel exp(-i <x, y>) and no prefactor."""
     _require_integrable(f, "classical_fourier", plan.rs.dimension)
-    return complex(classical_fourier_many(f, [y] if plan.rs.dimension == 1 else [list(np.atleast_1d(y))], plan)[0])
+    return complex(classical_fourier_many(f, _one_point(plan.rs, y), plan)[0])
 
 
 def fourier_bessel(profile, lam: float, alpha: float, radius: float = 1.0, n: int = 128) -> float:
@@ -452,7 +448,7 @@ def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
 
 def multiplier_P(rs: RootSystem, f: SampledFunction, x, plan: TransformPlan) -> float:
     _require_integrable(f, "multiplier_P", rs.dimension)
-    val = multiplier_P_many(rs, f, [x] if rs.dimension == 1 else [list(np.atleast_1d(x))], plan)[0]
+    val = multiplier_P_many(rs, f, _one_point(rs, x), plan)[0]
     if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
         warnings.warn("multiplier_P produced a significant imaginary part", AccuracyWarning)
     return float(val.real)

@@ -176,7 +176,7 @@ def test_translate_spectral_pairs_match_scalar_loop(gamma, lines):
 
 def test_translate_spectral_pairs_on_a_product():
     rs = axis_product(1, 2)
-    plan = make_plan(rs, grid_n=32, freq_count=33)
+    plan = make_plan(rs, grid_n=32)
     f = lambda p: np.exp(-np.sum(np.asarray(p) ** 2, axis=-1) / 2.0)
     xs = np.array([[0.5, -0.3], [1.0, 0.2], [0.0, 0.7]])
     ys = np.array([[0.4, 0.6], [-0.5, 0.1], [0.9, -0.2]])

@@ -51,7 +51,7 @@ from dunklkit.convolution import (
 from dunklkit.polyexact import RationalPoly, intertwine, operator_prefactor
 from dunklkit.rootsys import axis_product, rank_one
 from dunklkit.suites import SuiteConfig, run_suite
-from dunklkit.transform import line_gamma
+from dunklkit.transform import DecayClass, line_gamma, sampled
 
 GAMMAS = [0.5, 1.0, 2.0, 7.0 / 3.0]
 LINES = [rank_one(Fraction(1, 2)), rank_one(1), rank_one(2)]
@@ -216,8 +216,20 @@ def test_dual_evaluates_each_function_on_the_distinct_points_only(rs_one):
 
     for k in (1, 5):
         sizes.clear()
-        tV_k_num(rs_one, f, np.tile(distinct, k), n=n, support_radius=8.0)
+        tV_k_num(rs_one, sampled(f, DecayClass.compact(8.0)), np.tile(distinct, k), n=n)
         assert sum(sizes) <= 2 * n * len(distinct)
+
+
+@pytest.mark.parametrize("density, at_infinity", [
+    (lambda rs, y: tV_k_num(rs, gaussian(), y), 0.0),
+    (lambda rs, y: mu_density(rs, 1.0, y), 0.0),
+    (lambda rs, y: DualDensity(rs, 0.3)(y), np.inf),
+], ids=["tV_k_num", "mu_density", "DualDensity"])
+def test_a_nan_point_gives_nan_and_an_infinite_one_its_limit(density, at_infinity, rs_one):
+    out = density(rs_one, np.array([np.nan, 0.5, np.inf, -np.inf]))
+    assert np.isnan(out[0]) and 0.0 < out[1] < np.inf
+    np.testing.assert_array_equal(out[2:], at_infinity)
+    assert np.isnan(density(rs_one, np.nan))
 
 
 def test_a_nan_function_leaves_the_others_of_a_sequence_finite(rs_one):
