@@ -155,7 +155,8 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
 class DualDensity:
     """Density of the dual measure at base point y against plain dx.
 
-    Supported on {|x| > |y|}, and NaN at NaN points; equals the averaging
+    Supported on {|x| > |y|}, NaN at NaN points and its limit at x = +-inf
+    (0, c or inf as gamma <, = or > 1/2); equals the averaging
     density with the roles of the arguments exchanged, times the reflection
     weight in x: c (|x| - sgn(x) y)^(gamma - 1) (|x| + sgn(x) y)^gamma,
     c = mass_constant.
@@ -169,9 +170,11 @@ class DualDensity:
         c = mass_constant(g)
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.where(np.isnan(xx) | math.isnan(self.y), np.nan, 0.0)
-        ok = np.abs(xx) > abs(self.y)
+        ok = np.isfinite(xx) & (np.abs(xx) > abs(self.y))
         a, sy = np.abs(xx[ok]), np.sign(xx[ok]) * self.y
         out[ok] = c * (a - sy) ** (g - 1.0) * (a + sy) ** g
+        # the density tends to c |x|^(2 gamma - 1): 0, c or inf as gamma <, = or > 1/2
+        out[np.isinf(xx) & math.isfinite(self.y)] = c * math.inf ** (2.0 * g - 1.0)
         return _like(x, out)
 
     @property

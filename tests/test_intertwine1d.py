@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -220,16 +221,25 @@ def test_dual_evaluates_each_function_on_the_distinct_points_only(rs_one):
         assert sum(sizes) <= 2 * n * len(distinct)
 
 
+def _dual_density_at_infinity(g):
+    # c |x|^(2 gamma - 1) as |x| -> inf
+    return 0.0 if g < 0.5 else mass_constant(g) if g == 0.5 else np.inf
+
+
 @pytest.mark.parametrize("density, at_infinity", [
-    (lambda rs, y: tV_k_num(rs, gaussian(), y), 0.0),
-    (lambda rs, y: mu_density(rs, 1.0, y), 0.0),
-    (lambda rs, y: DualDensity(rs, 0.3)(y), np.inf),
+    (lambda rs, y: tV_k_num(rs, gaussian(), y), lambda g: 0.0),
+    (lambda rs, y: mu_density(rs, 1.0, y), lambda g: 0.0),
+    (lambda rs, y: DualDensity(rs, 0.3)(y), _dual_density_at_infinity),
 ], ids=["tV_k_num", "mu_density", "DualDensity"])
-def test_a_nan_point_gives_nan_and_an_infinite_one_its_limit(density, at_infinity, rs_one):
-    out = density(rs_one, np.array([np.nan, 0.5, np.inf, -np.inf]))
-    assert np.isnan(out[0]) and 0.0 < out[1] < np.inf
-    np.testing.assert_array_equal(out[2:], at_infinity)
-    assert np.isnan(density(rs_one, np.nan))
+def test_a_nan_point_gives_nan_and_an_infinite_one_its_limit(density, at_infinity):
+    for g in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, 2):
+        rs = rank_one(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = density(rs, np.array([np.nan, 0.5, np.inf, -np.inf]))
+            assert np.isnan(density(rs, np.nan))
+        assert np.isnan(out[0]) and 0.0 < out[1] < np.inf
+        np.testing.assert_array_equal(out[2:], at_infinity(float(g)))
 
 
 def test_a_nan_function_leaves_the_others_of_a_sequence_finite(rs_one):

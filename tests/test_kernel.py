@@ -380,3 +380,98 @@ def test_kernel_1d_nan_argument_gives_nan():
     # a finite argument that overflows still raises beside a NaN one
     with pytest.raises(AccuracyError, match="overflow"):
         kernel_1d(1.0, np.array([np.nan, 30.0]), 30.0)
+
+
+# -- kernel matrices: one Bessel evaluation per distinct |z| |t| -----------------
+
+
+def _entrywise(gamma, z, t):
+    """The closed form with both Bessel orders evaluated on every entry."""
+    g = float(gamma)
+    z, t = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(t, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        u = 1j * z * t
+        return bessel_j_normalized(g - 0.5, u) + (z * t / (2.0 * g + 1.0)) * bessel_j_normalized(g + 0.5, u)
+
+
+_GAMMAS = [Fraction(1, 2), 1, 2, Fraction(7, 3), 11, Fraction(25, 2)]
+_GRID = np.linspace(-10.0, 10.0, 41)  # symmetric, holds 0
+_NODE_SETS = {
+    "symmetric": (_GRID, np.linspace(-8.0, 8.0, 33)),
+    "repeated": (np.repeat(_GRID[::4], 3), np.concatenate([[0.0, 0.0], np.linspace(-6.0, 6.0, 13)] * 2)),
+    "asymmetric": (np.random.default_rng(4).uniform(-3.0, 10.0, 23), np.random.default_rng(5).uniform(-1.0, 9.0, 17)),
+}
+_ORIENTATIONS = {
+    "real-by-imaginary": lambda x, s: (x[:, None], -1j * s[None, :]),
+    "imaginary-by-real": lambda x, s: (1j * x[:, None], s[None, :]),
+}
+
+
+@pytest.mark.parametrize("orientation", sorted(_ORIENTATIONS))
+@pytest.mark.parametrize("nodes", sorted(_NODE_SETS))
+@pytest.mark.parametrize("gamma", _GAMMAS, ids=str)
+def test_kernel_matrix_is_bitwise_the_entrywise_formula(gamma, nodes, orientation):
+    z, t = _ORIENTATIONS[orientation](*_NODE_SETS[nodes])
+    got, want = kernel_1d(gamma, z, t), _entrywise(gamma, z, t)
+    assert got.shape == want.shape == (z.shape[0], t.shape[1])
+    assert got.tobytes() == want.tobytes()  # signed zeros included, unlike np.array_equal
+
+
+@pytest.mark.parametrize("gamma", [1, Fraction(7, 3)], ids=str)
+def test_kernel_matrix_fallbacks_keep_the_entrywise_results(gamma):
+    x, s = _NODE_SETS["symmetric"]
+    # a NaN node and an infinite target: not-finite in their own row and column only
+    xb, sb = x.copy(), s.copy()
+    xb[5], sb[7] = np.nan, np.inf
+    with np.errstate(invalid="ignore"):
+        tb = -1j * sb[None, :]  # (nan - inf j) at the infinite target
+    got = kernel_1d(gamma, xb[:, None], tb)
+    bad = np.zeros(got.shape, dtype=bool)
+    bad[5, :] = bad[:, 7] = True
+    assert np.array_equal(np.isnan(got), bad)
+    assert np.array_equal(got, _entrywise(gamma, xb[:, None], tb), equal_nan=True)
+    keep_x, keep_s = np.arange(x.size) != 5, np.arange(s.size) != 7
+    clean = kernel_1d(gamma, x[keep_x][:, None], -1j * s[keep_s][None, :])
+    assert np.array_equal(got[np.ix_(keep_x, keep_s)], clean)
+    # general complex targets, an (m,) by (m,) broadcast and a real product
+    small = np.linspace(-3.0, 3.0, 13)
+    for z, t in (
+        (small[:, None], (0.3 - 0.7j) * small[None, :]),
+        (1j * small[:, None], (0.3 - 0.7j) * small[None, :]),
+        (small, -1j * small[::-1]),
+        (small[:, None], small[None, :]),
+    ):
+        assert np.array_equal(kernel_1d(gamma, z, t), _entrywise(gamma, z, t))
+    with pytest.raises(AccuracyError, match="overflow"):
+        kernel_1d(gamma, np.array([[0.5], [30.0]]), np.array([[1.0, 30.0]]))
+
+
+def _count_bessel_points(monkeypatch):
+    points = {}
+
+    def counted(alpha, u):
+        points[alpha] = points.get(alpha, 0) + np.size(u)
+        return bessel_j_normalized(alpha, u)
+
+    monkeypatch.setattr("dunklkit.kernel.bessel_j_normalized", counted)
+    return points
+
+
+@pytest.mark.parametrize("orientation", sorted(_ORIENTATIONS))
+def test_kernel_matrix_evaluates_each_order_once_per_distinct_magnitude(orientation, monkeypatch):
+    n, m = 24, 40
+    x = np.linspace(0.25, 10.0, n)
+    s = np.linspace(0.2, 8.0, m)
+    points = _count_bessel_points(monkeypatch)
+    kernel_1d(Fraction(7, 3), *_ORIENTATIONS[orientation](np.concatenate([-x, x]), np.concatenate([-s, s])))
+    assert len(points) == 2 and all(p <= n * m for p in points.values())
+
+
+def test_kernel_value_on_a_product_batch_evaluates_every_entry(rs_product, monkeypatch):
+    rng = np.random.default_rng(6)
+    x, z = rng.uniform(-4.0, 4.0, (50, 2)), rng.uniform(-4.0, 4.0, (50, 2))
+    x[25:] = x[:25]  # repeated points stay elementwise
+    points = _count_bessel_points(monkeypatch)
+    kernel_value(rs_product, x, 1j * z)
+    # two orders per axis, one point per pair: gamma = 1 gives 1/2, 3/2; gamma = 2 gives 3/2, 5/2
+    assert points == {0.5: 50, 1.5: 100, 2.5: 50}
