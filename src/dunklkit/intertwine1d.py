@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     AccuracyError,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .functions import PolyGauss, SmoothBump
 from .polyexact import operator_prefactor
-from .rootsys import RootSystem, rank_one
+from .rootsys import RootSystem, _gauss_rule, rank_one
 from .transform import (
     SampledFunction,
     TransformPlan,
@@ -123,7 +122,7 @@ def mu_quadrature(gamma_key: float, n: int = 64):
     V_k f(x) = sum_i w_i f(x t_i) for every x != 0; the weights sum to 1.
     """
     g = gamma_key
-    t, w = roots_jacobi(n, g - 1.0, g)
+    t, w = _gauss_rule("jacobi", n, g - 1.0, g)
     return t, w * mass_constant(g)
 
 
@@ -185,7 +184,7 @@ class DualDensity:
 @lru_cache(maxsize=64)
 def _half_rule(n: int, power: float):
     """Rule for integrals of u^power h(u) over [0, 1] with h smooth."""
-    t, w = roots_jacobi(n, 0.0, power)
+    t, w = _gauss_rule("jacobi", n, 0.0, power)
     u = (t + 1.0) / 2.0
     return u, w / 2.0 ** (power + 1.0)
 

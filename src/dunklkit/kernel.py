@@ -13,41 +13,44 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import iv, jv
 
 from .errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
 from .polyexact import intertwine_matrix, monomial_basis
 from .report import VerificationReport, worst
 from .rootsys import RootSystem
 
-_SERIES_RADIUS = 12.0
+_SERIES_RADIUS = 4.0
 _COMPLEX_RADIUS = 30.0
+_HANKEL_TERMS = 20
 # the moment series of kernel_series: terms summed at most, and the tail bound it certifies
 _TRUNCATION = 40
 _TOLERANCE = 1e-12
 
 
-def _bessel_series(alpha: float, w: np.ndarray) -> np.ndarray:
-    """sum_n w^n / (n! (alpha+1)_n), with w = -(u/2)^2 for j_alpha(u).
+def _bessel_series(alpha: float, half: np.ndarray, sign: float) -> np.ndarray:
+    """sum_n w^n / (n! (alpha+1)_n), w = sign half^2: j_alpha(u) is sign = -1,
+    half = u/2, and j_alpha(iy) is sign = 1, half = y/2.
 
-    w is real (<= 0 on the real axis, >= 0 on the imaginary axis) or complex.
+    Each term takes half twice, so the rounding of half^2 does not compound.
     The sum stops once every term is below 1e-18 of max(1, smallest |partial
-    sum|), so each point is summed at least as far as it would be alone; 400
-    terms without that is an AccuracyError.
+    sum|), so each point is summed at least as far as it would be alone; a sum
+    that overflowed to inf (sign = 1) is done.  1000 terms without that is an
+    AccuracyError.
     """
-    term = np.ones_like(w)
-    total = np.ones_like(w)
-    if w.size == 0:
+    term = np.ones_like(half)
+    total = np.ones_like(half)
+    if half.size == 0:
         return total
-    k = int(np.argmax(np.abs(w)))
-    for n in range(1, 401):
-        term *= w
-        term /= n * (n + alpha)
+    k = int(np.argmax(np.abs(half)))
+    for n in range(1, 1001):
+        term *= half
+        term *= half
+        term /= sign * (n * n + n * alpha)
         total += term
         if abs(term.flat[k]) > 1e-18 * max(1.0, abs(total.flat[k])):
             continue  # the batch test cannot pass while its largest |w| fails alone
-        if np.max(np.abs(term)) <= 1e-18 * max(1.0, np.min(np.abs(total))):
+        largest = np.max(np.abs(term), where=np.isfinite(total), initial=0.0)
+        if largest <= 1e-18 * max(1.0, np.min(np.abs(total))):
             return total
     raise AccuracyError("Bessel series did not converge", residual=float(np.max(np.abs(term))))
 
@@ -65,6 +68,85 @@ def _half_integer_j(alpha: float, x: np.ndarray) -> np.ndarray:
     return cur if alpha > 0 else prev
 
 
+def _miller_j(alpha: float, x: np.ndarray) -> np.ndarray:
+    """j_alpha(x) for x > 0 by Miller's backward recurrence (DLMF 3.6(iii)).
+
+    J_{nu-1} = (2 nu / x) J_nu - J_{nu+1} runs down over nu = mu + k,
+    mu = alpha - floor(alpha), from a seed at k = max(x, alpha) + 20 + 6 x^(1/3),
+    and (x/2)^mu = sum_k (mu+2k) Gamma(mu+k) / k! J_{mu+2k}(x) fixes the scale.
+    Each point starts at its own k, so its value does not depend on the batch.
+    """
+    n = math.floor(alpha)
+    mu = alpha - n
+    order = np.argsort(-x)
+    xs = x[order]
+    two_over = 2.0 / xs
+    starts = np.ceil(np.maximum(xs, alpha) + 20.0 + 6.0 * np.cbrt(xs)).astype(int)
+    top = int(starts[0])
+    active = np.searchsorted(-starts, -np.arange(top + 2), side="right")  # points with start >= k
+    coef, ratio = [math.gamma(mu + 1.0)], math.gamma(mu + 1.0)  # ratio = Gamma(mu+j) / j!
+    for j in range(1, top // 2 + 1):
+        coef.append((mu + 2 * j) * ratio)
+        ratio *= (mu + j) / (j + 1)
+    lo, hi, total = np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)  # J_{mu+k}, J_{mu+k+1}
+    for k in range(top, -1, -1):
+        m = active[k]
+        lo[active[k + 1]:m] = 1e-200
+        if k % 2 == 0:
+            total[:m] += coef[k // 2] * lo[:m]
+        if k == n:
+            at_alpha = lo.copy()
+        if k:
+            hi[:m] = ((mu + k) * two_over[:m]) * lo[:m] - hi[:m]
+            lo, hi = hi, lo
+    if n < 0:
+        at_alpha = (mu * two_over) * lo - hi
+    out = np.empty_like(xs)
+    out[order] = math.gamma(alpha + 1.0) * two_over**n * at_alpha / total
+    return out
+
+
+def _hankel_coefficients(alpha: float) -> list:
+    """a_k(alpha) = (4 alpha^2 - 1^2) (4 alpha^2 - 3^2) ... (4 alpha^2 - (2k-1)^2) / (k! 8^k)."""
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS):
+        a.append(a[-1] * (4.0 * alpha * alpha - (2 * k - 1) ** 2) / (8.0 * k))
+    return a
+
+
+def _hankel_j(alpha: float, x: np.ndarray) -> np.ndarray:
+    """j_alpha(x) for large x > 0 from Hankel's expansion (DLMF 10.17.3):
+    J_alpha = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (alpha/2 + 1/4) pi."""
+    a = _hankel_coefficients(alpha)
+    inv = 1.0 / x
+    inv_sq = inv * inv
+    p, q = np.zeros_like(x), np.zeros_like(x)
+    for k in range(_HANKEL_TERMS - 2, -1, -2):
+        sign = -1.0 if k % 4 else 1.0
+        p = p * inv_sq + sign * a[k]
+        q = q * inv_sq + sign * a[k + 1]
+    phase = (0.5 * alpha + 0.25) * math.pi
+    c, s = np.cos(x), np.sin(x)
+    cos_w = c * math.cos(phase) + s * math.sin(phase)
+    sin_w = s * math.cos(phase) - c * math.sin(phase)
+    scale = math.gamma(alpha + 1.0) * (2.0 * inv) ** alpha * np.sqrt(2.0 * inv / math.pi)
+    return scale * (p * cos_w - q * inv * sin_w)
+
+
+def _hankel_i(alpha: float, y: np.ndarray) -> np.ndarray:
+    """j_alpha(iy) for large y > 0 from e^-y I_alpha(y) ~ (2 pi y)^(-1/2)
+    sum_k (-1)^k a_k / y^k (DLMF 10.40.1); e^y as e^(y/2) twice, so the result
+    is inf only where j_alpha(iy) itself overflows."""
+    a = _hankel_coefficients(alpha)
+    inv = 1.0 / y
+    total = np.zeros_like(y)
+    for k in range(_HANKEL_TERMS - 1, -1, -1):
+        total = total * inv + (-a[k] if k % 2 else a[k])
+    half = np.exp(y / 2.0)
+    scale = math.gamma(alpha + 1.0) * (2.0 * inv) ** alpha / np.sqrt(2.0 * math.pi * y)
+    return (scale * total * half) * half
+
+
 def bessel_j_normalized(alpha: float, u):
     """j_alpha(u) = Gamma(alpha+1) sum (-1)^n (u/2)^(2n) / (n! Gamma(n+alpha+1)).
 
@@ -72,11 +154,13 @@ def bessel_j_normalized(alpha: float, u):
     arguments are supported at any magnitude and are evaluated in real
     arithmetic on |Re u| and |Im u|.  Real u of a half-integer order beyond
     max(4, alpha + 1) (every u for alpha = -1/2) takes cos, sin and the upward
-    recurrence, within 4.1e-16 of mpmath on (0, 60] up to alpha = 19/2; the
-    rest takes the power series up to |u| = 12 (which loses up to three digits
-    near 12) and scipy's ``jv`` and ``iv`` beyond.  General complex arguments
-    take the complex series, only while it is numerically safe (|u| <= 30).
-    Entries that are not finite give NaN.
+    recurrence; other real u take the power series up to |u| = 4, Miller's
+    backward recurrence below 22 + alpha^2 / 8 and Hankel's expansion from
+    there.  Imaginary u take the power series, whose terms are all positive,
+    below 22 + alpha^2 / 2 and the large-argument expansion of I_alpha from
+    there, which is inf past the overflow of double precision.  General complex
+    arguments take the complex series, only while it is numerically safe
+    (|u| <= 30).  Entries that are not finite give NaN.
     """
     if alpha < -0.5:
         raise InvalidArgumentError("order must be >= -1/2")
@@ -92,26 +176,32 @@ def bessel_j_normalized(alpha: float, u):
     out[~finite] = np.nan
     is_real = finite & (im <= 1e-14 * scale)
     is_imag = finite & ~is_real & (re <= 1e-14 * scale)
-    small = mag <= _SERIES_RADIUS
-    half_integer = float(alpha + 0.5).is_integer()
-    cut = max(4.0, alpha + 1.0) if alpha > 0 else 0.0
 
-    # j_alpha(x) = 2^a Gamma(a+1) J_a(x) / x^a and j_alpha(iy) = 2^a Gamma(a+1) I_a(y) / y^a
-    for mask, axis, sign, bessel in ((is_real, re, -1.0, jv), (is_imag, im, 1.0, iv)):
-        if not np.any(mask):
-            continue
-        x = axis[mask]
-        elementary = (x > cut) & (half_integer and sign < 0)
-        near = small[mask] & ~elementary
-        far = ~near & ~elementary
+    if np.any(is_imag):
+        y = im[is_imag]
+        vals = np.empty_like(y)
+        far = y >= 22.0 + alpha * alpha / 2.0
+        with np.errstate(over="ignore"):  # inf past the overflow is the documented value
+            vals[~far] = _bessel_series(alpha, y[~far] / 2.0, 1.0)
+            vals[far] = _hankel_i(alpha, y[far])
+        out[is_imag] = vals
+    if np.any(is_real):
+        x = re[is_real]
         vals = np.empty_like(x)
-        if np.any(near):
-            vals[near] = _bessel_series(alpha, sign * (x[near] / 2.0) ** 2)
-        if np.any(elementary):
-            vals[elementary] = _half_integer_j(alpha, x[elementary])
-        if np.any(far):
-            vals[far] = (2.0**alpha) * gamma_fn(alpha + 1.0) * bessel(alpha, x[far]) / x[far] ** alpha
-        out[mask] = vals
+        cut = max(4.0, alpha + 1.0) if alpha > 0 else 0.0
+        elementary = (x > cut) & float(alpha + 0.5).is_integer()
+        near = (x <= _SERIES_RADIUS) & ~elementary
+        far = (x >= 22.0 + alpha * alpha / 8.0) & ~elementary
+        # j_alpha(x) = 2^a Gamma(a+1) J_a(x) / x^a, each branch on its own points
+        for mask, branch in (
+            (elementary, _half_integer_j),
+            (near, lambda a, v: _bessel_series(a, v / 2.0, -1.0)),
+            (~(elementary | near | far), _miller_j),
+            (far, _hankel_j),
+        ):
+            if np.any(mask):
+                vals[mask] = branch(alpha, x[mask])
+        out[is_real] = vals
 
     m_gen = finite & ~is_real & ~is_imag
     if np.any(m_gen):
@@ -120,7 +210,7 @@ def bessel_j_normalized(alpha: float, u):
                 "general complex argument outside the supported range "
                 f"|u| <= {_COMPLEX_RADIUS}"
             )
-        out[m_gen] = _bessel_series(alpha, -((arr[m_gen] / 2.0) ** 2))
+        out[m_gen] = _bessel_series(alpha, arr[m_gen] / 2.0, -1.0)
 
     return complex(out[0]) if scalar else out
 
@@ -182,10 +272,15 @@ def kernel_1d(gamma, z, t):
                     bessel_j_normalized(alpha, u)[ia].take(ib, axis=1) for alpha in (g - 0.5, g + 0.5)
                 )
             val = j_lo + (zz * tt / (2.0 * g + 1.0)) * j_hi
+    return _finite_or_raise("kernel_1d", val, zz, tt)
+
+
+def _finite_or_raise(name: str, val, zz, tt):
+    """val, a complex for scalar arguments; AccuracyError where finite z and t gave inf or nan."""
     overflow = ~np.isfinite(val) & np.isfinite(zz) & np.isfinite(tt)
     if np.any(overflow):
         raise AccuracyError(
-            "kernel_1d overflows double precision for finite arguments; "
+            f"{name} overflows double precision for finite arguments; "
             "|z t| must stay below about 700",
             residual=float(np.max(np.abs(zz * tt)[overflow])),
         )
@@ -195,26 +290,26 @@ def kernel_1d(gamma, z, t):
 
 
 def kernel_1d_dz(gamma, z, t):
-    """Derivative of kernel_1d in its first argument, via j' identities."""
+    """Derivative of kernel_1d in its first argument, via j' identities.
+
+    Overflow raises AccuracyError and NaN arguments give NaN, as in kernel_1d.
+    """
     g = float(gamma)
     zz = np.asarray(z, dtype=complex)
     tt = np.asarray(t, dtype=complex)
-    if g == 0.0:
-        val = tt * np.exp(zz * tt)
-        if zz.ndim == 0 and tt.ndim == 0:
-            return complex(val)
-        return val
-    u = 1j * zz * tt
-    ja = bessel_j_normalized(g + 0.5, u)
-    jb = bessel_j_normalized(g + 1.5, u)
-    # d/du j_a(u) = -u j_{a+1}(u) / (2(a+1))
-    term1 = (1j * tt) * (-u * ja / (2.0 * g + 1.0))
-    term2 = (tt / (2.0 * g + 1.0)) * ja
-    term3 = (zz * tt / (2.0 * g + 1.0)) * (1j * tt) * (-u * jb / (2.0 * g + 3.0))
-    val = term1 + term2 + term3
-    if zz.ndim == 0 and tt.ndim == 0:
-        return complex(val)
-    return val
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g == 0.0:
+            val = tt * np.exp(zz * tt)
+        else:
+            u = 1j * zz * tt
+            ja = bessel_j_normalized(g + 0.5, u)
+            jb = bessel_j_normalized(g + 1.5, u)
+            # d/du j_a(u) = -u j_{a+1}(u) / (2(a+1))
+            term1 = (1j * tt) * (-u * ja / (2.0 * g + 1.0))
+            term2 = (tt / (2.0 * g + 1.0)) * ja
+            term3 = (zz * tt / (2.0 * g + 1.0)) * (1j * tt) * (-u * jb / (2.0 * g + 3.0))
+            val = term1 + term2 + term3
+    return _finite_or_raise("kernel_1d_dz", val, zz, tt)
 
 
 def _as_vector(x, dimension: int) -> np.ndarray:

@@ -8,6 +8,7 @@ the exact matrix inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -443,11 +444,9 @@ class OperatorConstants:
     power_factors: tuple[tuple[Fraction, Fraction], ...]
 
     def as_float(self) -> float:
-        from scipy.special import gamma as _g
-
         value = float(self.rational) * float(np.pi) ** self.pi_power
         for arg, e in self.gamma_factors:
-            value *= float(_g(float(arg))) ** e
+            value *= math.gamma(float(arg)) ** e
         for base, q in self.power_factors:
             value *= float(base) ** float(q)
         return value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -266,10 +267,47 @@ def weight_exact(rs: RootSystem, x: Sequence) -> Fraction:
     return out
 
 
-def _gamma_half(k: Fraction) -> float:
-    from scipy.special import gamma as _g
+@lru_cache(maxsize=None)
+def _gauss_rule(kind: str, n: int, a: float = 0.0, b: float = 0.0):
+    """Read-only nodes and weights of the n-point Gauss rule for the weight
+    (1-t)^a (1+t)^b on (-1, 1) (kind "jacobi"; a = b = 0 is Legendre) or
+    exp(-t^2) on the line (kind "hermite").
 
-    return float(_g(float(k) + 0.5))
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi matrix
+    of the orthonormal three-term recurrence, then one Newton step.  The same
+    pass of the recurrence gives the Christoffel weights 1 / sum_{k<n} p_k^2,
+    taken at the Newton-corrected node to first order, scaled to the exact
+    mass.
+    """
+    k = np.arange(1.0, n + 1.0)
+    if kind == "hermite":
+        diag, off = np.zeros(n), np.sqrt(k / 2.0)
+        mass = math.sqrt(math.pi)
+    else:
+        s = 2.0 * k + a + b
+        diag = np.empty(n)
+        diag[0] = (b - a) / (a + b + 2.0)
+        diag[1:] = (b * b - a * a) / (s[:-1] * (s[:-1] + 2.0))
+        off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+        mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], -1))
+    # p_j and its derivative d_j at t; sq = sum_{j<n} p_j^2 and dsq its half-derivative
+    p_prev, p, d_prev, d = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    sq, dsq = np.ones(n), np.zeros(n)
+    for j in range(n):
+        shifted, lo = t - diag[j], (off[j - 1] if j else 0.0)
+        p_prev, p, d_prev, d = (
+            p, (shifted * p - lo * p_prev) / off[j], d, (shifted * d + p - lo * d_prev) / off[j]
+        )
+        if j < n - 1:
+            sq += p * p
+            dsq += p * d
+    step = p / d
+    w = 1.0 / (sq - 2.0 * step * dsq)
+    nodes, weights = t - step, w * (mass / np.sum(w))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def mehta_constant(rs: RootSystem) -> float:
@@ -282,8 +320,7 @@ def mehta_constant(rs: RootSystem) -> float:
     if profile is not None:
         value = 1.0
         for scale, k in profile:
-            g = _gamma_half(k)
-            value *= 1.0 / g
+            value *= 1.0 / math.gamma(float(k) + 0.5)
             if scale is not None and scale != 1:
                 value *= float(scale * scale) ** (-float(k))
         return value
@@ -299,14 +336,12 @@ def mehta_by_quadrature(rs: RootSystem) -> float:
 def _axis_factor_quadrature(k: Fraction, scale) -> "Callable[[int], float]":
     # |a x|^{2k} exp(-x^2) on [0, R], mirrored; the Jacobi rule absorbs the
     # fractional power so the remaining integrand is entire
-    from scipy.special import roots_jacobi
-
     g = float(k)
     c = 1.0 if scale is None else float(scale) ** (2.0 * g)
     radius = 9.0
 
     def integral(n):
-        t, w = roots_jacobi(n, 0.0, 2.0 * g)
+        t, w = _gauss_rule("jacobi", n, 0.0, 2.0 * g)
         x = radius * (t + 1.0) / 2.0
         wt = w * (radius / 2.0) ** (2.0 * g + 1.0)
         return 2.0 * c * float(np.sum(wt * np.exp(-(x**2))))
@@ -315,8 +350,6 @@ def _axis_factor_quadrature(k: Fraction, scale) -> "Callable[[int], float]":
 
 
 def _mehta_by_quadrature(rs: RootSystem) -> float:
-    from scipy.special import roots_hermite
-
     profile = rs.axis_profile()
     if profile is not None:
 
@@ -334,7 +367,7 @@ def _mehta_by_quadrature(rs: RootSystem) -> float:
             )
 
         def integral(n):
-            nodes, wts = roots_hermite(n)
+            nodes, wts = _gauss_rule("hermite", n)
             pts = np.array(list(itertools.product(*([nodes] * rs.dimension))))
             wt = np.array(list(itertools.product(*([wts] * rs.dimension)))).prod(axis=1)
             return float(np.sum(wt * weight(rs, pts)))

@@ -11,15 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from .kernel import bessel_j_normalized, kernel_1d
-from .rootsys import RootSystem, mehta_constant
+from .rootsys import RootSystem, _gauss_rule, mehta_constant
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +52,6 @@ class QuadratureGrid:
         return abs(total - self.calibration) / max(1.0, abs(self.calibration))
 
 
-@lru_cache(maxsize=None)
-def _jacobi_rule(n: int, a: float, b: float):
-    return roots_jacobi(n, a, b)
-
-
 def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureGrid:
     """Grid absorbing |x|^(2 gamma) on [-radius, radius], split at the origin.
 
@@ -70,7 +63,7 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
         raise InvalidArgumentError("gamma must be nonnegative")
     if n < 2 or radius <= 0:
         raise InvalidArgumentError("need n >= 2 and radius > 0")
-    t, w = _jacobi_rule(n, 0.0, 2.0 * g)
+    t, w = _gauss_rule("jacobi", n, 0.0, 2.0 * g)
     half = radius / 2.0
     x_pos = half * (t + 1.0)
     w_pos = w * half ** (2.0 * g + 1.0)
@@ -84,7 +77,7 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
 
 def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
     """Plain Gauss-Legendre grid on [-radius, radius]."""
-    t, w = roots_legendre(n)
+    t, w = _gauss_rule("jacobi", n)
     return QuadratureGrid(
         radius * t, radius * w, "plain", (-radius, radius), 2.0 * radius
     )
@@ -429,7 +422,7 @@ def fourier_bessel(profile, lam: float, alpha: float, radius: float = 1.0, n: in
     """
     if alpha < -0.5:
         raise InvalidArgumentError("alpha must be >= -1/2")
-    t, w = _jacobi_rule(n, 0.0, 2.0 * alpha + 1.0)
+    t, w = _gauss_rule("jacobi", n, 0.0, 2.0 * alpha + 1.0)
     half = radius / 2.0
     r = half * (t + 1.0)
     wts = w * half ** (2.0 * alpha + 2.0)

@@ -1,6 +1,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,31 @@ from dunklkit.errors import InvalidArgumentError
 from dunklkit.report import VerificationReport, report_body_bytes
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+_NO_SCIPY = """
+import sys
+import dunklkit.cli
+from dunklkit.errors import UnsupportedCaseError
+from dunklkit.suites import SuiteConfig, run_suite, suite_names
+
+for preset in ("z2:1", "z2:7/3", "z2xz2:1,2"):
+    rs = dunklkit.cli.parse_preset(preset)
+    for suite in suite_names():
+        try:
+            assert run_suite(SuiteConfig(suite=suite, rs=rs, label=preset, seed=0)).all_passed
+        except UnsupportedCaseError:
+            pass
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_no_scipy_module_loads():
+    # a fresh interpreter: the test process itself may hold SciPy through other tests
+    src = Path(importlib.util.find_spec("dunklkit").origin).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _read_rows(path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,14 @@ def test_kernel_derivative_matches_difference():
         assert kernel_1d_dz(gamma, z, t) == pytest.approx(fd, rel=1e-8)
 
 
+@pytest.mark.parametrize("gamma, z", [(1.0, 30.0), (1.0, -30.0), (2.0, 30.0)])
+def test_kernel_derivative_overflow_raises(gamma, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="overflow"):
+            kernel_1d_dz(gamma, z, 30.0)
+
+
 def test_negative_gamma_rejected():
     with pytest.raises(InvalidArgumentError):
         kernel_1d(-0.5, 1.0, 1.0)
@@ -141,13 +150,18 @@ def test_real_argument_positive(x, y, gamma):
 # -- accuracy against an independent high-precision reference ---------------
 
 _ALPHAS = [-0.5, 0.0, 0.5, 1.5, 11 / 6, 2.5, 19 / 2]
-# (0, 30], with extra points on both sides of the series radius |u| = 12, of
-# |u| = 4 and of alpha + 1 for alpha = 3/2, 5/2 and 19/2, where the
-# half-integer orders leave the series
+# (0, 120], with extra points on both sides of the series radius |u| = 4, of
+# 12 (the old series radius), of alpha + 1 for alpha = 3/2, 5/2 and 19/2, where
+# the half-integer orders turn elementary, of 22 + alpha^2 / 8 for alpha = 0
+# and 11/6, where real arguments leave Miller's recurrence for Hankel's
+# expansion, and of 22 + alpha^2 / 2 for alpha = 0, 11/6 and 19/2, where
+# imaginary ones leave the series for the expansion of I_alpha
 _U = np.concatenate([
-    np.linspace(0.05, 30.0, 240),
+    np.linspace(0.05, 120.0, 320),
     [11.95, 11.999, 12.0, 12.001, 12.05, 3.99, 4.0, 4.01],
     [2.49, 2.5, 2.51, 3.49, 3.5, 3.51, 10.49, 10.5, 10.51],
+    [21.99, 22.0, 22.01, 22.41, 22.42, 22.43],
+    [23.67, 23.68, 23.69, 67.12, 67.125, 67.13],
 ])
 
 
@@ -165,10 +179,17 @@ def test_bessel_real_argument_matches_mpmath(alpha):
     got = bessel_j_normalized(alpha, _U)
     ref = np.array([_reference(alpha, u, False) for u in _U])
     assert np.max(np.abs(got.imag)) == 0.0
-    # half-integer orders use cos, sin and an upward recurrence beyond max(4, alpha + 1);
-    # elsewhere the series near |u| = 12 cancels terms of size ~1e4: about 6e-13 at alpha = 0
-    bound = 1e-15 if float(alpha + 0.5).is_integer() else 1e-12
-    assert np.max(np.abs(got.real - ref)) <= bound
+    # every order: the series up to 4, then cos, sin and an upward recurrence
+    # (half-integers beyond max(4, alpha + 1)), Miller's recurrence or Hankel's expansion
+    assert np.max(np.abs(got.real - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [23 / 2, 25 / 2])
+def test_bessel_large_half_integer_orders_below_alpha_plus_one(alpha):
+    # (12, alpha + 1] is neither the series nor the elementary branch: Miller's recurrence
+    u = np.concatenate([np.linspace(0.05, 60.0, 120), np.linspace(12.01, alpha + 1.0, 9), [alpha + 1.01]])
+    ref = np.array([_reference(alpha, v, False) for v in u])
+    assert np.max(np.abs(bessel_j_normalized(alpha, u).real - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", _ALPHAS)
@@ -179,13 +200,32 @@ def test_bessel_imaginary_argument_matches_mpmath(alpha):
     assert np.max(np.abs(got.real - ref) / ref) <= 5e-15
 
 
-def _series_testing_every_term(alpha, w, max_terms=400):
+@pytest.mark.parametrize("alpha", [0.5, 11 / 6, 13.0])
+def test_bessel_imaginary_argument_up_to_the_overflow(alpha):
+    # up to y = 690, where j_{1/2}(iy) is about 1e297; double precision overflows near 710
+    y = np.concatenate([np.linspace(120.0, 690.0, 24), [690.0]])
+    ref = np.array([_reference(alpha, v, True) for v in y])
+    assert np.max(np.abs(bessel_j_normalized(alpha, 1j * y).real - ref) / ref) <= 5e-15
+
+
+def test_bessel_past_the_overflow_is_inf_and_the_kernel_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bessel_j_normalized(0.5, 800j) == complex(np.inf)
+        vals = bessel_j_normalized(0.5, np.array([800j, 3j]))
+        assert vals[0] == np.inf and vals[1] == bessel_j_normalized(0.5, 3j)
+        with pytest.raises(AccuracyError, match="overflow"):
+            kernel_1d(1, 800.0, 1.0)
+
+
+def _series_testing_every_term(alpha, half, sign, max_terms=1000):
     """The series with the batch stop test on every term: the reference for the skip."""
-    term = np.ones_like(w)
-    total = np.ones_like(w)
+    term = np.ones_like(half)
+    total = np.ones_like(half)
     for n in range(1, max_terms + 1):
-        term *= w
-        term /= n * (n + alpha)
+        term *= half
+        term *= half
+        term /= sign * (n * n + n * alpha)
         total += term
         if np.max(np.abs(term)) <= 1e-18 * max(1.0, np.min(np.abs(total))):
             return total
@@ -200,22 +240,22 @@ def test_bessel_series_skip_stops_where_the_every_term_test_stops():
     # a point whose sum is large beside one of about the same |w| whose sum is
     # small: the batch test is stricter there than the large point's own test
     lopsided = np.array([30j * np.exp(-0.01j), 29.5 * np.exp(0.01j)])
+    # (u/2, sign) with w = sign (u/2)^2: real, imaginary and general complex u
     batches = [
-        -((np.array([7.3]) / 2.0) ** 2),
-        (np.array([7.3]) / 2.0) ** 2,
-        -((np.array([5.0 + 6.0j]) / 2.0) ** 2),
-        -((mixed / 2.0) ** 2),
-        (mixed / 2.0) ** 2,
-        np.concatenate([(mixed / 2.0) ** 2, -((mixed / 2.0) ** 2)]),
-        -((complex_u / 2.0) ** 2),
-        -((lopsided / 2.0) ** 2),
-        -((np.concatenate([complex_u, lopsided, mixed]) / 2.0) ** 2),
+        (np.array([7.3]) / 2.0, -1.0),
+        (np.array([7.3]) / 2.0, 1.0),
+        (np.array([5.0 + 6.0j]) / 2.0, -1.0),
+        (mixed / 2.0, -1.0),
+        (mixed / 2.0, 1.0),
+        (complex_u / 2.0, -1.0),
+        (lopsided / 2.0, -1.0),
+        (np.concatenate([complex_u, lopsided, mixed]) / 2.0, -1.0),
     ]
     for alpha in _ALPHAS:
-        for w in batches:
-            got = _bessel_series(alpha, w)
-            assert got.tobytes() == _series_testing_every_term(alpha, w).tobytes()
-    assert _bessel_series(0.5, np.empty(0)).shape == (0,)
+        for half, sign in batches:
+            got = _bessel_series(alpha, half, sign)
+            assert got.tobytes() == _series_testing_every_term(alpha, half, sign).tobytes()
+    assert _bessel_series(0.5, np.empty(0), 1.0).shape == (0,)
 
 
 def test_bessel_batch_matches_single_points():

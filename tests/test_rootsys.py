@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dunklkit.errors import InvalidArgumentError, NotARootSystemError
 from dunklkit.rootsys import (
     RootSystem,
+    _gauss_rule,
     axis_product,
     mehta_by_quadrature,
     mehta_constant,
@@ -129,3 +130,74 @@ def test_rank_one_gamma_roundtrip(k):
     assert rs.gamma == k
     data = root_system_to_dict(rs)
     assert root_system_from_dict(data).gamma == k
+
+
+# -- Gauss rules against mpmath --------------------------------------------------
+
+# every (n, a, b) the suites and grids build: (1-t)^a (1+t)^b on (-1, 1)
+_JACOBI_CASES = (
+    [(n, 0.0, b) for n in (32, 48, 64, 80, 96, 100, 120, 160) for b in (1.0, 2.0, 3.0, 4.0, 14 / 3)]
+    + [(32, 1.0, 2.0), (64, 1.0, 2.0), (96, 0.0, 0.0), (192, 0.0, 0.0), (320, 0.0, 0.0)]
+)
+
+
+def _jacobi_reference(n, a, b, t):
+    """The node near t and its weight at 30 digits: Newton on P_n^(a,b), then
+    the weight 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n! (1-x^2) P_n'(x)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(float(t))
+
+        def dp(x):
+            return (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, x)
+
+        for _ in range(2):
+            x -= mpmath.jacobi(n, a, b, x) / dp(x)
+        c = 2 ** (a + b + 1) * mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+        c /= mpmath.gamma(n + a + b + 1) * mpmath.factorial(n)
+        return float(x), float(c / ((1 - x * x) * dp(x) ** 2))
+
+
+def _hermite_reference(n, t):
+    """Newton on H_n, then the weight 2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2), at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        x = mpmath.mpf(float(t))
+        for _ in range(2):
+            x -= mpmath.hermite(n, x) / (2 * n * mpmath.hermite(n - 1, x))
+        w = 2 ** (n - 1) * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi) / (n**2 * mpmath.hermite(n - 1, x) ** 2)
+        return float(x), float(w)
+
+
+def _check_rule(nodes, weights, mass, reference):
+    n = nodes.size
+    assert abs(np.sum(weights) - mass) <= 1e-15 * mass
+    for i in (0, 1, n // 2, n - 2, n - 1):
+        x, w = reference(nodes[i])
+        assert abs(nodes[i] - x) <= 4e-16 * max(1.0, abs(x))
+        assert abs(weights[i] - w) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("n, a, b", _JACOBI_CASES)
+def test_gauss_jacobi_rule_matches_mpmath(n, a, b):
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = _gauss_rule("jacobi", n, a, b)
+    with mpmath.workdps(30):
+        mass = float(2 ** mpmath.mpf(a + b + 1) * mpmath.beta(a + 1, b + 1))
+    _check_rule(nodes, weights, mass, lambda t: _jacobi_reference(n, a, b, t))
+    assert np.all(np.diff(nodes) > 0) and nodes[0] > -1.0 and nodes[-1] < 1.0
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_gauss_hermite_rule_matches_mpmath(n):
+    nodes, weights = _gauss_rule("hermite", n)
+    _check_rule(nodes, weights, math.sqrt(math.pi), lambda t: _hermite_reference(n, t))
+
+
+def test_gauss_rule_is_cached_and_read_only():
+    nodes, weights = _gauss_rule("jacobi", 48, 0.0, 2.0)
+    again = _gauss_rule("jacobi", 48, 0.0, 2.0)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
