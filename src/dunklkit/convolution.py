@@ -93,7 +93,8 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
     A_l(b) = sum_i w_i exp(i t_l b t_i).
     method "Q" routes the inverse through the difference-differential
     multiplier (positive integer multiplicity, closed families only): one
-    dual pass per pair serves every function.
+    inv_V_via_Q call takes the points of every pair for every function, which
+    on a PolyGauss is the closed-form dual of its multiplier image.
     """
     g = line_gamma(rs)
     if g <= 0:
@@ -112,10 +113,9 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
         pref = p_multiplier_constant(rs) / (2.0 * math.pi)
         out = np.array([pref * np.real(c @ (ax * ay)) for c in coef])
     elif method == "Q":
-        out = np.zeros((len(fs), xs.size))
-        for j, (a, b) in enumerate(zip(xs.flat, ys.flat)):
-            vals = inv_V_via_Q(rs, fs, np.add.outer(a * t, b * t).reshape(-1))
-            out[:, j] = [w @ np.reshape(v, (len(t), len(t))) @ w for v in vals]
+        pts = np.multiply.outer(xs.reshape(-1), t)[:, :, None] + np.multiply.outer(ys.reshape(-1), t)[:, None, :]
+        vals = inv_V_via_Q(rs, fs, pts.reshape(-1)).reshape((len(fs),) + pts.shape)
+        out = np.array([[w @ v @ w for v in per_pair] for per_pair in vals])
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
     return _per_function(f, xs, out)

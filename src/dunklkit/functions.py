@@ -88,6 +88,9 @@ class PolyGauss(_PolyFamily):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        far = np.isinf(x)
+        if np.any(far):  # the limit 0 at +-inf, where p(x) exp(-x^2/2) would be inf * 0
+            return np.where(far, 0.0, self(np.where(far, 0.0, x)))[()]
         return self._p(x) * np.exp(-(x * x) / 2.0)
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":

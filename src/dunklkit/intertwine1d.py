@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .functions import PolyGauss, SmoothBump
-from .polyexact import operator_prefactor
+from .polyexact import OperatorConstants, operator_prefactor, solve_exact
 from .rootsys import RootSystem, _gauss_rule, rank_one
 from .transform import (
     SampledFunction,
@@ -350,6 +351,58 @@ def local_Q(rs: RootSystem, f):
     return f.dunkl_power(rs.gamma, order).scale(c)
 
 
+@lru_cache(maxsize=None)
+def _dual_matrix(rs: RootSystem, degree: int):
+    """Exact map from the coefficients of q to those of r, where
+    tV_k(q e^(-x^2/2)) = c r e^(-x^2/2) and deg q = degree.
+
+    Pairing with x^m, m = 0..degree, gives the moment system
+    int x^m r e^(-x^2/2) = lambda_m int x^m q |x|^(2 gamma) e^(-x^2/2) / c,
+    V_k x^m = lambda_m x^m with lambda_m = (1/2)_j / (gamma + 1/2)_j, j = ceil(m/2).
+    Over sqrt(2 pi), the moment of x^n is (n - 1)!! on the left and
+    2^(n/2) (gamma + 1/2)_(n/2) on the right for even n, 0 for odd n.
+    """
+    def rising(a, j):
+        return math.prod((a + i for i in range(j)), start=Fraction(1))
+
+    a = rs.gamma + Fraction(1, 2)
+    lam = [rising(Fraction(1, 2), (m + 1) // 2) / rising(a, (m + 1) // 2) for m in range(degree + 1)]
+    even = [[(m + i) % 2 == 0 for i in range(degree + 1)] for m in range(degree + 1)]
+    plain = [[Fraction(math.prod(range(m + i - 1, 0, -2)) if ok else 0) for i, ok in enumerate(row)]
+             for m, row in enumerate(even)]
+    weighted = [[lam[m] * 2 ** ((m + i) // 2) * rising(a, (m + i) // 2) if ok else Fraction(0)
+                 for i, ok in enumerate(row)] for m, row in enumerate(even)]
+    return solve_exact(plain, weighted)
+
+
+def _dual_constant(g: Fraction) -> OperatorConstants:
+    """c = 2^gamma Gamma(gamma + 1/2) / sqrt(pi), the dual image of the Gaussian:
+    (2 gamma - 1)!! for integer gamma, kept in gamma and power factors otherwise."""
+    if g.denominator == 1:
+        return OperatorConstants(Fraction(math.prod(range(2 * int(g) - 1, 0, -2))), 0, (), ())
+    half = Fraction(1, 2)
+    return OperatorConstants(Fraction(1), 0, ((g + half, 1), (half, -1)), ((Fraction(2), g),))
+
+
+def tV_k_exact(rs: RootSystem, f: PolyGauss):
+    """The dual intertwining operator of the line rs in closed form on
+    f = q e^(-x^2/2): tV_k f = c r e^(-x^2/2) with deg r = deg q.
+
+    Returns (c, r): c = 2^gamma Gamma(gamma + 1/2) / sqrt(pi) as
+    OperatorConstants, rational for integer gamma, and r as a PolyGauss
+    whose coefficients are exact at every rational gamma.  It is defined by
+    int V_k p f |x|^(2 gamma) dx = int p tV_k f dx for every polynomial p,
+    with tV_k_num's normalization.
+    """
+    line_gamma(rs)
+    if not isinstance(f, PolyGauss):
+        raise UnsupportedCaseError("the closed-form dual operator takes a PolyGauss")
+    mat = _dual_matrix(rs, f.degree)
+    return _dual_constant(rs.gamma), PolyGauss.create(
+        [sum((a * c for a, c in zip(row, f.coeffs)), Fraction(0)) for row in mat]
+    )
+
+
 # ---------------------------------------------------------------------------
 # inverse paths
 
@@ -384,22 +437,39 @@ def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None):
     return _inverse_entry(rs, f, x, plan, route)
 
 
+@lru_cache(maxsize=256)
+def _inverse_of_gauss(rs: RootSystem, f: PolyGauss) -> PolyGauss:
+    """V^(-1) f = tV_k(Q f) on a PolyGauss f, exactly; built once per (rs, f)."""
+    c, r = tV_k_exact(rs, local_Q(rs, f))
+    return r.scale(c.as_fraction())
+
+
 def inv_V_via_Q(rs: RootSystem, f, x):
     """Inverse of the intertwining operator for integer multiplicities:
     dual operator applied to the difference-differential multiplier image.
 
     f must belong to a family closed under the Dunkl operator (PolyGauss or
-    SmoothBump), so the multiplier image is exact.  A sequence of such
-    functions shares one dual pass, and the result gains a leading axis.
+    SmoothBump), so the multiplier image is exact.  On a PolyGauss the dual
+    is exact too (tV_k_exact), so V^(-1) f is a PolyGauss with exact
+    coefficients, evaluated once on every point.  SmoothBump images take
+    the dual quadrature tV_k_num, in one pass for all of them.  A sequence
+    of functions gives a leading function axis.
     """
     fs = [f] if callable(f) else list(f)
     if not all(isinstance(h, (PolyGauss, SmoothBump)) for h in fs):
         raise UnsupportedCaseError(
             "this path needs a function family closed under the Dunkl operator"
         )
-    # a bump's image keeps the support [-1, 1], which fixes its cutoff
-    qfs = [q.as_sampled() if isinstance(q, SmoothBump) else q for q in (local_Q(rs, h) for h in fs)]
-    return tV_k_num(rs, qfs[0] if callable(f) else qfs, x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((len(fs),) + xs.shape)
+    bumps = [i for i, h in enumerate(fs) if isinstance(h, SmoothBump)]
+    for i, h in enumerate(fs):
+        if isinstance(h, PolyGauss):
+            out[i] = _inverse_of_gauss(rs, h)(xs)
+    if bumps:
+        # a bump's image keeps the support [-1, 1], which fixes its cutoff
+        out[bumps] = tV_k_num(rs, [local_Q(rs, fs[i]).as_sampled() for i in bumps], xs)
+    return _per_function(f, x, out)
 
 
 # ---------------------------------------------------------------------------

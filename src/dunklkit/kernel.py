@@ -20,6 +20,8 @@ from .report import VerificationReport, worst
 from .rootsys import RootSystem
 
 _SERIES_RADIUS = 4.0
+# Gamma(alpha + 1) in the Miller and Hankel branches overflows double precision past alpha = 170.6
+_MAX_ORDER = 170.0
 _COMPLEX_RADIUS = 30.0
 _HANKEL_TERMS = 20
 # the moment series of kernel_series: terms summed at most, and the tail bound it certifies
@@ -34,8 +36,10 @@ def _bessel_series(alpha: float, half: np.ndarray, sign: float) -> np.ndarray:
     Each term takes half twice, so the rounding of half^2 does not compound.
     The sum stops once every term is below 1e-18 of max(1, smallest |partial
     sum|), so each point is summed at least as far as it would be alone; a sum
-    that overflowed to inf (sign = 1) is done.  1000 terms without that is an
-    AccuracyError.
+    that overflowed to inf (sign = 1) is done.  Sums whose sizes differ by
+    many orders may not meet that within 1000 terms; then the batch is done
+    if each term is below 1e-18 of max(1, its own partial sum), and otherwise
+    it is an AccuracyError.
     """
     term = np.ones_like(half)
     total = np.ones_like(half)
@@ -52,6 +56,8 @@ def _bessel_series(alpha: float, half: np.ndarray, sign: float) -> np.ndarray:
         largest = np.max(np.abs(term), where=np.isfinite(total), initial=0.0)
         if largest <= 1e-18 * max(1.0, np.min(np.abs(total))):
             return total
+    if np.all((np.abs(term) <= 1e-18 * np.maximum(1.0, np.abs(total))) | ~np.isfinite(total)):
+        return total
     raise AccuracyError("Bessel series did not converge", residual=float(np.max(np.abs(term))))
 
 
@@ -160,10 +166,11 @@ def bessel_j_normalized(alpha: float, u):
     below 22 + alpha^2 / 2 and the large-argument expansion of I_alpha from
     there, which is inf past the overflow of double precision.  General complex
     arguments take the complex series, only while it is numerically safe
-    (|u| <= 30).  Entries that are not finite give NaN.
+    (|u| <= 30).  Entries that are not finite give NaN.  Orders run from
+    -1/2 to 170; any other order is an InvalidArgumentError.
     """
-    if alpha < -0.5:
-        raise InvalidArgumentError("order must be >= -1/2")
+    if not -0.5 <= alpha <= _MAX_ORDER:
+        raise InvalidArgumentError(f"order must lie in [-1/2, {_MAX_ORDER:g}]")
     arr = np.asarray(u, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -182,8 +189,9 @@ def bessel_j_normalized(alpha: float, u):
         vals = np.empty_like(y)
         far = y >= 22.0 + alpha * alpha / 2.0
         with np.errstate(over="ignore"):  # inf past the overflow is the documented value
-            vals[~far] = _bessel_series(alpha, y[~far] / 2.0, 1.0)
-            vals[far] = _hankel_i(alpha, y[far])
+            for mask, branch in ((~far, lambda a, v: _bessel_series(a, v / 2.0, 1.0)), (far, _hankel_i)):
+                if np.any(mask):
+                    vals[mask] = branch(alpha, y[mask])
         out[is_imag] = vals
     if np.any(is_real):
         x = re[is_real]

@@ -18,7 +18,7 @@ from dunklkit.convolution import (
     translate_spectral_many,
 )
 from dunklkit.errors import InvalidArgumentError, UnsupportedCaseError
-from dunklkit.functions import PolyGauss, gaussian
+from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit import intertwine1d
 from dunklkit.intertwine1d import default_line_plan, inv_V_via_P, mu_quadrature
 from dunklkit.kernel import kernel_1d
@@ -141,10 +141,17 @@ def test_measure_route_applies_the_dual_once_per_call(pairs, count_tV, rs_one, p
     np.testing.assert_array_equal(count_tV[0], plan_one.space_plain.nodes)
 
 
-def test_q_route_applies_the_dual_once_per_pair_for_every_function(count_tV, rs_one, plan_one):
+def test_q_route_does_no_dual_quadrature_on_the_gaussian_family(count_tV, rs_one, plan_one):
     fs = [gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)]
     translate_measure(rs_one, fs, PAIRS_X, PAIRS_Y, method="Q", plan=plan_one)
-    assert len(count_tV) == len(PAIRS_X)
+    assert count_tV == []
+
+
+def test_q_route_applies_the_dual_once_to_every_pair_of_a_bump(count_tV, rs_one, plan_one):
+    out = translate_measure(rs_one, [gaussian(), standard_bump()], PAIRS_X, PAIRS_Y, method="Q", plan=plan_one)
+    assert out.shape == (2, len(PAIRS_X)) and np.all(np.isfinite(out))
+    assert len(count_tV) == 1
+    assert count_tV[0].shape == (len(PAIRS_X) * 48 * 48,)
 
 
 @pytest.mark.parametrize("gamma, method", [(1.0, "P"), (2.0, "P"), (1.0, "Q"), (2.0, "Q")])

@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from dunklkit.intertwine1d import (
     mass_constant,
     mu_density,
     mu_quadrature,
+    tV_k_exact,
     tV_k_num,
     tV_k_num_product,
     z_pairing,
@@ -242,6 +244,18 @@ def test_a_nan_point_gives_nan_and_an_infinite_one_its_limit(density, at_infinit
         np.testing.assert_array_equal(out[2:], at_infinity(float(g)))
 
 
+@pytest.mark.parametrize("f", [gaussian(), PolyGauss.monomial(3), standard_bump()], ids=["gaussian", "x^3", "bump"])
+def test_q_route_gives_nan_at_a_nan_point_and_zero_at_an_infinite_one(f, rs_one, rs_two):
+    # as the dual quadrature does; a PolyGauss is 0 at +-inf, not inf * 0
+    for rs in (rs_one, rs_two):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = inv_V_via_Q(rs, f, np.array([np.nan, 0.5, np.inf, -np.inf]))
+            assert f(np.inf) == 0.0
+        assert np.isnan(out[0]) and np.isfinite(out[1])
+        np.testing.assert_array_equal(out[2:], 0.0)
+
+
 def test_a_nan_function_leaves_the_others_of_a_sequence_finite(rs_one):
     ys = np.array([-1.3, 0.0, 0.4, 0.4, 2.2])
     # NaN inside, 0 at the cutoff x_max = 14, so the tail check lets it through
@@ -258,6 +272,92 @@ def test_a_function_not_finite_at_the_cutoff_is_refused(rs_one):
             tV_k_num(rs_one, lambda t: np.full(np.shape(t), bad), ys)
         with pytest.raises(AccuracyError, match="decays too slowly"):
             tV_k_num(rs_one, [gaussian(), lambda t: np.full(np.shape(t), bad)], ys)
+
+
+# ----------------------------------------------------------------- the closed-form dual
+
+EXACT_GAMMAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3)]
+
+
+def _gauss_moment(n):
+    """int x^n e^(-x^2/2) dx / sqrt(2 pi) = (n - 1)!! for even n."""
+    return Fraction(math.prod(range(n - 1, 0, -2))) if n % 2 == 0 else Fraction(0)
+
+
+def _weighted_moment(g, n):
+    """int x^n |x|^(2g) e^(-x^2/2) dx = 2^(g + (n+1)/2) Gamma(g + (n+1)/2), over
+    sqrt(2 pi) c_g = 2^(g + 1/2) Gamma(g + 1/2): 2^(n/2) (g + 1/2)_(n/2) for even n."""
+    if n % 2:
+        return Fraction(0)
+    return 2 ** (n // 2) * math.prod((g + Fraction(1, 2) + i for i in range(n // 2)), start=Fraction(1))
+
+
+def _exact_dual_values(rs, f, ys):
+    c, r = tV_k_exact(rs, f)
+    return c.as_float() * r(ys)
+
+
+@pytest.mark.parametrize("gamma", EXACT_GAMMAS)
+@pytest.mark.parametrize("coeffs", [[1], [0, 1], [2, -1, 3], [1, 0, 0, -2], [Fraction(1, 3), 1, 0, 2, -1, 5]])
+def test_exact_dual_satisfies_the_defining_identity(gamma, coeffs):
+    # int V_k p . q e^(-x^2/2) |x|^(2 gamma) dx = int p tV_k(q e^(-x^2/2)) dx for monomials p,
+    # both sides over sqrt(2 pi) c_gamma, in Fractions, with V_k from the graded matrices;
+    # degrees up to deg q determine r, the ones above it are checks
+    rs = rank_one(gamma)
+    q = PolyGauss.create(coeffs)
+    _, r = tV_k_exact(rs, q)
+    for m in range(2 * q.degree + 2):
+        vp = intertwine(rs, RationalPoly.monomial(1, (m,)))
+        lhs = sum(c * qi * _weighted_moment(gamma, e[0] + i)
+                  for e, c in vp.terms.items() for i, qi in enumerate(q.coeffs))
+        rhs = sum(ri * _gauss_moment(m + i) for i, ri in enumerate(r.coeffs))
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize("gamma, c", [(1, 1), (2, 3)])
+def test_exact_dual_of_the_gaussian_and_of_x_squared_times_it(gamma, c):
+    rs = rank_one(gamma)
+    const, r = tV_k_exact(rs, gaussian())
+    assert (const.as_fraction(), r) == (c, gaussian())
+    const, r = tV_k_exact(rs, PolyGauss.monomial(2))
+    assert (const.as_fraction(), r) == (c, PolyGauss.create([2 * gamma, 0, 1]))
+
+
+def test_exact_dual_constant_at_a_fractional_multiplicity():
+    const, _ = tV_k_exact(rank_one(Fraction(7, 3)), gaussian())
+    assert not const.is_rational
+    assert const.as_float() == pytest.approx(2 ** (7 / 3) * math.gamma(17 / 6) / math.sqrt(math.pi), rel=1e-15)
+
+
+def test_exact_dual_refuses_other_families(rs_one):
+    with pytest.raises(UnsupportedCaseError):
+        tV_k_exact(rs_one, standard_bump())
+
+
+@pytest.mark.parametrize("gamma", EXACT_GAMMAS)
+def test_dual_quadrature_matches_the_exact_dual(gamma):
+    rs = rank_one(gamma)
+    ys = np.linspace(-4.0, 4.0, 41)
+    for degree in range(10):
+        f = PolyGauss.monomial(degree)
+        ref = _exact_dual_values(rs, f, ys)
+        assert np.max(np.abs(tV_k_num(rs, f, ys) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=1, max_size=7),
+    st.sampled_from(EXACT_GAMMAS),
+)
+def test_dual_quadrature_matches_the_exact_dual_on_random_polygauss(coeffs, gamma):
+    rs = rank_one(gamma)
+    ys = np.linspace(-4.0, 4.0, 41)
+    f = PolyGauss.create(coeffs)
+    # the bound scales with the monomial images, since the coefficients may cancel
+    scale = sum(abs(float(c)) * np.abs(_exact_dual_values(rs, PolyGauss.monomial(i), ys))
+                for i, c in enumerate(f.coeffs))
+    gap = np.abs(tV_k_num(rs, f, ys) - _exact_dual_values(rs, f, ys))
+    assert np.max(gap) <= 1e-13 * np.max(scale)
 
 
 # ----------------------------------------------------------------- inverses
@@ -440,9 +540,17 @@ def _return_nan(monkeypatch, name):
         functions = () if callable(f) else (len(f),)
         return np.full(functions + np.shape(points), np.nan)[()]
 
+    def nan_exact(rs, f):
+        # the closed-form dual gives (c, r); an r whose one coefficient is NaN is NaN everywhere
+        c, _ = original(rs, f)
+        return c, PolyGauss((math.nan,))
+
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("dunklkit") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, nan)
+            monkeypatch.setattr(module, name, nan_exact if name == "tV_k_exact" else nan)
+    # an empty cache of exact inverses, so none built before hides the NaN and none built now outlives the test
+    fresh = lru_cache(maxsize=256)(intertwine1d._inverse_of_gauss.__wrapped__)
+    monkeypatch.setattr(intertwine1d, "_inverse_of_gauss", fresh)
 
 
 def _failed_on_nan(report, check_id):
@@ -451,7 +559,9 @@ def _failed_on_nan(report, check_id):
 
 
 def test_nan_dual_operator_fails_both_translation_paths(monkeypatch):
+    # the product path takes the dual quadrature, the integer path the closed-form dual
     _return_nan(monkeypatch, "tV_k_num")
+    _return_nan(monkeypatch, "tV_k_exact")
     report = run_suite(SuiteConfig("translation", parse_preset("z2:1"), grid_n=48))
     assert report.status == "fail"
     assert _failed_on_nan(report, "translation-paths-product")
@@ -475,6 +585,7 @@ def test_default_line_plan_keeps_the_exact_system():
 OLD_CONVENTION = {
     "V_k_num": lambda k: V_k_num(k, np.cos, 0.5),
     "tV_k_num": lambda k: tV_k_num(k, gaussian(), 0.5),
+    "tV_k_exact": lambda k: tV_k_exact(k, gaussian()),
     "mu_density": lambda k: mu_density(k, 1.0, 0.5),
     "IntertwiningDensity": lambda k: IntertwiningDensity(k, 1.0),
     "DualDensity": lambda k: DualDensity(k, 0.5)(1.0),

@@ -218,6 +218,35 @@ def test_bessel_past_the_overflow_is_inf_and_the_kernel_raises():
             kernel_1d(1, 800.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [100.0, 169.5, 170.0])
+def test_bessel_orders_up_to_the_limit_match_mpmath(alpha):
+    # every branch: series, Miller's recurrence up to 22 + alpha^2 / 8, then Hankel;
+    # imaginary u take the series in one batch, whose sums run from 1 to 1e280
+    x = np.array([0.5, 3.9, 4.5, 5.0, 10.0, 30.0, 300.0, 3000.0, 22.0 + alpha * alpha / 8.0 + 1.0])
+    ref = np.array([_reference(alpha, v, False) for v in x])
+    assert np.max(np.abs(bessel_j_normalized(alpha, x).real - ref)) <= 1e-14
+    y = np.array([0.5, 4.5, 5.0, 10.0, 30.0, 600.0, 900.0])
+    ref = np.array([_reference(alpha, v, True) for v in y])
+    assert np.max(np.abs(bessel_j_normalized(alpha, 1j * y).real - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [170.01, 171.0, 200.0, math.nan])
+@pytest.mark.parametrize("u", [4.5, 5.0, 10.0, 30.0, 5j])
+def test_bessel_order_above_the_limit_is_refused_by_name(alpha, u):
+    with pytest.raises(InvalidArgumentError, match="order"):
+        bessel_j_normalized(alpha, u)
+
+
+def test_bessel_imaginary_points_below_the_cut_take_the_series_only(monkeypatch):
+    from dunklkit import kernel
+
+    def refuse(*args):
+        raise AssertionError("the large-argument expansion ran without a point past its cut")
+
+    monkeypatch.setattr(kernel, "_hankel_i", refuse)
+    assert bessel_j_normalized(12.0, np.array([5j, 30j])).shape == (2,)
+
+
 def _series_testing_every_term(alpha, half, sign, max_terms=1000):
     """The series with the batch stop test on every term: the reference for the skip."""
     term = np.ones_like(half)

@@ -1,0 +1,97 @@
+"""A NaN from any numeric engine must fail a check or raise a dunklkit error.
+
+Each engine a suite calls is patched, in every dunklkit module that bound
+it, to compute its real value and hand back NaN in its place.  A call
+counter finds the suite x preset cases that reach the engine; each of them
+must then fail a check or raise a DunklKitError, and no check may pass with
+a NaN residual.
+"""
+
+import math
+import sys
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from dunklkit import intertwine1d
+from dunklkit.cli import parse_preset
+from dunklkit.errors import DunklKitError
+from dunklkit.functions import PolyGauss
+from dunklkit.polyexact import OperatorConstants
+from dunklkit.suites import SuiteConfig, run_suite, suite_names
+
+PRESETS = ["z2:1/2", "z2:1", "z2:2", "z2:7/3", "z2:0", "z2xz2:1,2"]
+
+ENGINES = {
+    "kernel_1d": "kernel",
+    "bessel_j_normalized": "kernel",
+    "_contract": "transform",
+    "mu_quadrature": "intertwine1d",
+    "fourier_bessel": "transform",
+    "kernel_series": "kernel",
+    "tV_k_num": "intertwine1d",
+    "tV_k_exact": "intertwine1d",
+}
+
+# caches whose values hold engine output: each case gets empty ones, so a case
+# sees its own patched engine and leaves no NaN behind for later tests
+ENGINE_CACHES = ["default_line_plan", "_inverse_of_gauss"]
+
+
+def _nan_like(value):
+    if isinstance(value, OperatorConstants):
+        return value
+    if isinstance(value, PolyGauss):
+        return PolyGauss((math.nan,))  # NaN at every point
+    if isinstance(value, tuple):
+        return tuple(_nan_like(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return np.full_like(value, np.nan)
+    return type(value)(math.nan)
+
+
+def _rebind(monkeypatch, original, replacement):
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("dunklkit"):
+            continue
+        for attr, bound in list(vars(module).items()):
+            if bound is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def _fresh_caches(monkeypatch):
+    for name in ENGINE_CACHES:
+        cached = getattr(intertwine1d, name)
+        _rebind(monkeypatch, cached, lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_nan_engine_fails_every_case_that_reaches_it(engine, monkeypatch):
+    original = getattr(sys.modules[f"dunklkit.{ENGINES[engine]}"], engine)
+    calls = []
+
+    def nan_engine(*args, **kwargs):
+        calls.append(1)
+        return _nan_like(original(*args, **kwargs))
+
+    _rebind(monkeypatch, original, nan_engine)
+    reached = []
+    for preset in PRESETS:
+        for suite in suite_names():
+            _fresh_caches(monkeypatch)
+            calls.clear()
+            case = f"{suite}@{preset}"
+            try:
+                with np.errstate(all="ignore"):
+                    report = run_suite(SuiteConfig(suite, parse_preset(preset)))
+            except DunklKitError:
+                reached += [case] if calls else []
+                continue
+            if not calls:
+                continue
+            reached.append(case)
+            nan_passes = [c.id for c in report.checks if math.isnan(c.residual) and c.passed]
+            assert not nan_passes, f"{case}: {nan_passes} pass on NaN"
+            assert not report.all_passed, f"{case} passes with a NaN {engine}"
+    assert reached, f"no suite reaches {engine}"
