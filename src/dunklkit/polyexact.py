@@ -3,7 +3,8 @@
 Polynomials carry Fraction coefficients, so the transmutation identities can
 be asserted with zero residual.  The intertwining operator is realized degree
 by degree as the unique solution of an exact linear system, and its inverse is
-the exact matrix inverse.
+the exact matrix inverse.  V, V^(-1) and the Dunkl operators act term by term,
+from cached exact images of single monomials.
 """
 
 from __future__ import annotations
@@ -107,11 +108,18 @@ class RationalPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binop(self, other, sign):
+    def _operand(self, other) -> "RationalPoly":
+        """other as a polynomial of this dimension; an int or Fraction is a constant."""
         if isinstance(other, (int, Fraction)):
-            other = RationalPoly.constant(self.dimension, other)
+            return RationalPoly.constant(self.dimension, other)
+        if not isinstance(other, RationalPoly):
+            raise InvalidArgumentError(f"a polynomial does not combine with {type(other).__name__}")
         if self.dimension != other.dimension:
             raise InvalidArgumentError("dimension mismatch")
+        return other
+
+    def _binop(self, other, sign):
+        other = self._operand(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + sign * c
@@ -135,8 +143,7 @@ class RationalPoly:
         if isinstance(other, (int, Fraction)):
             c = rational(other)
             return RationalPoly(self.dimension, {e: c * v for e, v in self.terms.items()})
-        if self.dimension != other.dimension:
-            raise InvalidArgumentError("dimension mismatch")
+        other = self._operand(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -147,8 +154,8 @@ class RationalPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise InvalidArgumentError("negative power")
+        if not isinstance(n, int) or n < 0:
+            raise InvalidArgumentError(f"power must be a nonnegative integer, not {n!r}")
         out = RationalPoly.constant(self.dimension, 1)
         base = self
         while n:
@@ -263,21 +270,39 @@ def divide_by_linear_form(p: RationalPoly, alpha) -> RationalPoly:
 
 
 def dunkl_apply(rs: RootSystem, j: int, p: RationalPoly) -> RationalPoly:
-    """The j-th Dunkl operator: partial_j plus the weighted difference part."""
-    if p.dimension != rs.dimension:
-        raise InvalidArgumentError("polynomial dimension does not match the root system")
+    """The j-th Dunkl operator, summed from the cached images of p's monomials."""
     if not 0 <= j < rs.dimension:
         raise InvalidArgumentError("direction index out of range")
+    return _apply_sparse(rs, p, _dunkl_image, j)
+
+
+@lru_cache(maxsize=None)
+def _dunkl_image(rs: RootSystem, j: int, e: Exponents):
+    """T_j x^e: partial_j plus k alpha_j (x^e - (s_alpha x)^e) / <alpha, x> per root."""
+    p = RationalPoly.monomial(rs.dimension, e)
     out = p.partial(j)
     for alpha, k in zip(rs.positive_roots, rs.multiplicities):
         if k == 0 or alpha[j] == 0:
             continue
-        reflected = p.compose_linear(reflection_matrix(alpha))
-        diff = p - reflected
-        if diff.is_zero():
-            continue
-        out = out + (k * alpha[j]) * divide_by_linear_form(diff, alpha)
-    return out
+        diff = p - p.compose_linear(reflection_matrix(alpha))
+        if not diff.is_zero():
+            out = out + (k * alpha[j]) * divide_by_linear_form(diff, alpha)
+    return tuple(out.terms.items())
+
+
+def _apply_sparse(rs: RootSystem, p: RationalPoly, image, key) -> RationalPoly:
+    """The sum of c * image(rs, key, e) over the nonzero terms c x^e of p.
+
+    ``image`` is a cached map from a monomial's exponents to the nonzero
+    (exponents, coefficient) pairs of an operator's exact image of it.
+    """
+    if p.dimension != rs.dimension:
+        raise InvalidArgumentError("polynomial dimension does not match the root system")
+    terms: dict = {}
+    for e, c in p.terms.items():
+        for f, v in image(rs, key, e):
+            terms[f] = terms.get(f, 0) + c * v
+    return RationalPoly(p.dimension, terms)
 
 
 def directional_apply(rs: RootSystem, alpha, p: RationalPoly, dunkl: bool) -> RationalPoly:
@@ -347,20 +372,11 @@ def monomial_basis(dimension: int, degree: int) -> tuple[Exponents, ...]:
     return tuple(sorted(out))
 
 
-def _coeff_vector(p: RationalPoly, basis) -> list[Fraction]:
-    return [p.terms.get(e, Fraction(0)) for e in basis]
-
-
 @lru_cache(maxsize=None)
 def _dunkl_matrix(rs: RootSystem, j: int, degree: int):
     """Matrix of the j-th Dunkl operator from degree n to degree n - 1."""
-    src = monomial_basis(rs.dimension, degree)
-    dst = monomial_basis(rs.dimension, degree - 1)
-    cols = []
-    for e in src:
-        image = dunkl_apply(rs, j, RationalPoly.monomial(rs.dimension, e))
-        cols.append(_coeff_vector(image, dst))
-    return [[cols[c][r] for c in range(len(src))] for r in range(len(dst))]
+    cols = [dict(_dunkl_image(rs, j, e)) for e in monomial_basis(rs.dimension, degree)]
+    return [[col.get(f, Fraction(0)) for col in cols] for f in monomial_basis(rs.dimension, degree - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -399,31 +415,24 @@ def intertwine_matrix_inverse(rs: RootSystem, degree: int):
     return invert_exact(intertwine_matrix(rs, degree))
 
 
-def _apply_graded_matrix(rs: RootSystem, p: RationalPoly, matrix_for):
-    if p.dimension != rs.dimension:
-        raise InvalidArgumentError("polynomial dimension does not match the root system")
-    out = RationalPoly.zero(p.dimension)
-    for n, comp in p.homogeneous_components().items():
-        basis = monomial_basis(p.dimension, n)
-        vec = _coeff_vector(comp, basis)
-        mat = matrix_for(rs, n)
-        terms = {}
-        for r, e in enumerate(basis):
-            c = sum((mat[r][col] * vec[col] for col in range(len(basis))), Fraction(0))
-            if c != 0:
-                terms[e] = c
-        out = out + RationalPoly(p.dimension, terms)
-    return out
+@lru_cache(maxsize=None)
+def _intertwine_column(rs: RootSystem, inverse: bool, e: Exponents):
+    """Column x^e of V (or of V^(-1)) on degree |e|, as its nonzero terms."""
+    n = sum(e)
+    mat = (intertwine_matrix_inverse if inverse else intertwine_matrix)(rs, n)
+    basis = monomial_basis(rs.dimension, n)
+    col = basis.index(e)
+    return tuple((f, row[col]) for f, row in zip(basis, mat) if row[col] != 0)
 
 
 def intertwine(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     """Apply the intertwining operator; degree-preserving and exact."""
-    return _apply_graded_matrix(rs, p, intertwine_matrix)
+    return _apply_sparse(rs, p, _intertwine_column, False)
 
 
 def intertwine_inverse(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     """Apply the inverse of the intertwining operator on polynomials."""
-    return _apply_graded_matrix(rs, p, intertwine_matrix_inverse)
+    return _apply_sparse(rs, p, _intertwine_column, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -5,18 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklkit.errors import UnsupportedCaseError
+from dunklkit.cli import parse_preset
+from dunklkit.errors import InvalidArgumentError, UnsupportedCaseError
 from dunklkit.polyexact import (
     RationalPoly,
     apply_P_poly,
     apply_Q_poly,
+    divide_by_linear_form,
     dunkl_apply,
     intertwine,
     intertwine_inverse,
+    intertwine_matrix,
+    intertwine_matrix_inverse,
     monomial_basis,
     operator_prefactor,
 )
-from dunklkit.rootsys import axis_product, rank_one
+from dunklkit.rootsys import RootSystem, axis_product, rank_one, reflection_matrix
+from dunklkit.suites import SuiteConfig, run_suite
+
+
+def b2():
+    """B2 with short roots of multiplicity 1 and long roots of multiplicity 2."""
+    return RootSystem.create(2, [[1, 0], [0, 1], [1, 1], [1, -1]], [1, 1, 2, 2])
+
+
+def a2_in_r3():
+    return RootSystem.create(3, [[1, -1, 0], [0, 1, -1], [1, 0, -1]], [1, 1, 1])
 
 
 def test_poly_algebra():
@@ -145,3 +160,137 @@ def test_intertwine_inverse_roundtrip(deg):
     p = RationalPoly.monomial(1, (deg,))
     assert intertwine_inverse(rs, intertwine(rs, p)) == p
     assert intertwine(rs, intertwine_inverse(rs, p)) == p
+
+
+# ---------------------------------------------------------------------------
+# named errors in the arithmetic
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: p + 0.5,
+        lambda p: 0.5 + p,
+        lambda p: p - 0.5,
+        lambda p: p * 0.5,
+        lambda p: 0.5 * p,
+        lambda p: p + "x",
+        lambda p: p * [1],
+    ],
+    ids=["add", "radd", "sub", "mul", "rmul", "add-str", "mul-list"],
+)
+def test_arithmetic_with_a_non_rational_operand_is_refused_by_name(op):
+    with pytest.raises(InvalidArgumentError):
+        op(RationalPoly.variable(2, 0))
+
+
+@pytest.mark.parametrize("n", [0.5, 2.0, Fraction(1, 2), -1], ids=["0.5", "2.0", "1/2", "-1"])
+def test_power_other_than_a_nonnegative_integer_is_refused_by_name(n):
+    with pytest.raises(InvalidArgumentError):
+        RationalPoly.variable(1, 0) ** n
+
+
+def test_arithmetic_across_dimensions_is_refused_by_name():
+    with pytest.raises(InvalidArgumentError):
+        RationalPoly.variable(1, 0) + RationalPoly.variable(2, 0)
+    with pytest.raises(InvalidArgumentError):
+        RationalPoly.variable(1, 0) * RationalPoly.variable(2, 0)
+
+
+# ---------------------------------------------------------------------------
+# the term-by-term route against the dense and the direct formulas
+
+
+def _dense_graded(rs, p, matrix_for):
+    """Each row of the degree-n matrix times the whole coefficient vector of p's degree-n part."""
+    out = RationalPoly.zero(p.dimension)
+    for n, comp in p.homogeneous_components().items():
+        basis = monomial_basis(p.dimension, n)
+        vec = [comp.terms.get(e, Fraction(0)) for e in basis]
+        mat = matrix_for(rs, n)
+        terms = {e: sum((m * v for m, v in zip(mat[r], vec)), Fraction(0)) for r, e in enumerate(basis)}
+        out = out + RationalPoly(p.dimension, terms)
+    return out
+
+
+def _direct_dunkl(rs, j, p):
+    """partial_j p plus k alpha_j (p - p o s_alpha) / <alpha, x> for each root, on the whole of p."""
+    out = p.partial(j)
+    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
+        if k == 0 or alpha[j] == 0:
+            continue
+        diff = p - p.compose_linear(reflection_matrix(alpha))
+        if not diff.is_zero():
+            out = out + (k * alpha[j]) * divide_by_linear_form(diff, alpha)
+    return out
+
+
+REFERENCE_SYSTEMS = {
+    "z2:7/3": lambda: rank_one(Fraction(7, 3)),
+    "z2xz2:1,2": lambda: axis_product(1, 2),
+    "B2:1,2": b2,
+    "A2-in-R3:1": a2_in_r3,
+}
+
+
+def _polys(dimension):
+    exponents = [e for n in range(7) for e in monomial_basis(dimension, n)]
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda c: c != 0)
+    return st.dictionaries(st.sampled_from(exponents), coeffs, min_size=2, max_size=6).map(
+        lambda terms: RationalPoly(dimension, terms)
+    )
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_term_by_term_route_matches_the_dense_and_direct_formulas(system, data):
+    rs = REFERENCE_SYSTEMS[system]()
+    p = data.draw(_polys(rs.dimension))
+    for j in range(rs.dimension):
+        assert dunkl_apply(rs, j, p) == _direct_dunkl(rs, j, p)
+    assert intertwine(rs, p) == _dense_graded(rs, p, intertwine_matrix)
+    assert intertwine_inverse(rs, p) == _dense_graded(rs, p, intertwine_matrix_inverse)
+
+
+def test_a_polynomial_of_the_wrong_dimension_is_refused_by_name():
+    p = RationalPoly.variable(1, 0) + 1
+    for rs in (axis_product(1, 2), b2()):
+        with pytest.raises(InvalidArgumentError):
+            dunkl_apply(rs, 0, p)
+        with pytest.raises(InvalidArgumentError):
+            intertwine(rs, p)
+        with pytest.raises(InvalidArgumentError):
+            intertwine_inverse(rs, p)
+
+
+# ---------------------------------------------------------------------------
+# the transmutation suite on a system whose reflections mix coordinates
+
+
+def test_transmutation_suite_on_b2_passes_with_zero_residuals():
+    report = run_suite(SuiteConfig(suite="transmutation", rs=b2(), label="B2:1,2"))
+    assert [c.id for c in report.checks] == ["transmutation-identity", "unit-normalization", "inverse-roundtrip"]
+    assert report.all_passed
+    assert all(c.residual == 0.0 for c in report.checks)
+
+
+# The seed-0 body sha256 of the transmutation report.  Every residual is a
+# count of mismatches in exact arithmetic, so any drift in polyexact moves one.
+# The body holds the label, which is the preset name.
+TRANSMUTATION_BODIES = {
+    "z2:1/2": "9c6a6bb66c58b7b36f1766f6c7c5d71d86ceddc192db4b132a5cc74a1e1fd354",
+    "z2:1": "a2cf74f2dddd2731a60601950ba9d79a34249e51cf845064dfd5f39e4a25b459",
+    "z2:2": "87929e4e488597eea2439b24f1ced1c0d7daee7afff810dfb0cfdb8d5caa3cc3",
+    "z2:7/3": "fd2c4059dbb97851cdd5ac5e95afd7f8e995524bdb8360bd57423b1a63846da4",
+    "z2:0": "3758bf54ba71d62d5d9ec72b167e2ad047cc3f80c1cf8323e9873e66bc50f655",
+    "z2xz2:1,2": "3f4e94e93f64175f32074f1f0793e6f0d1dfc53819c3b23148f53360642f2f1c",
+    "B2:1,2": "15d49fd1646f538cbfe9200f628b26540c6d3a50ba57e3b7de4a3c06f05373a0",
+}
+
+
+@pytest.mark.parametrize("preset", TRANSMUTATION_BODIES)
+def test_transmutation_report_body_is_pinned(preset):
+    rs = b2() if preset == "B2:1,2" else parse_preset(preset)
+    report = run_suite(SuiteConfig(suite="transmutation", rs=rs, label=preset, seed=0))
+    assert hashlib.sha256(report.body_bytes()).hexdigest() == TRANSMUTATION_BODIES[preset]
