@@ -18,17 +18,17 @@ import numpy as np
 from .errors import InvalidArgumentError, UnsupportedCaseError
 from .functions import standard_bump
 from .intertwine1d import _per_function, default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
-from .kernel import kernel_1d
+from .kernel import kernel_1d, kernel_value
 from .report import VerificationReport, worst
 from .rootsys import RootSystem
 from .transform import (
     TransformPlan,
     _axis_gammas,
+    _contract,
     _one_point,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
-    inverse_constant,
     line_gamma,
     p_multiplier_constant,
     weighted_line_grid,
@@ -37,15 +37,7 @@ from .transform import (
 
 def kernel_multiplier(rs: RootSystem, x, ts) -> np.ndarray:
     """K(ix, t) on an array of frequency nodes t."""
-    gammas = _axis_gammas(rs)
-    if rs.dimension == 1:
-        return kernel_1d(gammas[0], 1j * float(np.asarray(x).reshape(())), np.asarray(ts))
-    pts = np.atleast_2d(ts)
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    out = np.ones(pts.shape[0], dtype=complex)
-    for j, g in enumerate(gammas):
-        out = out * kernel_1d(g, 1j * xv[j], pts[:, j])
-    return out
+    return kernel_value(rs, 1j * np.asarray(x, dtype=float), ts)
 
 
 def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None):
@@ -122,12 +114,11 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
 
 
 def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.ndarray:
-    """Weighted convolution of f and g at many points in one contraction.
+    """Weighted convolution of f and g at many points, on the line or an axis
+    product: the inverse transform of Ff * Fg, see spectral_convolution.
 
-    Only the one-dimensional line is wired; higher rank goes through
-    repeated calls to the translation primitive.
+    Without a plan only the line is served; default_line_plan refuses the rest.
     """
-    line_gamma(rs)
     if plan is None:
         plan = default_line_plan(rs)
     hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
@@ -135,30 +126,22 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.nd
 
 
 def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan) -> np.ndarray:
-    """Weighted convolution on the line at xs, from the transform hv_f of f on
-    the plan's frequency nodes and the values gv of g on its space nodes.
+    """Weighted convolution at xs, from the transform hv_f of f on the plan's
+    frequency nodes and the values gv of g on its space nodes.
 
-    Both kernels are plan matrices: the inner integral of g(y) K(-y, i t)
-    uses K(-y, i t) = K(y, -i t), the forward matrix, and the outer kernel
-    K(i x, t) = K(t, i x) is the inverse matrix at xs.
+    The transform carries f * g to Ff * Fg: g is transformed onto the
+    frequency nodes by the plan's contraction, and the product is inverted
+    at xs by the same contraction.
     """
-    gam = line_gamma(rs)
-    forward = plan.axis_kernel("space", 0, gam, -1j, plan.freq.nodes)
-    inner = (forward * (gv * plan.space.weights)[:, None]).sum(axis=0)
-    a = np.ascontiguousarray(plan.axis_kernel("freq", 0, gam, 1j, xs).T)
-    return inverse_constant(rs) * (a * (plan.freq.weights * hv_f * inner)[None, :]).sum(axis=1)
+    hv_g = _contract(plan, "space", _axis_gammas(rs), gv, plan.freq.nodes, -1j)
+    return dunkl_inverse_many(rs, hv_f * hv_g, xs, plan)
 
 
 def convolve(rs: RootSystem, f, g, x, plan: TransformPlan = None) -> float:
-    """Weighted convolution: integrate tau_x f(-y) g(y) against the weight."""
-    if len(_axis_gammas(rs)) == 1:
-        return float(np.real(convolve_many(rs, f, g, [x], plan)[0]))
-    if plan is None:
-        raise InvalidArgumentError("a plan is required beyond one dimension")
-    nodes = plan.space.nodes
-    tv = translate_spectral_many(rs, f, x, -np.atleast_2d(nodes), plan)
-    gv = np.asarray(g(nodes))
-    return float(np.real(np.sum(plan.space.weights * tv * gv)))
+    """Weighted convolution, the integral of tau_x f(-y) g(y) against the
+    weight: convolve_many at the one point x."""
+    _axis_gammas(rs)  # a float multiplicity is refused by name before rs.dimension is read
+    return float(np.real(convolve_many(rs, f, g, _one_point(rs, x), plan)[0]))
 
 
 # ---------------------------------------------------------------------------

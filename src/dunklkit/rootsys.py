@@ -324,13 +324,7 @@ def mehta_constant(rs: RootSystem) -> float:
             if scale is not None and scale != 1:
                 value *= float(scale * scale) ** (-float(k))
         return value
-    return _mehta_by_quadrature(rs)
-
-
-def mehta_by_quadrature(rs: RootSystem) -> float:
-    """Normalization by refinement-checked quadrature, independent of the
-    closed form, so the two can be compared."""
-    return _mehta_by_quadrature(rs)
+    return mehta_by_quadrature(rs)
 
 
 def _axis_factor_quadrature(k: Fraction, scale) -> "Callable[[int], float]":
@@ -349,7 +343,9 @@ def _axis_factor_quadrature(k: Fraction, scale) -> "Callable[[int], float]":
     return integral
 
 
-def _mehta_by_quadrature(rs: RootSystem) -> float:
+def mehta_by_quadrature(rs: RootSystem) -> float:
+    """Normalization by refinement-checked quadrature, independent of the
+    closed form, so the two can be compared."""
     profile = rs.axis_profile()
     if profile is not None:
 

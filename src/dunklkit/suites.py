@@ -66,6 +66,8 @@ from .transform import (
     DecayClass,
     SampledFunction,
     _axis_gammas,
+    classical_fourier_many,
+    dunkl_inverse_many,
     dunkl_roundtrip_many,
     dunkl_transform_many,
     fourier_bessel,
@@ -348,8 +350,7 @@ def transform_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
         nodes = plan.space_plain.nodes
         tv = tV_k_num(rs, f, nodes, n=100)
         ts = np.linspace(-3.0, 3.0, 13)
-        phase = np.exp(-1j * np.outer(nodes, ts))
-        via_dual = (plan.space_plain.weights * tv) @ phase
+        via_dual = classical_fourier_many(lambda _: tv, ts, plan)
         direct = dunkl_transform_many(rs, f, ts, plan)
         report.add(
             "factorization",
@@ -404,13 +405,9 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     backs = []
     for f in fs:
         if integer:
-            handle = lambda pts, f=f: np.reshape(
-                inv_V_via_Q(rs, f, np.ravel(pts)), np.shape(pts)
-            )
+            handle = lambda pts, f=f: inv_V_via_Q(rs, f, pts)
         else:
-            handle = lambda pts, f=f: np.reshape(
-                inv_V_via_P(rs, f, np.ravel(pts), plan), np.shape(pts)
-            )
+            handle = lambda pts, f=f: inv_V_via_P(rs, f, pts, plan)
         backs.append(np.abs(V_k_num(rs, handle, xs, n=64) - f(xs)))
     report.add(
         "forward-roundtrip",
@@ -431,12 +428,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     xs2 = np.array([-1.6, -0.4, 0.3, 1.1])
-    handles = [
-        lambda pts, f=f: np.reshape(
-            np.real(dual_inverse_via_transform(rs, f, np.ravel(pts), plan)), np.shape(pts)
-        )
-        for f in fs[:3]
-    ]
+    handles = [lambda pts, f=f: np.real(dual_inverse_via_transform(rs, f, pts, plan)) for f in fs[:3]]
     try:
         backs = tV_k_num(rs, handles, xs2, n=100, x_max=12.0) - [f(xs2) for f in fs[:3]]
     except AccuracyError:  # an inverse that is not finite, or not negligible, at the cutoff
@@ -608,8 +600,13 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
         1e-5,
     )
 
+    # f0 * g through the transform against g * f0 by the translation definition,
+    # sum_y w(y) f0(-y) tau_x g(y) on the mirrored space grid
     x3 = np.array([0.0, 0.8, -1.3])
-    swapped = np.abs(convolve_many(rs, f0, g, x3, plan) - convolve_many(rs, lambda t: g(t), f0, x3, plan))
+    ghat = dunkl_transform_many(rs, g, plan.freq.nodes, plan)
+    kx = plan.axis_kernel("freq", 0, gam, 1j, x3)
+    gf = [(weights * f0(-nodes)) @ dunkl_inverse_many(rs, ghat * k, nodes, plan) for k in kx.T]
+    swapped = np.abs(convolve_many(rs, f0, g, x3, plan) - gf)
     report.add("convolution-commutes", "weighted convolution is commutative", worst(swapped), 1e-8)
 
     # the bump transform comes from its support-fitted grid; the global grid

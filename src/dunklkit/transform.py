@@ -25,27 +25,17 @@ from .rootsys import RootSystem, _gauss_rule, mehta_constant
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Nodes and weights with a declared absorbed weight function.
+    """Nodes and weights of a quadrature rule; axes holds the line grids of a
+    tensor grid.
 
-    weight_kind records what the weights integrate against: "plain" for dx,
-    "gauss-jacobi(a,b)" when a power of |x| has been absorbed, and so on.
     calibration is the exact integral of the absorbed weight over the domain,
     used as a self-check.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_kind: str
-    domain: tuple
     calibration: float
     axes: Optional[tuple] = None
-
-    @property
-    def dimension(self) -> int:
-        return 1 if self.nodes.ndim == 1 else self.nodes.shape[1]
-
-    def integrate(self, values) -> complex:
-        return np.sum(self.weights * np.asarray(values))
 
     def calibration_residual(self) -> float:
         total = float(np.sum(self.weights))
@@ -70,17 +60,13 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
     nodes = np.concatenate([-x_pos[::-1], x_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
     calibration = 2.0 * radius ** (2.0 * g + 1.0) / (2.0 * g + 1.0)
-    return QuadratureGrid(
-        nodes, weights, f"gauss-jacobi(0,{2.0 * g})", (-radius, radius), calibration
-    )
+    return QuadratureGrid(nodes, weights, calibration)
 
 
 def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
     """Plain Gauss-Legendre grid on [-radius, radius]."""
     t, w = _gauss_rule("jacobi", n)
-    return QuadratureGrid(
-        radius * t, radius * w, "plain", (-radius, radius), 2.0 * radius
-    )
+    return QuadratureGrid(radius * t, radius * w, 2.0 * radius)
 
 
 def tensor_grid(axes) -> QuadratureGrid:
@@ -92,10 +78,8 @@ def tensor_grid(axes) -> QuadratureGrid:
     weights = np.ones(nodes.shape[0])
     for wm in wmesh:
         weights = weights * wm.reshape(-1)
-    kind = " x ".join(g.weight_kind for g in axes)
     calibration = float(np.prod([g.calibration for g in axes]))
-    domain = tuple(g.domain for g in axes)
-    return QuadratureGrid(nodes, weights, kind, domain, calibration, axes=axes)
+    return QuadratureGrid(nodes, weights, calibration, axes=axes)
 
 
 def weighted_grid(rs: RootSystem, radius: float = 10.0, n: int = 192) -> QuadratureGrid:
@@ -110,10 +94,7 @@ def weighted_grid(rs: RootSystem, radius: float = 10.0, n: int = 192) -> Quadrat
         g = weighted_line_grid(k, radius, n)
         if scale is not None and scale != 1:
             factor = float(scale * scale) ** float(k)
-            g = QuadratureGrid(
-                g.nodes, g.weights * factor, g.weight_kind + f"*scale^{2 * k}",
-                g.domain, g.calibration * factor,
-            )
+            g = QuadratureGrid(g.nodes, g.weights * factor, g.calibration * factor)
         axes.append(g)
     if rs.dimension == 1:
         return axes[0]

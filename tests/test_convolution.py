@@ -206,13 +206,34 @@ def test_convolve_many_matches_scalar(rs_one, plan_one):
         )
 
 
+def _translate_and_sum(rs, f, g, x, plan):
+    """f * g at x by the translation definition: sum_y w(y) tau_x f(-y) g(y)."""
+    nodes = plan.space.nodes
+    tv = translate_spectral_many(rs, f, x, -nodes, plan)
+    return float(np.real(np.sum(plan.space.weights * tv * np.asarray(g(nodes)))))
+
+
 def test_convolution_commutes(rs_two, plan_two):
+    # f * g through the transform against g * f by the translation definition
     f = gaussian()
-    g = lambda y: np.exp(-np.asarray(y) ** 2 / 4.0)
+    g = lambda y: np.exp(-np.asarray(y) ** 2 / 4.0) * (1.0 + np.asarray(y))
     xs = np.array([0.3, 1.2, -0.7])
     fg = np.real(convolve_many(rs_two, f, g, xs, plan_two))
-    gf = np.real(convolve_many(rs_two, g, f, xs, plan_two))
+    gf = [_translate_and_sum(rs_two, g, f, x, plan_two) for x in xs]
     assert np.max(np.abs(fg - gf)) < 1e-9
+
+
+def test_convolution_on_a_product_matches_translate_and_sum():
+    rs = axis_product(1, 2)
+    plan = make_plan(rs, grid_n=32)
+    f = lambda p: np.exp(-np.sum(np.asarray(p) ** 2, axis=-1) / 2.0)
+    g = lambda p: np.exp(-np.sum(np.asarray(p) ** 2, axis=-1) / 4.0) * (1.0 + np.atleast_2d(p)[:, 0])
+    xs = np.array([[0.0, 0.0], [0.5, -0.3], [1.0, 0.7]])
+    ref = np.array([_translate_and_sum(rs, f, g, x, plan) for x in xs])
+    many = convolve_many(rs, f, g, xs, plan)
+    one = [convolve(rs, f, g, x, plan) for x in xs]
+    np.testing.assert_allclose(np.real(many), ref, rtol=1e-12)
+    np.testing.assert_allclose(one, ref, rtol=1e-12)
 
 
 def test_convolution_transform_is_product(rs_one, plan_one):
