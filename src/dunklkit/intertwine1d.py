@@ -1,8 +1,9 @@
-"""One-dimensional realizations of the intertwining operator, its dual,
+"""The intertwining operator on the line and on axis products, its dual,
 their inverses, and the representing-distribution pairings.
 
 The forward operator averages against a beta-type density on (-|x|, |x|)
-whose endpoint behavior Gauss-Jacobi nodes absorb exactly.  The dual
+whose endpoint behavior Gauss-Jacobi nodes absorb exactly, and on an axis
+product against the tensor product of these measures.  The dual
 operator integrates over {|t| >= |y|}; the substitution t = |y| cosh(s)
 moves the inner endpoint to s = 0 where a second Jacobi rule absorbs the
 remaining power of s.  Inverses come in three flavors, all built from
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .functions import PolyGauss, SmoothBump
 from .polyexact import OperatorConstants, operator_prefactor, solve_exact
-from .rootsys import RootSystem, _gauss_rule, rank_one
+from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _tensor_rule, rank_one
 from .transform import (
     SampledFunction,
     TransformPlan,
@@ -128,24 +129,26 @@ def mu_quadrature(gamma_key: float, n: int = 64):
 
 
 def V_k_num(rs: RootSystem, f, x, n: int = 64):
-    """Apply the intertwining operator of the line rs by quadrature over the
-    measure.
+    """Apply the intertwining operator of an axis product rs by quadrature
+    over the tensor product of the line measures.
 
-    Accepts a scalar or array of base points.  At gamma = 0 the operator is
-    the identity; at x = 0 the measure degenerates to the point mass at 0.
+    Points lie along the last axis of x; on the line x may also be a scalar
+    or an array of points.  One point gives a float.  f is called once, on
+    every point times every node.  At x = 0 the measure is the point mass at
+    0, and the result is f(0), read from that call at the last node.
     """
-    g = line_gamma(rs)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if g == 0:
-        return _like(x, np.asarray(f(xs), dtype=float))
-    t, w = mu_quadrature(g, n)
-    pts = xs[:, None] * t[None, :]
-    vals = np.asarray(f(pts.reshape(-1))).reshape(pts.shape)
-    out = vals @ w
-    zero = xs == 0
-    if np.any(zero):
-        out[zero] = np.asarray(f(np.zeros(int(np.sum(zero)))))
-    return _like(x, out)
+    gammas = _axis_gammas(rs)
+    d = len(gammas)
+    arr = np.asarray(x, dtype=float)
+    if d > 1 and arr.shape[-1:] != (d,):
+        raise InvalidArgumentError(f"points of a {d}-axis product lie along a last axis of length {d}")
+    pts = arr.reshape(-1, d)
+    # an axis with multiplicity 0 keeps its coordinate; the last node is positive on every axis
+    t, w = _tensor_rule([mu_quadrature(g, n) if g else (np.ones(1), np.ones(1)) for g in gammas])
+    args = pts[:, None, :] * t[None, :, :]
+    vals = np.asarray(f(args.reshape(-1) if d == 1 else args.reshape(-1, d))).reshape(args.shape[:2])
+    out = np.where(pts.any(axis=1), vals @ w, vals[:, -1]).reshape(arr.shape[: arr.ndim - (d > 1)])
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +185,6 @@ class DualDensity:
         return abs(self.y)
 
 
-@lru_cache(maxsize=64)
-def _half_rule(n: int, power: float):
-    """Rule for integrals of u^power h(u) over [0, 1] with h smooth."""
-    t, w = _gauss_rule("jacobi", n, 0.0, power)
-    u = (t + 1.0) / 2.0
-    return u, w / 2.0 ** (power + 1.0)
-
-
 def _sinhc(s):
     # sinh(s)/s; near 0 it rounds to 1 + s^2/6, and s = 0 gives exactly 1
     s = np.asarray(s, dtype=float)
@@ -207,7 +202,7 @@ def _dual_side(g, u, x_max, n, same_side: bool):
     a, sigma = np.abs(u), np.sign(u)
     power = 2.0 * g - 1.0 if same_side else 2.0 * g + 1.0
     other = 2.0 * g + 1.0 if same_side else 2.0 * g - 1.0
-    t, w = _half_rule(n, power)
+    t, w = _half_line_rule(n, power, 1.0)
     S = np.arccosh(x_max / a)
     s = S[None, :] * t[:, None]
     half = s / 2.0
@@ -225,10 +220,9 @@ def _apply_side(side, f):
 
 
 def _dual_at_zero(g, f, x_max, n):
-    u, w = _half_rule(n, 2.0 * g - 1.0)
-    x = x_max * u
+    x, w = _half_line_rule(n, 2.0 * g - 1.0, x_max)
     vals = np.asarray(f(x)) + np.asarray(f(-x))
-    return mass_constant(g) * x_max ** (2.0 * g) * float(np.sum(w * vals))
+    return mass_constant(g) * float(np.sum(w * vals))
 
 
 def _cutoff(g, f, x_max):
@@ -498,22 +492,8 @@ def z_pairing(rs: RootSystem, x, f, plan: TransformPlan = None):
 # tensor extension over product systems
 
 def V_k_num_product(rs: RootSystem, f, points, n: int = 48):
-    """Intertwining operator for a product system: tensor of line measures.
-
-    f is called once, on every base point times every tensor node.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rules = [mu_quadrature(g, n) if g else (np.ones(1), np.ones(1)) for g in _axis_gammas(rs)]
-    mesh_t = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    mesh_w = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    tmat = np.stack([m.reshape(-1) for m in mesh_t], axis=-1)
-    weights = np.ones(tmat.shape[0])
-    for wm in mesh_w:
-        weights = weights * wm.reshape(-1)
-    # an axis with a zero coordinate collapses to the point mass automatically
-    vals = np.asarray(f((pts[:, None, :] * tmat[None, :, :]).reshape(-1, pts.shape[1])))
-    out = vals.reshape(len(pts), -1) @ weights
-    return out if np.asarray(points).ndim == 2 else float(out[0])
+    """V_k_num on a product system, with 48 nodes per axis by default."""
+    return V_k_num(rs, f, points, n)
 
 
 def tV_k_num_product(rs: RootSystem, f, points, n: int = 80, x_max: float = 14.0):
@@ -525,9 +505,9 @@ def tV_k_num_product(rs: RootSystem, f, points, n: int = 80, x_max: float = 14.0
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(pts.shape[0])
     for i, (y1, y2) in enumerate(pts):
-        inner = lambda x1s: np.array(
-            [tV_k_num(line2, lambda x2s: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1)), y2,
-                      n=n, x_max=x_max) for x1 in np.atleast_1d(x1s)]
-        )
+        # one inner pass per x1 batch: its functions share one rule
+        inner = lambda x1s: tV_k_num(
+            line2, [lambda x2s, x1=x1: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1))
+                    for x1 in np.atleast_1d(x1s)], y2, n=n, x_max=x_max)
         out[i] = tV_k_num(line1, inner, y1, n=n, x_max=x_max)
     return out if np.asarray(points).ndim == 2 else float(out[0])

@@ -8,12 +8,11 @@ breadth-first product closure.  Floating point enters only in ``weight`` and
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,6 +141,17 @@ class RootSystem:
         group = close_group(rs)
         _check_invariance(rs, group)
         return rs
+
+    def __hash__(self):
+        # Fraction hashes are slow and every lru_cache lookup keyed by a system takes one
+        if "_hash" not in self.__dict__:
+            fields = (self.dimension, self.positive_roots, self.multiplicities)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):
+        # the cached hash stays out of a pickle: tuple hashing may change between Pythons
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def gamma(self) -> Fraction:
@@ -310,6 +320,24 @@ def _gauss_rule(kind: str, n: int, a: float = 0.0, b: float = 0.0):
     return nodes, weights
 
 
+def _half_line_rule(n: int, power: float, radius: float):
+    """Nodes on [0, radius] and weights of the n-point rule for the integral
+    of x^power h(x) over [0, radius], h smooth: the Jacobi rule of
+    (1+t)^power under x = radius (t+1)/2, so the power costs no accuracy."""
+    t, w = _gauss_rule("jacobi", n, 0.0, power)
+    half = radius / 2.0
+    return half * (t + 1.0), w * half ** (power + 1.0)
+
+
+def _tensor_rule(rules):
+    """Nodes (m, d), the last axis fastest, and weights of the tensor product
+    of the line rules (nodes_j, weights_j), j = 1..d."""
+    mesh = np.meshgrid(*[t for t, _ in rules], indexing="ij", copy=False)
+    nodes = np.stack(mesh, axis=-1).reshape(-1, len(rules))
+    weights = reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
+    return nodes, weights
+
+
 def mehta_constant(rs: RootSystem) -> float:
     """Normalization c_k = (integral of exp(-|x|^2) times the weight)^(-1).
 
@@ -327,22 +355,6 @@ def mehta_constant(rs: RootSystem) -> float:
     return mehta_by_quadrature(rs)
 
 
-def _axis_factor_quadrature(k: Fraction, scale) -> "Callable[[int], float]":
-    # |a x|^{2k} exp(-x^2) on [0, R], mirrored; the Jacobi rule absorbs the
-    # fractional power so the remaining integrand is entire
-    g = float(k)
-    c = 1.0 if scale is None else float(scale) ** (2.0 * g)
-    radius = 9.0
-
-    def integral(n):
-        t, w = _gauss_rule("jacobi", n, 0.0, 2.0 * g)
-        x = radius * (t + 1.0) / 2.0
-        wt = w * (radius / 2.0) ** (2.0 * g + 1.0)
-        return 2.0 * c * float(np.sum(wt * np.exp(-(x**2))))
-
-    return integral
-
-
 def mehta_by_quadrature(rs: RootSystem) -> float:
     """Normalization by refinement-checked quadrature, independent of the
     closed form, so the two can be compared."""
@@ -350,9 +362,12 @@ def mehta_by_quadrature(rs: RootSystem) -> float:
     if profile is not None:
 
         def integral(n):
+            # each factor is |a x|^(2k) exp(-x^2) mirrored about 0; the rule absorbs x^(2k)
             value = 1.0
             for scale, k in profile:
-                value *= _axis_factor_quadrature(k, scale)(n)
+                x, w = _half_line_rule(n, 2.0 * float(k), 9.0)
+                c = 1.0 if scale is None else float(scale) ** (2.0 * float(k))
+                value *= 2.0 * c * float(np.sum(w * np.exp(-(x**2))))
             return value
 
         coarse, fine = integral(80), integral(160)
@@ -363,9 +378,7 @@ def mehta_by_quadrature(rs: RootSystem) -> float:
             )
 
         def integral(n):
-            nodes, wts = _gauss_rule("hermite", n)
-            pts = np.array(list(itertools.product(*([nodes] * rs.dimension))))
-            wt = np.array(list(itertools.product(*([wts] * rs.dimension)))).prod(axis=1)
+            pts, wt = _tensor_rule([_gauss_rule("hermite", n)] * rs.dimension)
             return float(np.sum(wt * weight(rs, pts)))
 
         coarse, fine = integral(48), integral(96)

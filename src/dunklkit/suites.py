@@ -202,27 +202,32 @@ def normalization_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
 
 def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
-    """Quadrature V against the exact graded-matrix V on the line."""
-    line_gamma(rs)
+    """Quadrature V against the exact graded-matrix V on the line and on axis products."""
+    d = len(_axis_gammas(rs))
     report = VerificationReport("cross-engine")
     n = grid_n or 64
     xs = np.array([-1.7, -0.4, 0.3, 1.0, 2.5])
+    if d > 1:
+        # axis j holds the line points shifted by j; the first point lies on the first axis
+        xs = np.stack([np.roll(xs, -j) for j in range(d)], axis=-1)
+        xs[0, 1:] = 0.0
     errors = []
     for deg in range(9):
-        p = RationalPoly.monomial(1, (deg,))
-        exact = intertwine(rs, p).evaluate_float(xs)
-        num = V_k_num(rs, lambda t, deg=deg: np.asarray(t) ** deg, xs, n=n)
-        denom = np.abs(exact)
-        if np.min(denom) == 0.0:
-            denom = np.maximum(denom, 1.0)
-        errors.append(np.abs(num - exact) / denom)
+        for expo in monomial_basis(d, deg):
+            p = RationalPoly.monomial(d, expo)
+            exact = intertwine(rs, p).evaluate_float(xs)
+            num = V_k_num(rs, p.evaluate_float, xs, n=n)
+            denom = np.abs(exact)
+            if np.min(denom) == 0.0:
+                denom = np.maximum(denom, 1.0)
+            errors.append(np.abs(num - exact) / denom)
     report.add(
         "monomials-numeric-vs-exact",
         "quadrature V matches exact V on monomials with degree <= 8, relative error",
         worst(errors),
         1e-10,
     )
-    if rs.gamma == 1:
+    if d == 1 and rs.gamma == 1:
         val = V_k_num(rs, lambda t: np.asarray(t) ** 2, np.array([1.0]), n=n)[0]
         report.add(
             "second-moment-anchor",
@@ -230,7 +235,10 @@ def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificati
             abs(float(val) - 1.0 / 3.0),
             1e-10,
         )
-    odd = V_k_num(rs, lambda t: np.asarray(t) ** 3, np.array([1.25, -1.25]), n=n)
+    # on a product, y^3 is the sum of the coordinates cubed
+    cubes = lambda t: np.sum(np.reshape(t, (len(t), -1)) ** 3, axis=-1)
+    pair = np.array([1.25, -1.25]) if d == 1 else np.outer([1.25, -1.25], np.ones(d))
+    odd = V_k_num(rs, cubes, pair, n=n)
     report.add(
         "parity",
         "V preserves parity: V(y^3)(-x) = -V(y^3)(x)",

@@ -8,6 +8,7 @@ systems, which only the exact polynomial path supports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from .kernel import bessel_j_normalized, kernel_1d
-from .rootsys import RootSystem, _gauss_rule, mehta_constant
+from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _tensor_rule, mehta_constant
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +54,7 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
         raise InvalidArgumentError("gamma must be nonnegative")
     if n < 2 or radius <= 0:
         raise InvalidArgumentError("need n >= 2 and radius > 0")
-    t, w = _gauss_rule("jacobi", n, 0.0, 2.0 * g)
-    half = radius / 2.0
-    x_pos = half * (t + 1.0)
-    w_pos = w * half ** (2.0 * g + 1.0)
+    x_pos, w_pos = _half_line_rule(n, 2.0 * g, radius)
     nodes = np.concatenate([-x_pos[::-1], x_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
     calibration = 2.0 * radius ** (2.0 * g + 1.0) / (2.0 * g + 1.0)
@@ -72,12 +70,7 @@ def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
 def tensor_grid(axes) -> QuadratureGrid:
     """Tensor product of one-dimensional grids."""
     axes = tuple(axes)
-    grids = np.meshgrid(*[g.nodes for g in axes], indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wmesh = np.meshgrid(*[g.weights for g in axes], indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wm in wmesh:
-        weights = weights * wm.reshape(-1)
+    nodes, weights = _tensor_rule([(g.nodes, g.weights) for g in axes])
     calibration = float(np.prod([g.calibration for g in axes]))
     return QuadratureGrid(nodes, weights, calibration, axes=axes)
 
@@ -166,13 +159,13 @@ _DECAY_TOL = 1e-8
 
 
 def check_decay(f: SampledFunction, dimension: int = 1) -> float:
-    """Largest |f| sampled on the calibration sphere of its declared radius."""
+    """Largest |f| sampled on the sphere of its declared radius in R^dimension:
+    +-r on the line, else 16 points on its circle in every coordinate plane."""
     r = f.decay.radius
-    if dimension == 1:
-        pts = np.array([-r, r])
-    else:
-        theta = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    theta = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    circle = r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = np.array([-r, r]) if dimension == 1 else np.concatenate(
+        [circle @ np.eye(dimension)[list(p)] for p in itertools.combinations(range(dimension), 2)])
     worst = float(np.max(np.abs(f(pts))))
     if f.decay.kind == "compact" and worst > 0:
         warnings.warn(
@@ -403,10 +396,7 @@ def fourier_bessel(profile, lam: float, alpha: float, radius: float = 1.0, n: in
     """
     if alpha < -0.5:
         raise InvalidArgumentError("alpha must be >= -1/2")
-    t, w = _gauss_rule("jacobi", n, 0.0, 2.0 * alpha + 1.0)
-    half = radius / 2.0
-    r = half * (t + 1.0)
-    wts = w * half ** (2.0 * alpha + 2.0)
+    r, wts = _half_line_rule(n, 2.0 * alpha + 1.0, radius)
     vals = np.asarray(profile(r)) * np.real(bessel_j_normalized(alpha, lam * r))
     norm = 2.0**alpha * math.gamma(alpha + 1.0)
     return float(np.sum(wts * vals) / norm)

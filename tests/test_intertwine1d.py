@@ -109,6 +109,51 @@ def test_V_gamma_zero_identity(rs_zero):
     assert np.allclose(vals, np.cos(xs), atol=1e-15)
 
 
+def _line_V_reference(rs, f, xs, n=64):
+    """V on the line by its own rule: f on every x t_i, then f(0) by a second call."""
+    g = line_gamma(rs)
+    if g == 0:
+        return f(xs)
+    t, w = mu_quadrature(g, n)
+    out = f(np.multiply.outer(xs, t).reshape(-1)).reshape(len(xs), n) @ w
+    out[xs == 0] = f(np.zeros(int(np.sum(xs == 0))))
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0, Fraction(1, 2), 1, Fraction(7, 3)])
+def test_V_on_a_line_equals_the_line_rule(gamma):
+    rs = rank_one(gamma)
+    xs = np.array([-2.1, -0.4, 0.0, 0.9, 3.0])
+    for f in (np.cos, lambda t: np.exp(t) * t**2 - t):
+        np.testing.assert_array_equal(V_k_num(rs, f, xs), _line_V_reference(rs, f, xs))
+        assert V_k_num(rs, f, 0.9) == _line_V_reference(rs, f, np.array([0.9]))[0]
+
+
+def test_V_calls_f_once_and_reads_f_at_zero_from_that_call(rs_seventhirds):
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return np.cos(t) + t**3
+
+    vals = V_k_num(rs_seventhirds, f, np.array([-0.8, 0.0, 1.3]))
+    assert calls == [(3 * 64,)]
+    assert vals[1] == 1.0
+
+
+def test_V_gives_a_float_for_one_product_point(rs_product):
+    f = lambda p: np.cos(p[:, 0]) * np.exp(p[:, 1])
+    val = V_k_num(rs_product, f, (0.4, -0.7))
+    assert type(val) is float
+    assert val == V_k_num(rs_product, f, [(0.4, -0.7)])[0]
+
+
+@pytest.mark.parametrize("points", [np.zeros(4), np.zeros((3, 3)), 0.5])
+def test_V_refuses_product_points_off_the_last_axis(rs_product, points):
+    with pytest.raises(InvalidArgumentError):
+        V_k_num(rs_product, lambda p: p[:, 0], points)
+
+
 @pytest.mark.parametrize("gamma", [Fraction(1, 2), 1, 2, Fraction(7, 3)])
 def test_V_cross_engine_monomials(gamma):
     rs = rank_one(gamma)
@@ -492,6 +537,27 @@ def test_product_dual_matches_axis_factorization(rs_product, rs_one, rs_two):
     g = gaussian()
     ref = tV_k_num(rs_one, g, np.array([0.4]), n=60)[0] * tV_k_num(rs_two, g, np.array([0.9]), n=60)[0]
     assert val == pytest.approx(ref, rel=1e-9)
+
+
+def test_product_dual_matches_its_point_loop_with_one_inner_pass_per_call(rs_product, monkeypatch):
+    f = lambda p: np.exp(-np.sum(p**2, axis=-1) / 2.0) * (1.0 + 0.3 * p[:, 0])
+    pts = [(0.4, 0.9), (-1.1, 0.0), (0.0, -0.5)]
+
+    def loop(y1, y2):
+        # the dual of the second axis at y2, one x1 at a time, under the dual of the first
+        inner = lambda x1s: np.array([
+            tV_k_num(rank_one(2), lambda x2s: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1)), y2, n=40)
+            for x1 in np.atleast_1d(x1s)
+        ])
+        return tV_k_num(rank_one(1), inner, y1, n=40)
+
+    ref = [loop(*p) for p in pts]
+    calls = []
+    original = intertwine1d.tV_k_num
+    monkeypatch.setattr(intertwine1d, "tV_k_num", lambda *a, **k: calls.append(1) or original(*a, **k))
+    np.testing.assert_array_equal(tV_k_num_product(rs_product, f, pts, n=40), ref)
+    # per point: the outer call, and one inner call for each of the outer pass's three f calls
+    assert len(calls) == 4 * len(pts)
 
 
 # ----------------------------------------------------------------- properties

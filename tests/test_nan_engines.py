@@ -32,6 +32,8 @@ ENGINES = {
     "kernel_series": "kernel",
     "tV_k_num": "intertwine1d",
     "tV_k_exact": "intertwine1d",
+    "_half_line_rule": "rootsys",
+    "_tensor_rule": "rootsys",
 }
 
 # caches whose values hold engine output: each case gets empty ones, so a case

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklkit.errors import InvalidArgumentError, NotARootSystemError
+from dunklkit.intertwine1d import default_line_plan
 from dunklkit.rootsys import (
     RootSystem,
     _gauss_rule,
@@ -91,6 +93,22 @@ def test_mehta_quadrature_product(rs_product):
     assert math.isclose(
         mehta_constant(rs_product), mehta_by_quadrature(rs_product), rel_tol=1e-9
     )
+
+
+def test_equal_systems_hash_once_and_share_cache_entries(monkeypatch):
+    a, b = rank_one(Fraction(7, 3)), rank_one(Fraction(7, 3))
+    hashed = []
+    original = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda k: hashed.append(k) or original(k))
+    assert hash(a) == hash(b) == hash((a.dimension, a.positive_roots, a.multiplicities)) and hashed
+    hashed.clear()
+    hash(a), hash(b)
+    assert hashed == []
+    assert default_line_plan(a) is default_line_plan(b)
+    # equality, repr and pickles see only the fields
+    fresh = rank_one(Fraction(7, 3))
+    assert a == fresh and repr(a) == repr(fresh) and pickle.dumps(a) == pickle.dumps(fresh)
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
 
 
 def test_serialization_roundtrip(rs_product):

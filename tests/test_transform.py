@@ -143,6 +143,25 @@ def test_sampled_growth_warns(plan_one, rs_one):
         dunkl_transform(rs_one, bad, 0.0, plan_one)
 
 
+def test_scalar_twins_sample_decay_in_every_coordinate():
+    from dunklkit.transform import classical_fourier, dunkl_inverse, dunkl_transform, multiplier_P
+
+    rs = axis_product(1, 1, 1)
+    plan = make_plan(rs, grid_n=12)
+    # reads the third coordinate, which a sample of the plane would not have
+    f = sampled(lambda p: np.exp(-np.sum(p**2, axis=-1)) * (1.0 + p[:, 2]), DecayClass.schwartz())
+    y = [0.3, -0.2, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        assert dunkl_transform(rs, f, y, plan) == dunkl_transform_many(rs, f, [y], plan)[0]
+        assert dunkl_inverse(rs, f, y, plan) == dunkl_inverse_many(rs, f(plan.freq.nodes), [y], plan)[0]
+        assert classical_fourier(f, y, plan) == classical_fourier_many(f, [y], plan)[0]
+        assert multiplier_P(rs, f, y, plan) == multiplier_P_many(rs, f, [y], plan)[0].real
+    slow = sampled(lambda p: np.exp(-np.sqrt(np.sum(p**2, axis=-1))), DecayClass.schwartz(), "slow")
+    with pytest.warns(AccuracyWarning, match="slow"):
+        dunkl_transform(rs, slow, y, plan)
+
+
 def test_poly_growth_rejected_by_transform(plan_one, rs_one):
     grows = sampled(lambda x: np.asarray(x) ** 2, DecayClass.poly_growth(2))
     from dunklkit.transform import dunkl_transform
