@@ -44,11 +44,11 @@ from .transform import (
 
 
 @lru_cache(maxsize=32)
-def default_line_plan(rs: RootSystem) -> TransformPlan:
-    """Shared transform plan for one-dimensional work on the line rs; any
-    other argument is refused."""
+def default_line_plan(rs: RootSystem, grid_n: int = 160) -> TransformPlan:
+    """The transform plan of the line rs with grid_n nodes, one per (rs,
+    grid_n) for the life of the process; any other system is refused."""
     line_gamma(rs)
-    return make_plan(rs, grid_n=160, freq_radius=9.0)
+    return make_plan(rs, grid_n=grid_n, freq_radius=9.0)
 
 
 def _like(x, out):

@@ -80,11 +80,10 @@ __all__ = ["SUITES", "SuiteConfig", "run_suite", "suite_names"]
 
 
 def _line_plan(rs: RootSystem, grid_n):
-    """The plan of a line suite; refuses a system that is not a line."""
-    if grid_n is None:
-        return default_line_plan(rs)
-    line_gamma(rs)
-    return make_plan(rs, grid_n=grid_n, freq_radius=9.0)
+    """The cached plan of a line suite, kept per (rs, grid_n) with its kernel
+    matrices; refuses a system that is not a line.  The default grid keeps
+    the key (rs,) that every other caller of default_line_plan uses."""
+    return default_line_plan(rs) if grid_n is None else default_line_plan(rs, grid_n)
 
 
 def _rel(num, ref) -> float:

@@ -184,10 +184,10 @@ def check_decay(f: SampledFunction, dimension: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # plans and constants
 
-# A plan keeps the Dunkl kernel matrices of this many target sets other than
-# its own grids, dropping the least recently used: a check reuses one target
-# set for several functions (the same quadrature points, the same samples).
-_TARGET_KERNELS = 8
+# A plan keeps the kernel matrices of this many target sets other than its
+# own grids, dropping the least recently used: a check reuses one target set
+# for several functions (the same quadrature points, the same samples).
+_TARGET_KERNELS = 16
 _PLAN_GRIDS = ("space", "space_plain", "freq")
 # Half-width of every plan's space grids.
 _SPACE_RADIUS = 10.0
@@ -222,11 +222,11 @@ class TransformPlan:
         When the targets are axis j of another plan grid, the matrix lives as
         long as the plan.  It is built once, as the conjugate transpose of
         its mirror when that exists, since K(t, s x) = conj K(x, -s t) for
-        real x, t and imaginary s.  Dunkl kernels on other target sets are
-        keyed by the targets' bytes, and only the _TARGET_KERNELS most
-        recently used are kept.  Plain kernels on other targets are not
-        kept: those target sets run to thousands of points, and an
-        exponential costs little next to a Bessel function.
+        real x, t and imaginary s.  Kernels on other target sets, Dunkl and
+        plain alike, are keyed by the targets' bytes, and only the
+        _TARGET_KERNELS most recently used are kept.  Every kept matrix is
+        read-only, since the plan and its matrices may be shared by the
+        whole process.
         """
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
         partner = next(
@@ -243,8 +243,8 @@ class TransformPlan:
             mat = np.exp(side * np.multiply.outer(nodes, targets))
         else:
             mat = kernel_1d(gamma, nodes[:, None], side * targets[None, :])
-        if partner is not None or gamma is not None:
-            self.kernels[key] = mat
+        mat.flags.writeable = False
+        self.kernels[key] = mat
         if partner is None:
             for stale in [k for k in self.kernels if isinstance(k[-1], bytes)][:-_TARGET_KERNELS]:
                 del self.kernels[stale]

@@ -53,8 +53,8 @@ from dunklkit.convolution import (
 )
 from dunklkit.polyexact import RationalPoly, intertwine, operator_prefactor
 from dunklkit.rootsys import axis_product, rank_one
-from dunklkit.suites import SuiteConfig, run_suite
-from dunklkit.transform import DecayClass, line_gamma, sampled
+from dunklkit.suites import SuiteConfig, _line_plan, run_suite
+from dunklkit.transform import DecayClass, line_gamma, make_plan, sampled
 
 GAMMAS = [0.5, 1.0, 2.0, 7.0 / 3.0]
 LINES = [rank_one(Fraction(1, 2)), rank_one(1), rank_one(2)]
@@ -646,6 +646,20 @@ def test_nan_intertwiner_fails_the_cross_engine_monomials(monkeypatch):
 
 def test_default_line_plan_keeps_the_exact_system():
     assert default_line_plan(rank_one(Fraction(7, 3))).rs == rank_one(Fraction(7, 3))
+
+
+def test_line_plans_are_cached_per_system_and_grid():
+    rs = rank_one(1)
+    plan = _line_plan(rs, 48)
+    assert _line_plan(rs, 48) is plan and default_line_plan(rs, 48) is plan
+    assert np.array_equal(plan.freq.nodes, make_plan(rs, grid_n=48, freq_radius=9.0).freq.nodes)
+    assert _line_plan(rank_one(1), 48) is plan  # an equal system finds the same plan
+    assert _line_plan(rs, 96) is not plan
+    assert _line_plan(rs, None) is default_line_plan(rs)
+    # make_plan stays uncached
+    assert make_plan(rs, grid_n=48) is not make_plan(rs, grid_n=48)
+    with pytest.raises(UnsupportedCaseError):
+        _line_plan(axis_product(1, 2), 48)
 
 
 OLD_CONVENTION = {

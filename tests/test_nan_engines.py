@@ -97,3 +97,32 @@ def test_a_nan_engine_fails_every_case_that_reaches_it(engine, monkeypatch):
             assert not nan_passes, f"{case}: {nan_passes} pass on NaN"
             assert not report.all_passed, f"{case} passes with a NaN {engine}"
     assert reached, f"no suite reaches {engine}"
+
+
+def test_a_nan_engine_leaves_no_poisoned_plan(monkeypatch):
+    # explicit-grid line plans live in default_line_plan's cache with their
+    # kernel matrices; a NaN case must build its plans in a cache of its own
+    config = SuiteConfig("translation", parse_preset("z2:1"), grid_n=48)
+    reached = []
+    for engine, module in ENGINES.items():
+        original = getattr(sys.modules[f"dunklkit.{module}"], engine)
+
+        def nan_engine(*args, **kwargs):
+            reached.append(engine)
+            return _nan_like(original(*args, **kwargs))
+
+        with monkeypatch.context() as patched:
+            _rebind(patched, original, nan_engine)
+            _fresh_caches(patched)
+            try:
+                with np.errstate(all="ignore"):
+                    report = run_suite(config)
+            except DunklKitError:
+                continue
+            assert engine not in reached or not report.all_passed, engine
+    assert {"kernel_1d", "_contract", "_half_line_rule"} <= set(reached)
+    report = run_suite(config)
+    assert report.all_passed
+    assert all(math.isfinite(c.residual) for c in report.checks)
+    plan = intertwine1d.default_line_plan(config.rs, 48)
+    assert plan.kernels and all(np.isfinite(mat).all() for mat in plan.kernels.values())

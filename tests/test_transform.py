@@ -290,16 +290,63 @@ def test_product_forward_transform_evaluates_axis_matrices_only(count_kernel_1d,
 def test_target_kernel_cache_is_bounded(count_kernel_1d, rs_one):
     plan = make_plan(rs_one, grid_n=16)
     f = PolyGauss.monomial(1)
-    for shift in range(2 * _TARGET_KERNELS):
-        dunkl_transform_many(rs_one, f, np.array([0.1 * shift, 1.0]), plan)
-    kept = [key for key in plan.kernels if isinstance(key[-1], bytes)]
-    assert len(kept) == _TARGET_KERNELS
+
+    def targets(shift):
+        return np.array([0.1 * shift, 1.0])
+
+    def kept():
+        return [key for key in plan.kernels if isinstance(key[-1], bytes)]
+
+    # Dunkl (kernel_1d) and plain (exp) kernels on other targets share one bound
+    for shift in range(_TARGET_KERNELS):
+        dunkl_transform_many(rs_one, f, targets(shift), plan)
+        classical_fourier_many(f, targets(shift), plan)
+    assert len(kept()) == _TARGET_KERNELS
+    assert sum(key[2] is None for key in kept()) == _TARGET_KERNELS // 2
+    plain = plan.axis_kernel("space_plain", 0, None, -1j, targets(_TARGET_KERNELS - 1))
+    assert plan.axis_kernel("space_plain", 0, None, -1j, targets(_TARGET_KERNELS - 1)) is plain
+    assert ("space_plain", 0, None, -1j, targets(0).tobytes()) not in plan.kernels
     calls = len(count_kernel_1d)
-    # the most recent target set is kept; the oldest was dropped and is built again
-    dunkl_transform_many(rs_one, f, np.array([0.1 * (2 * _TARGET_KERNELS - 1), 1.0]), plan)
+    # the most recent Dunkl target set is kept; the oldest was dropped and is built again
+    dunkl_transform_many(rs_one, f, targets(_TARGET_KERNELS - 1), plan)
     assert len(count_kernel_1d) == calls
-    dunkl_transform_many(rs_one, f, np.array([0.0, 1.0]), plan)
+    dunkl_transform_many(rs_one, f, targets(0), plan)
     assert len(count_kernel_1d) == calls + 1
+    # plain kernels of multiplier_P on other targets are kept too, and push the rest out
+    for shift in range(_TARGET_KERNELS):
+        multiplier_P_many(rs_one, f, targets(shift), plan)
+    assert all(key[:4] == ("freq", 0, None, 1j) for key in kept())
+    assert np.array_equal(multiplier_P_many(rs_one, f, targets(0), plan),
+                          multiplier_P_many(rs_one, f, targets(0), make_plan(rs_one, grid_n=16)))
+    assert len(kept()) == _TARGET_KERNELS
+
+
+def test_kept_kernel_matrices_are_read_only(rs_one):
+    plan = make_plan(rs_one, grid_n=16)
+    ys = np.array([0.3, 1.7])
+    mats = [
+        plan.axis_kernel("space", 0, 1.0, -1j, plan.freq.nodes),
+        plan.axis_kernel("freq", 0, 1.0, 1j, plan.space.nodes),  # the mirror
+        plan.axis_kernel("space", 0, 1.0, -1j, ys),
+        plan.axis_kernel("space_plain", 0, None, -1j, ys),
+    ]
+    for mat in mats:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+    assert not any(mat.flags.writeable for mat in plan.kernels.values())
+
+
+def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_kernel_1d, monkeypatch):
+    # count only the plan's kernel_1d calls: the suite and BumpProfile make their own
+    for module in (kernel, sys.modules["dunklkit.convolution"], sys.modules["dunklkit.suites"]):
+        monkeypatch.setattr(module, "kernel_1d", kernel_1d)
+    config = SuiteConfig("translation", parse_preset("z2:1"), grid_n=48)
+    first = run_suite(config)
+    count_kernel_1d.clear()
+    second = run_suite(config)
+    assert count_kernel_1d == []
+    assert second.body_bytes() == first.body_bytes()
+    assert second.all_passed
 
 
 @pytest.mark.parametrize("suite, preset, grid_n, plan_checks", [
