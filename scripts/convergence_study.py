@@ -11,6 +11,7 @@ import csv
 import sys
 
 from dunklkit.cli import parse_preset
+from dunklkit.report import worst
 from dunklkit.suites import SuiteConfig, run_suite
 
 
@@ -28,9 +29,9 @@ def main(argv=None) -> int:
     print(f"{'grid_n':>8} {'max residual':>14} {'status':>8} {'ms':>8}")
     for n in args.grids:
         report = run_suite(SuiteConfig(suite=args.suite, rs=rs, label=args.preset, grid_n=n))
-        worst = max((c.residual for c in report.checks), default=0.0)
-        rows.append((n, worst, report.status, report.elapsed_ms))
-        print(f"{n:>8} {worst:>14.3e} {report.status:>8} {report.elapsed_ms:>8.0f}")
+        largest = worst([c.residual for c in report.checks])
+        rows.append((n, largest, report.status, report.elapsed_ms))
+        print(f"{n:>8} {largest:>14.3e} {report.status:>8} {report.elapsed_ms:>8.0f}")
 
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError, UnsupportedCaseError
 from .functions import standard_bump
 from .intertwine1d import _per_function, default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
-from .kernel import kernel_1d, kernel_value
+from .kernel import kernel_value
 from .report import VerificationReport, worst
 from .rootsys import RootSystem
 from .transform import (
@@ -26,12 +26,13 @@ from .transform import (
     _axis_gammas,
     _contract,
     _one_point,
+    _refuse_growth,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
+    fourier_bessel,
     line_gamma,
     p_multiplier_constant,
-    weighted_line_grid,
 )
 
 
@@ -119,6 +120,7 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.nd
 
     Without a plan only the line is served; default_line_plan refuses the rest.
     """
+    _refuse_growth(g, "convolve_many")
     if plan is None:
         plan = default_line_plan(rs)
     hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
@@ -193,53 +195,40 @@ _BUMP_GRID_N = 160
 class BumpProfile:
     """Radial bump scaled to support radius epsilon, with unit weighted mass.
 
-    The normalization constant is fixed once on a support-fitted grid of
-    _BUMP_GRID_N nodes; the scaling is exactly mass-preserving, so the
-    transform at zero computed on the matching scaled grid reproduces 1 to
-    rounding.
+    The bump is even: its transform is fourier_bessel of order gamma - 1/2 on
+    _BUMP_GRID_N nodes over its support.  The norm is fixed once by that
+    transform at 0 at epsilon = 1, and scaling preserves mass exactly, so the
+    transform at zero of every scaled bump reproduces 1 to rounding.
     """
 
     rs: RootSystem
     epsilon: float
     norm: float
 
+    def __post_init__(self):
+        if not 0.0 < self.epsilon <= 1.0:
+            raise InvalidArgumentError("epsilon must lie in (0, 1]")
+
     @staticmethod
     def create(rs: RootSystem, epsilon: float = 1.0) -> "BumpProfile":
-        g = line_gamma(rs)
-        if not 0.0 < epsilon <= 1.0:
-            raise InvalidArgumentError("epsilon must lie in (0, 1]")
-        base = standard_bump()
-        grid = weighted_line_grid(g, 1.0, _BUMP_GRID_N)
-        mass = float(np.sum(grid.weights * base(grid.nodes)))
-        return BumpProfile(rs, float(epsilon), 1.0 / mass)
+        return BumpProfile(rs, float(epsilon), 1.0 / BumpProfile(rs, 1.0, 1.0).mass())
 
     def scaled(self, epsilon: float) -> "BumpProfile":
-        if not 0.0 < epsilon <= 1.0:
-            raise InvalidArgumentError("epsilon must lie in (0, 1]")
         return BumpProfile(self.rs, float(epsilon), self.norm)
-
-    def profile(self, r):
-        """The unscaled radial profile, support in [0, 1]."""
-        return self.norm * standard_bump()(np.asarray(r))
 
     def __call__(self, x):
         e = self.epsilon
         scale = e ** (-(2.0 * line_gamma(self.rs) + 1.0))
         return scale * self.norm * standard_bump()(np.asarray(x, dtype=float) / e)
 
-    def support_grid(self):
-        return weighted_line_grid(line_gamma(self.rs), self.epsilon, _BUMP_GRID_N)
-
     def mass(self) -> float:
-        grid = self.support_grid()
-        return float(np.sum(grid.weights * self(grid.nodes)))
+        return self.transform_at(0.0)
 
-    def transform_at(self, ys) -> np.ndarray:
-        """Transform values on a support-fitted grid; exact 1 at y = 0."""
-        grid = self.support_grid()
-        fv = self(grid.nodes)
-        ker = kernel_1d(line_gamma(self.rs), grid.nodes[:, None], -1j * np.atleast_1d(ys)[None, :])
-        return (grid.weights * fv) @ ker
+    def transform_at(self, ys):
+        """Transform values at ys, real since the bump is even."""
+        g = line_gamma(self.rs)
+        const = 2.0 ** (g + 0.5) * math.gamma(g + 0.5)
+        return const * fourier_bessel(self, ys, g - 0.5, radius=self.epsilon, n=_BUMP_GRID_N)
 
 
 DEFAULT_EPS = (0.5, 0.2, 0.1, 0.05)

@@ -108,8 +108,8 @@ class DecayClass:
     def __post_init__(self):
         if self.kind not in ("schwartz", "compact", "poly-growth"):
             raise InvalidArgumentError(f"unknown decay kind {self.kind!r}")
-        if self.radius <= 0:
-            raise InvalidArgumentError("decay radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise InvalidArgumentError("decay radius must be finite and positive")
 
     @staticmethod
     def schwartz(radius: float = 10.0) -> "DecayClass":
@@ -144,13 +144,18 @@ def sampled(fn, decay: DecayClass, name: str = "") -> SampledFunction:
     return SampledFunction(fn, decay, name)
 
 
-def _require_integrable(f: SampledFunction, op: str, dimension: int = 1):
-    if not isinstance(f, SampledFunction):
-        raise InvalidArgumentError(f"{op} expects a SampledFunction")
-    if not f.decay.integrable:
+def _refuse_growth(f, op: str):
+    """Refuse a SampledFunction declared non-integrable, without sampling it."""
+    if isinstance(f, SampledFunction) and not f.decay.integrable:
         raise InvalidArgumentError(
             f"{op} needs schwartz or compactly supported input, got {f.decay.kind}"
         )
+
+
+def _require_integrable(f: SampledFunction, op: str, dimension: int = 1):
+    if not isinstance(f, SampledFunction):
+        raise InvalidArgumentError(f"{op} expects a SampledFunction")
+    _refuse_growth(f, op)
     check_decay(f, dimension)
 
 
@@ -349,6 +354,7 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
 
 
 def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan) -> np.ndarray:
+    _refuse_growth(f, "dunkl_transform_many")
     return _contract(plan, "space", _axis_gammas(rs), np.asarray(f(plan.space.nodes)), ys, -1j)
 
 
@@ -377,6 +383,7 @@ def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarr
 
 
 def classical_fourier_many(f, ys, plan: TransformPlan) -> np.ndarray:
+    _refuse_growth(f, "classical_fourier_many")
     fvals = np.asarray(f(plan.space_plain.nodes))
     return _contract(plan, "space_plain", [None] * plan.rs.dimension, fvals, ys, -1j)
 
@@ -387,19 +394,23 @@ def classical_fourier(f: SampledFunction, y, plan: TransformPlan) -> complex:
     return complex(classical_fourier_many(f, _one_point(plan.rs, y), plan)[0])
 
 
-def fourier_bessel(profile, lam: float, alpha: float, radius: float = 1.0, n: int = 128) -> float:
-    """Bessel transform of a radial profile.
+def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128):
+    """Bessel transform of a radial profile at each lam (a float for a scalar).
 
     Integrates profile(r) j_alpha(lam r) r^(2 alpha + 1) / (2^alpha Gamma(alpha+1))
-    over [0, radius], with the power of r absorbed into Jacobi nodes.  At
-    lam = 0 this is the normalized moment integral of the profile.
+    over [0, radius], with the power of r absorbed into n Jacobi nodes.  At
+    lam = 0 this is the normalized moment integral; at alpha = gamma - 1/2,
+    times 2^(gamma+1/2) Gamma(gamma+1/2), the line transform of an even profile.
     """
     if alpha < -0.5:
         raise InvalidArgumentError("alpha must be >= -1/2")
+    if n < 2 or not 0.0 < radius < math.inf:
+        raise InvalidArgumentError("need n >= 2 and a finite radius > 0")
     r, wts = _half_line_rule(n, 2.0 * alpha + 1.0, radius)
-    vals = np.asarray(profile(r)) * np.real(bessel_j_normalized(alpha, lam * r))
+    vals = np.asarray(profile(r)) * np.real(bessel_j_normalized(alpha, np.multiply.outer(lam, r)))
     norm = 2.0**alpha * math.gamma(alpha + 1.0)
-    return float(np.sum(wts * vals) / norm)
+    out = np.sum(wts * vals, axis=-1) / norm
+    return float(out) if np.ndim(lam) == 0 else out
 
 
 def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:

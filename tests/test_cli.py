@@ -277,6 +277,19 @@ def test_run_all_suites_prints_a_nan_residual(monkeypatch, capsys):
     assert "max residual nan" in capsys.readouterr().out
 
 
+def test_convergence_study_prints_a_nan_residual(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("convergence_study", SCRIPTS / "convergence_study.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    report = VerificationReport("support")
+    report.add("finite", "a finite residual", 0.5, 1.0)
+    report.add("not-a-number", "a NaN residual after a finite one", float("nan"), 1.0)
+    monkeypatch.setattr(script, "run_suite", lambda config: report)
+    assert script.main(["--suite", "support", "--grids", "48"]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["48", "nan", "fail"] == rows[-1][:3]
+
+
 def test_convergence_study_runs_a_small_grid(capsys):
     spec = importlib.util.spec_from_file_location("convergence_study", SCRIPTS / "convergence_study.py")
     script = importlib.util.module_from_spec(spec)

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dunklkit import intertwine1d
 from dunklkit.intertwine1d import default_line_plan, inv_V_via_P, mu_quadrature
 from dunklkit.kernel import kernel_1d
 from dunklkit.rootsys import axis_product, rank_one
-from dunklkit.transform import dunkl_transform_many, make_plan
+from dunklkit.transform import dunkl_transform_many, make_plan, weighted_line_grid
 
 
 # ----------------------------------------------------------------- translation
@@ -301,6 +302,20 @@ def test_bump_unit_mass(gamma, lines):
 def test_bump_transform_at_zero(rs_one):
     bump = BumpProfile.create(rs_one, 0.5)
     assert complex(bump.transform_at(np.array([0.0]))[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0, Fraction(1, 2), 1, Fraction(7, 3), 4])
+@pytest.mark.parametrize("eps", [1.0, 0.05])
+def test_bump_transform_matches_the_full_grid_kernel_sum(gamma, eps):
+    # reference: the weighted sum against K(x, -iy) over the mirrored support
+    # grid of the same Jacobi nodes, odd part and all
+    rs = rank_one(gamma)
+    bump = BumpProfile.create(rs, eps)
+    ys = np.concatenate([[0.0], default_line_plan(rs).freq.nodes, np.linspace(-9.0, 9.0, 81)])
+    grid = weighted_line_grid(float(gamma), eps, 160)
+    ref = (grid.weights * bump(grid.nodes)) @ kernel_1d(float(gamma), grid.nodes[:, None], -1j * ys[None, :])
+    got = bump.transform_at(ys)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
 
 
 def test_bump_support(rs_one):

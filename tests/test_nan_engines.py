@@ -36,6 +36,13 @@ ENGINES = {
     "_tensor_rule": "rootsys",
 }
 
+# suite x preset cases an engine must reach: the bump of the approximate
+# identity and of translation is transformed by fourier_bessel on every line
+LINE_PRESETS = [p for p in PRESETS if "x" not in p]
+MUST_REACH = {
+    "fourier_bessel": {f"{suite}@{p}" for suite in ("approx-identity", "translation") for p in LINE_PRESETS},
+}
+
 # caches whose values hold engine output: each case gets empty ones, so a case
 # sees its own patched engine and leaves no NaN behind for later tests
 ENGINE_CACHES = ["default_line_plan", "_inverse_of_gauss"]
@@ -97,6 +104,7 @@ def test_a_nan_engine_fails_every_case_that_reaches_it(engine, monkeypatch):
             assert not nan_passes, f"{case}: {nan_passes} pass on NaN"
             assert not report.all_passed, f"{case} passes with a NaN {engine}"
     assert reached, f"no suite reaches {engine}"
+    assert MUST_REACH.get(engine, set()) <= set(reached), engine
 
 
 def test_a_nan_engine_leaves_no_poisoned_plan(monkeypatch):

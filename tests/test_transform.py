@@ -8,6 +8,7 @@ import pytest
 
 from dunklkit import kernel
 from dunklkit.cli import parse_preset
+from dunklkit.convolution import convolve_many, translate_spectral_many
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit.kernel import kernel_1d
@@ -21,6 +22,7 @@ from dunklkit.transform import (
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_roundtrip_many,
+    dunkl_transform,
     dunkl_transform_many,
     fourier_bessel,
     gaussian_eigen_constant,
@@ -101,12 +103,20 @@ def test_classical_fourier_gaussian(plan_one):
 
 def test_fourier_bessel_gaussian_self_reciprocal():
     # exp(-r^2/2) is a fixed point of the normalized Bessel transform
+    gauss = lambda r: np.exp(-0.5 * r**2)
+    lams = np.array([0.0, 0.7, 1.9])
     for alpha in (0.0, 0.5, 1.5):
-        for lam in (0.0, 0.7, 1.9):
-            val = fourier_bessel(
-                lambda r: np.exp(-0.5 * r**2), lam, alpha, radius=9.0, n=200
-            )
+        for lam in lams:
+            val = fourier_bessel(gauss, lam, alpha, radius=9.0, n=200)
+            assert isinstance(val, float)
             assert val == pytest.approx(math.exp(-0.5 * lam**2), abs=1e-13)
+        # an array of frequencies gives the scalar calls bitwise
+        vals = fourier_bessel(gauss, lams, alpha, radius=9.0, n=200)
+        assert vals.tobytes() == np.array([fourier_bessel(gauss, lam, alpha, radius=9.0, n=200)
+                                           for lam in lams]).tobytes()
+    for bad in ({"radius": -1.0}, {"radius": math.nan}, {"radius": math.inf}, {"n": 0}, {"n": 1}):
+        with pytest.raises(InvalidArgumentError):
+            fourier_bessel(gauss, 0.5, 0.0, **bad)
 
 
 def test_multiplier_P_is_negative_second_derivative(plan_one, rs_one):
@@ -130,8 +140,11 @@ def test_multiplier_P_gamma_two(plan_two, rs_two):
 def test_decay_validation():
     with pytest.raises(InvalidArgumentError):
         DecayClass("nope", radius=1.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            DecayClass.compact(radius)
     with pytest.raises(InvalidArgumentError):
-        DecayClass.compact(0.0)
+        DecayClass.schwartz(math.inf)
     assert not DecayClass.poly_growth(2).integrable
 
 
@@ -162,12 +175,26 @@ def test_scalar_twins_sample_decay_in_every_coordinate():
         dunkl_transform(rs, slow, y, plan)
 
 
-def test_poly_growth_rejected_by_transform(plan_one, rs_one):
-    grows = sampled(lambda x: np.asarray(x) ** 2, DecayClass.poly_growth(2))
-    from dunklkit.transform import dunkl_transform
+GROWTH_ENTRY_POINTS = {
+    "dunkl_transform": lambda rs, f, plan: dunkl_transform(rs, f, 0.5, plan),
+    "dunkl_transform_many": lambda rs, f, plan: dunkl_transform_many(rs, f, [0.5], plan),
+    "classical_fourier_many": lambda rs, f, plan: classical_fourier_many(f, [0.5], plan),
+    "multiplier_P_many": lambda rs, f, plan: multiplier_P_many(rs, f, [0.5], plan),
+    "dunkl_roundtrip_many": lambda rs, f, plan: dunkl_roundtrip_many(rs, f, [0.5], plan),
+    "translate_spectral_many": lambda rs, f, plan: translate_spectral_many(rs, f, 0.3, [0.5], plan),
+    "convolve_many-f": lambda rs, f, plan: convolve_many(rs, f, gaussian(), [0.5], plan),
+    "convolve_many-g": lambda rs, f, plan: convolve_many(rs, gaussian(), f, [0.5], plan),
+}
 
-    with pytest.raises(InvalidArgumentError):
-        dunkl_transform(rs_one, grows, 0.0, plan_one)
+
+@pytest.mark.parametrize("entry", GROWTH_ENTRY_POINTS)
+def test_poly_growth_rejected_by_transform(entry, plan_one, rs_one):
+    # every entry point refuses by the declaration alone, without sampling
+    samples = []
+    grows = sampled(lambda x: samples.append(x) or 1.0 + np.asarray(x) ** 2, DecayClass.poly_growth(2))
+    with pytest.raises(InvalidArgumentError, match="poly-growth"):
+        GROWTH_ENTRY_POINTS[entry](rs_one, grows, plan_one)
+    assert samples == []
 
 
 def test_bump_sampled_has_compact_decay():
@@ -337,8 +364,8 @@ def test_kept_kernel_matrices_are_read_only(rs_one):
 
 
 def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_kernel_1d, monkeypatch):
-    # count only the plan's kernel_1d calls: the suite and BumpProfile make their own
-    for module in (kernel, sys.modules["dunklkit.convolution"], sys.modules["dunklkit.suites"]):
+    # count only the plan's kernel_1d calls: the suite and kernel_value make their own
+    for module in (kernel, sys.modules["dunklkit.suites"]):
         monkeypatch.setattr(module, "kernel_1d", kernel_1d)
     config = SuiteConfig("translation", parse_preset("z2:1"), grid_n=48)
     first = run_suite(config)
