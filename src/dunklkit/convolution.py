@@ -111,7 +111,7 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
         out = np.array([[w @ v @ w for v in per_pair] for per_pair in vals])
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    return _per_function(f, xs, out)
+    return _per_function(f, xs.shape, out)
 
 
 def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.ndarray:
@@ -135,7 +135,7 @@ def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan) -> n
     frequency nodes by the plan's contraction, and the product is inverted
     at xs by the same contraction.
     """
-    hv_g = _contract(plan, "space", _axis_gammas(rs), gv, plan.freq.nodes, -1j)
+    hv_g = _contract(plan, "space", _axis_gammas(rs, plan), gv, plan.freq.nodes, -1j)
     return dunkl_inverse_many(rs, hv_f * hv_g, xs, plan)
 
 

@@ -2,17 +2,17 @@
 their inverses, and the representing-distribution pairings.
 
 The forward operator averages against a beta-type density on (-|x|, |x|)
-whose endpoint behavior Gauss-Jacobi nodes absorb exactly, and on an axis
-product against the tensor product of these measures.  The dual
-operator integrates over {|t| >= |y|}; the substitution t = |y| cosh(s)
-moves the inner endpoint to s = 0 where a second Jacobi rule absorbs the
-remaining power of s.  Inverses come in three flavors, all built from
-pieces that live in other modules, so their pairwise agreement is a real
-cross-check rather than a tautology.
+whose endpoint behavior Gauss-Jacobi nodes absorb exactly.  The dual
+operator integrates over {|t| >= |y|}; t = |y| cosh(s) moves the inner
+endpoint to s = 0, where a second Jacobi rule absorbs the power of s.  On
+an axis product both take the tensor product of their rules per axis.
+Inverses come in three flavors, all built from pieces that live in other
+modules, so their pairwise agreement is a real cross-check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,11 +28,12 @@ from .errors import (
 )
 from .functions import PolyGauss, SmoothBump
 from .polyexact import OperatorConstants, operator_prefactor, solve_exact
-from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _tensor_rule, rank_one
+from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _tensor_rule
 from .transform import (
     SampledFunction,
     TransformPlan,
     _axis_gammas,
+    _refuse_growth,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
@@ -75,12 +76,7 @@ class IntertwiningDensity:
     x: float
 
     def __post_init__(self):
-        if line_gamma(self.rs) <= 0:
-            raise InvalidArgumentError("gamma must be positive")
-        if self.x == 0:
-            raise DegeneratePointError(
-                "the measure at x = 0 is the point mass at 0; no density exists"
-            )
+        mu_density(self.rs, self.x, 0.0)  # refuses what the density refuses
 
     def __call__(self, y):
         return mu_density(self.rs, self.x, y)
@@ -185,107 +181,113 @@ class DualDensity:
         return abs(self.y)
 
 
-def _sinhc(s):
-    # sinh(s)/s; near 0 it rounds to 1 + s^2/6, and s = 0 gives exactly 1
-    s = np.asarray(s, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return np.where(s == 0.0, 1.0, np.sinh(s) / s)
+def _dual_rule(g, u, cutoff, n):
+    """The f-independent rule of the dual operator on one axis at the
+    coordinates u, |u| < cutoff: nodes and weights (u.size, 2n), or the
+    point mass (u.size, 1) at multiplicity 0.
 
-
-def _dual_side(g, u, x_max, n, same_side: bool):
-    """The f-independent rule of one half-line piece of the dual operator at
-    distinct base points u != 0: arguments, smooth factor, scale and weights.
-
-    With t = sigma' |u| cosh(s) the integrand becomes a power of s times a
-    smooth factor; the power goes into the Jacobi rule.
+    At u != 0, t = sigma' |u| cosh(s) turns each half-line {sigma' t >= |u|}
+    into a power of s, which the Jacobi rule absorbs, times a smooth factor:
+    n nodes on the side of u, then n on the other.  At u = 0 it is the
+    |t|^(2 gamma - 1) rule on [0, cutoff], mirrored about 0.
     """
-    a, sigma = np.abs(u), np.sign(u)
-    power = 2.0 * g - 1.0 if same_side else 2.0 * g + 1.0
-    other = 2.0 * g + 1.0 if same_side else 2.0 * g - 1.0
-    t, w = _half_line_rule(n, power, 1.0)
-    S = np.arccosh(x_max / a)
-    s = S[None, :] * t[:, None]
-    half = s / 2.0
-    smooth = _sinhc(half) ** power * np.cosh(half) ** other
-    sign = sigma if same_side else -sigma
-    args = (sign * a)[None, :] * np.cosh(s)
-    scale = mass_constant(g) * a ** (2.0 * g) * 2.0 ** (2.0 * g - power) * S ** (power + 1.0)
-    return args, smooth, scale, w
+    if g == 0:
+        return u[:, None], np.ones((u.size, 1))
+    c, zero = mass_constant(g), u == 0.0
+    a = np.where(zero, cutoff / 2.0, np.abs(u))[:, None]  # rows at u = 0 are replaced below
+    S = np.arccosh(cutoff / a)
+    (t0, w0), (t1, w1) = (_half_line_rule(n, 2.0 * g - sign, 1.0) for sign in (1.0, -1.0))
+    h = S * (np.concatenate([t0, t1]) / 2.0)  # s/2 > 0, as S > 0 and t > 0
+    sh, ch, side = np.sinh(h), np.cosh(h), np.repeat([1.0, -1.0], n)
+    nodes = side * u[:, None] * np.cosh(2.0 * h)  # +-u cosh(s)
+    # 2^(2 gamma - p) S^(p + 1) (sinh(h)/h)^p cosh(h)^(4 gamma - p) with p = 2 gamma -+ 1 is
+    # S^(2 gamma) (sinh(s)/s)^(2 gamma - 1) times 2 cosh(h)^2, or (2/t^2) sinh(h)^2 as S/h = 2/t
+    factor = np.concatenate([2.0 * w0, 2.0 * w1 / t1 ** 2]) * np.where(side > 0, ch, sh) ** 2
+    weights = c * (a * S) ** (2.0 * g) * factor * (sh * ch / h) ** (2.0 * g - 1.0)
+    if zero.any():
+        x, w = _half_line_rule(n, 2.0 * g - 1.0, cutoff)
+        nodes[zero], weights[zero] = np.concatenate([x, -x]), c * np.concatenate([w, w])
+    return nodes, weights
 
 
-def _apply_side(side, f):
-    args, smooth, scale, w = side
-    fvals = np.asarray(f(args.reshape(-1))).reshape(args.shape)
-    return scale * np.einsum("i,im->m", w, smooth * fvals)
-
-
-def _dual_at_zero(g, f, x_max, n):
-    x, w = _half_line_rule(n, 2.0 * g - 1.0, x_max)
-    vals = np.asarray(f(x)) + np.asarray(f(-x))
-    return mass_constant(g) * float(np.sum(w * vals))
-
-
-def _cutoff(g, f, x_max):
-    """Where the dual quadrature of f stops: the declared support radius of a
-    compactly supported f, else x_max once f is negligible there."""
-    if isinstance(f, SampledFunction):
-        if not f.decay.integrable:
-            raise InvalidArgumentError(
-                "the dual operator needs schwartz or compactly supported input"
-            )
-        if f.decay.kind == "compact":
-            return f.decay.radius
-    tail = float(np.max(np.abs(np.asarray(f(np.array([-x_max, x_max]))))))
-    weight_scale = mass_constant(g) * x_max ** (2.0 * g + 1.0)
-    if not tail * weight_scale <= 1e-5:  # a NaN tail is refused too
-        raise AccuracyError(
-            "input decays too slowly for the truncated dual quadrature",
-            residual=tail * weight_scale,
-        )
+def _cutoff(gammas, f, x_max):
+    """Where the dual quadrature of f stops on every axis of positive
+    multiplicity: the declared support radius of a compactly supported f,
+    else x_max once f is negligible there.  f is probed at the points of
+    {-x_max, 0, x_max} on those axes (0 on the others) with a coordinate at
+    +-x_max; each axis scales its largest |f| by the weight's mass to x_max.
+    """
+    _refuse_growth(f, "the dual operator")
+    if isinstance(f, SampledFunction) and f.decay.kind == "compact":
+        return f.decay.radius
+    probe = np.array([p for p in itertools.product(*[(-x_max, 0.0, x_max) if g else (0.0,) for g in gammas])
+                      if x_max in map(abs, p)])
+    tails = np.abs(np.asarray(f(probe[:, 0] if len(gammas) == 1 else probe))).reshape(-1)
+    for j, g in enumerate(gammas):
+        if g:
+            tail = float(np.max(tails[np.abs(probe[:, j]) == x_max]))
+            residual = tail * mass_constant(g) * x_max ** (2.0 * g + 1.0)
+            if not residual <= 1e-5:  # a NaN tail is refused too
+                raise AccuracyError("input decays too slowly for the truncated dual quadrature",
+                                    residual=residual)
     return x_max
 
 
-def _per_function(f, y, out):
-    """Drop out's leading function axis for one function f; one point y gives a float."""
-    out = out.reshape((len(out),) + np.shape(y))
-    if not callable(f):
-        return out
-    return float(out[0]) if np.ndim(y) == 0 else out[0]
+def _per_function(f, shape, out):
+    """out in the point shape, less its function axis for one f; one point gives a float."""
+    out = out.reshape((len(out),) + shape)[0 if callable(f) else slice(None)]
+    return float(out) if out.ndim == 0 else out
+
+
+_NODE_BUDGET = 1 << 14  # nodes f sees at once; one point's rule has (2n)^d on d axes
 
 
 def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
-    """Apply the dual intertwining operator of the line rs by quadrature.
+    """Apply the dual intertwining operator of an axis product rs by
+    quadrature, over the tensor product of one rule per axis.
 
-    The integral runs over {|t| >= |y|}; points with |y| beyond the reach of
-    f (infinite ones included) give exactly zero, and NaN points give NaN.
-    A SampledFunction declared compact is integrated exactly up to its
-    support radius; any other f must be negligible at x_max, which is
-    verified.
+    Points lie along the last axis of y; on the line y may also be a scalar
+    or an array of points.  One point gives a float, a NaN point NaN.  An
+    axis of multiplicity 0 keeps its coordinate; on the others the integral
+    runs over {|t| >= |y_j|} up to the reach of f, beyond which a point,
+    infinite included, gives 0: the radius of a SampledFunction declared
+    compact, else x_max, where f must be negligible, which is verified.
 
-    f may be a sequence of functions.  They share the f-independent rule,
-    built once per cutoff on the distinct points of y, and the result gains
-    a leading function axis.
+    A sequence of functions adds a leading function axis.  They share the
+    f-independent rule, built per cutoff on the distinct points in batches
+    of at most _NODE_BUDGET nodes, and each is called once per batch.
     """
-    g = line_gamma(rs)
+    gammas = _axis_gammas(rs)
+    d = len(gammas)
+    if not 0.0 < x_max < math.inf:
+        raise InvalidArgumentError(f"x_max must be finite and positive, got {x_max}")
+    arr = np.asarray(y, dtype=float)
+    if d > 1 and arr.shape[-1:] != (d,):
+        raise InvalidArgumentError(f"points of a {d}-axis product lie along a last axis of length {d}")
+    shape, pts = arr.shape[: arr.ndim - (d > 1)], arr.reshape(-1, d)
     fs = [f] if callable(f) else list(f)
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros((len(fs),) + ys.shape)
-    if g == 0:
-        out[:] = [h(ys) for h in fs]
-        return _per_function(f, y, out)
-    out[:, np.isnan(ys)] = np.nan  # no cutoff holds a NaN point, so it would read 0
-    cutoffs = [_cutoff(g, h, x_max) for h in fs]
-    zero = ys == 0.0
+    if not any(gammas):
+        return _per_function(f, shape, np.array([h(pts[:, 0] if d == 1 else pts) for h in fs], dtype=float))
+    nan = np.isnan(pts).any(axis=1)
+    out = np.where(nan, np.nan, np.zeros((len(fs), 1)))  # no cutoff holds a NaN point, so it would read 0
+    cutoffs = [_cutoff(gammas, h, x_max) for h in fs]
     for cutoff in set(cutoffs):
-        live = (~zero) & (np.abs(ys) < cutoff)
-        u, back = np.unique(ys[live], return_inverse=True)
-        sides = [_dual_side(g, u, cutoff, n, same) for same in (True, False)] if u.size else []
-        for i in (i for i, c in enumerate(cutoffs) if c == cutoff):
-            if np.any(zero):
-                out[i][zero] = _dual_at_zero(g, fs[i], cutoff, n)
-            if sides:
-                out[i][live] = (_apply_side(sides[0], fs[i]) + _apply_side(sides[1], fs[i]))[back]
-    return _per_function(f, y, out)
+        group = [i for i, c in enumerate(cutoffs) if c == cutoff]
+        live = ~nan & np.all(np.abs(pts[:, np.array(gammas) > 0]) < cutoff, axis=1)
+        rows, back = np.unique(pts[live], axis=0 if d > 1 else None, return_inverse=True)
+        rows = rows.reshape(-1, d)
+        # an n below 1 reaches the Gauss rule, which refuses it by name
+        step = max(1, _NODE_BUDGET // max(1, math.prod(2 * n if g else 1 for g in gammas)))
+        vals = np.empty((len(group), len(rows)))
+        for at in (slice(lo, lo + step) for lo in range(0, len(rows), step)):
+            rules = [_dual_rule(g, rows[at, j], cutoff, n) for j, g in enumerate(gammas)]
+            nodes, weights = _tensor_rule(rules) if d > 1 else rules[0]
+            args = nodes.reshape(-1, d) if d > 1 else nodes.reshape(-1)
+            for row, i in enumerate(group):
+                fvals = np.asarray(fs[i](args)).reshape(weights.shape)
+                vals[row, at] = np.sum(weights * fvals, axis=-1)
+        out[np.ix_(group, live)] = vals[:, back.reshape(-1)]
+    return _per_function(f, shape, out)
 
 
 def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
@@ -463,7 +465,7 @@ def inv_V_via_Q(rs: RootSystem, f, x):
     if bumps:
         # a bump's image keeps the support [-1, 1], which fixes its cutoff
         out[bumps] = tV_k_num(rs, [local_Q(rs, fs[i]).as_sampled() for i in bumps], xs)
-    return _per_function(f, x, out)
+    return _per_function(f, np.shape(x), out)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +499,5 @@ def V_k_num_product(rs: RootSystem, f, points, n: int = 48):
 
 
 def tV_k_num_product(rs: RootSystem, f, points, n: int = 80, x_max: float = 14.0):
-    """Dual operator for a two-factor product system, one axis at a time."""
-    profile = rs.axis_profile()
-    if profile is None or rs.dimension != 2:
-        raise UnsupportedCaseError("tensor dual averaging covers two-factor products")
-    line1, line2 = (rank_one(k) for _, k in profile)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(pts.shape[0])
-    for i, (y1, y2) in enumerate(pts):
-        # one inner pass per x1 batch: its functions share one rule
-        inner = lambda x1s: tV_k_num(
-            line2, [lambda x2s, x1=x1: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1))
-                    for x1 in np.atleast_1d(x1s)], y2, n=n, x_max=x_max)
-        out[i] = tV_k_num(line1, inner, y1, n=n, x_max=x_max)
-    return out if np.asarray(points).ndim == 2 else float(out[0])
+    """tV_k_num on a product system, with 80 nodes per half-line by default."""
+    return tV_k_num(rs, f, points, n, x_max)

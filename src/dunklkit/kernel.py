@@ -177,12 +177,12 @@ def bessel_j_normalized(alpha: float, u):
     out = np.empty(arr.shape, dtype=complex)
 
     re, im = np.abs(arr.real), np.abs(arr.imag)
-    mag = np.abs(arr)
-    scale = np.maximum(1.0, mag)
+    scale = np.maximum(1.0, np.abs(arr))
     finite = np.isfinite(arr)
     out[~finite] = np.nan
     is_real = finite & (im <= 1e-14 * scale)
     is_imag = finite & ~is_real & (re <= 1e-14 * scale)
+    del scale  # the branches below hold their own temporaries
 
     if np.any(is_imag):
         y = im[is_imag]
@@ -213,7 +213,7 @@ def bessel_j_normalized(alpha: float, u):
 
     m_gen = finite & ~is_real & ~is_imag
     if np.any(m_gen):
-        if np.max(mag[m_gen]) > _COMPLEX_RADIUS:
+        if np.max(np.abs(arr[m_gen])) > _COMPLEX_RADIUS:
             raise InvalidArgumentError(
                 "general complex argument outside the supported range "
                 f"|u| <= {_COMPLEX_RADIUS}"
@@ -279,7 +279,9 @@ def kernel_1d(gamma, z, t):
                 j_lo, j_hi = (
                     bessel_j_normalized(alpha, u)[ia].take(ib, axis=1) for alpha in (g - 0.5, g + 0.5)
                 )
-            val = j_lo + (zz * tt / (2.0 * g + 1.0)) * j_hi
+            val = zz * tt / (2.0 * g + 1.0)
+            val *= j_hi
+            val += j_lo
     return _finite_or_raise("kernel_1d", val, zz, tt)
 
 

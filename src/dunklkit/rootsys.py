@@ -289,6 +289,8 @@ def _gauss_rule(kind: str, n: int, a: float = 0.0, b: float = 0.0):
     taken at the Newton-corrected node to first order, scaled to the exact
     mass.
     """
+    if not n >= 1:
+        raise InvalidArgumentError(f"a Gauss rule needs at least one node, got n = {n}")
     k = np.arange(1.0, n + 1.0)
     if kind == "hermite":
         diag, off = np.zeros(n), np.sqrt(k / 2.0)
@@ -330,12 +332,13 @@ def _half_line_rule(n: int, power: float, radius: float):
 
 
 def _tensor_rule(rules):
-    """Nodes (m, d), the last axis fastest, and weights of the tensor product
-    of the line rules (nodes_j, weights_j), j = 1..d."""
-    mesh = np.meshgrid(*[t for t, _ in rules], indexing="ij", copy=False)
-    nodes = np.stack(mesh, axis=-1).reshape(-1, len(rules))
-    weights = reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
-    return nodes, weights
+    """Nodes (..., m, d), the last axis fastest, and weights (..., m) of the tensor product
+    of the line rules (nodes_j, weights_j), each (..., n_j), one per leading index."""
+    d = len(rules)
+    others = [[i - d for i in range(d) if i != j] for j in range(d)]  # the trailing axes but j
+    nodes = np.stack(np.broadcast_arrays(*[np.expand_dims(t, a) for (t, _), a in zip(rules, others)]), axis=-1)
+    weights = reduce(np.multiply, [np.expand_dims(w, a) for (_, w), a in zip(rules, others)])
+    return nodes.reshape(nodes.shape[: -d - 1] + (-1, d)), weights.reshape(weights.shape[:-d] + (-1,))
 
 
 def mehta_constant(rs: RootSystem) -> float:

@@ -38,6 +38,7 @@ from .functions import PolyGauss, gaussian, standard_bump
 from .intertwine1d import (
     V_k_num,
     V_k_num_product,
+    _positive_integer,
     default_line_plan,
     dual_inverse_via_transform,
     eta_pairing,
@@ -388,7 +389,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     """Agreement of independent inversion routes and forward roundtrips."""
     plan = _line_plan(rs, grid_n)
     report = VerificationReport("inversion")
-    integer = rs.is_integer_case and rs.gamma >= 1
+    integer = _positive_integer(rs)
     report.env["integer_multiplicity"] = bool(integer)
 
     fs = [PolyGauss.monomial(m) for m in range(5)]
@@ -446,8 +447,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
 
 def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Pairings against the compactly supported representing distributions."""
-    line_gamma(rs)
-    if not (rs.is_integer_case and rs.gamma >= 1):
+    if not _positive_integer(rs):
         raise UnsupportedCaseError(
             "distributional pairings use the difference-operator route and "
             "need a positive integer multiplicity"
@@ -501,13 +501,12 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
 def support_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationReport:
     """Support preservation of the multiplier operators and the dual image."""
-    line_gamma(rs)
     report = VerificationReport("support")
     bump = standard_bump()
     outside = np.array([1.000001, 1.2, 1.7, 2.5, 4.0])
     outside = np.concatenate([outside, -outside])
 
-    if rs.is_integer_case and rs.gamma >= 1:
+    if _positive_integer(rs):
         pf = local_P(rs, bump)
         report.add(
             "multiplier-support",
@@ -553,7 +552,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     gam = line_gamma(rs)
     plan = _line_plan(rs, grid_n)
     report = VerificationReport("translation")
-    integer = rs.is_integer_case and rs.gamma >= 1
+    integer = _positive_integer(rs)
 
     fs = [gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)]
     ys = np.linspace(-3.0, 3.0, 25)

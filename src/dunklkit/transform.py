@@ -52,8 +52,8 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
     g = float(gamma)
     if g < 0:
         raise InvalidArgumentError("gamma must be nonnegative")
-    if n < 2 or radius <= 0:
-        raise InvalidArgumentError("need n >= 2 and radius > 0")
+    if n < 2 or not 0.0 < radius < math.inf:
+        raise InvalidArgumentError("need n >= 2 and a finite radius > 0")
     x_pos, w_pos = _half_line_rule(n, 2.0 * g, radius)
     nodes = np.concatenate([-x_pos[::-1], x_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
@@ -63,6 +63,8 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
 
 def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
     """Plain Gauss-Legendre grid on [-radius, radius]."""
+    if not 0.0 < radius < math.inf:
+        raise InvalidArgumentError("need a finite radius > 0")
     t, w = _gauss_rule("jacobi", n)
     return QuadratureGrid(radius * t, radius * w, 2.0 * radius)
 
@@ -269,8 +271,8 @@ def make_plan(rs: RootSystem, grid_n: Optional[int] = None, freq_radius: float =
     return TransformPlan(rs, space, space_plain, freq, freq_radius)
 
 
-def _axis_gammas(rs: RootSystem) -> list:
-    """The multiplicity on each coordinate axis, as floats.
+def _axis_gammas(rs: RootSystem, plan: TransformPlan = None) -> list:
+    """The multiplicity on each coordinate axis, as floats; a plan must be rs's.
 
     With line_gamma, this is where the numeric layers leave the exact
     multiplicities of a RootSystem.
@@ -284,6 +286,8 @@ def _axis_gammas(rs: RootSystem) -> list:
         raise UnsupportedCaseError(
             "numeric transforms exist only for products of one-dimensional factors"
         )
+    if plan is not None and not (plan.rs is rs or plan.rs == rs):
+        raise InvalidArgumentError("the plan was built for another root system")
     return [float(k) for _, k in profile]
 
 
@@ -355,7 +359,7 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
 
 def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan) -> np.ndarray:
     _refuse_growth(f, "dunkl_transform_many")
-    return _contract(plan, "space", _axis_gammas(rs), np.asarray(f(plan.space.nodes)), ys, -1j)
+    return _contract(plan, "space", _axis_gammas(rs, plan), np.asarray(f(plan.space.nodes)), ys, -1j)
 
 
 def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) -> complex:
@@ -366,7 +370,7 @@ def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) 
 
 def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan,
                        factors=None) -> np.ndarray:
-    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs), hvals_on_freq, xs, 1j, factors)
+    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs, plan), hvals_on_freq, xs, 1j, factors)
 
 
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:
@@ -402,7 +406,7 @@ def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128
     lam = 0 this is the normalized moment integral; at alpha = gamma - 1/2,
     times 2^(gamma+1/2) Gamma(gamma+1/2), the line transform of an even profile.
     """
-    if alpha < -0.5:
+    if not alpha >= -0.5:
         raise InvalidArgumentError("alpha must be >= -1/2")
     if n < 2 or not 0.0 < radius < math.inf:
         raise InvalidArgumentError("need n >= 2 and a finite radius > 0")
@@ -416,9 +420,10 @@ def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128
 def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
     """Weight-multiplier operator: conjugate multiplication by the weight
     with the plain Fourier transform, times the inversion scalar."""
+    d = len(_axis_gammas(rs, plan))
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
-    pref = p_multiplier_constant(rs) / (2.0 * math.pi) ** rs.dimension
-    return pref * _contract(plan, "freq", [None] * rs.dimension, hvals, xs, 1j)
+    pref = p_multiplier_constant(rs) / (2.0 * math.pi) ** d
+    return pref * _contract(plan, "freq", [None] * d, hvals, xs, 1j)
 
 
 def multiplier_P(rs: RootSystem, f: SampledFunction, x, plan: TransformPlan) -> float:

@@ -226,13 +226,16 @@ def test_dual_parity(rs_one):
     assert left == pytest.approx(-right, rel=1e-12)
 
 
-def test_sinhc_is_finite_at_and_near_zero():
-    s = np.array([0.0, 1e-9, 1.0])
-    out = intertwine1d._sinhc(s)
-    assert np.all(np.isfinite(out))
-    assert out[0] == 1.0
-    assert out[1] == 1.0 + s[1] ** 2 / 6.0
-    assert out[2] == pytest.approx(math.sinh(1.0), rel=1e-15)
+def test_a_point_just_inside_the_cutoff_gives_a_finite_value(rs_one, rs_product):
+    # there the substitution's range S = arccosh(14/|y|) is near 0, and so is every s/2 of its rule
+    inside = np.nextafter(14.0, 0.0)
+    f = lambda p: np.exp(-np.sum(p**2, axis=-1) / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = tV_k_num(rs_one, PolyGauss.create([0, 0, 0, 0, 1]), np.array([inside, -inside, 13.99]))
+        product = tV_k_num(rs_product, f, [(0.3, inside), (inside, -inside)])
+    assert np.all(np.isfinite(line)) and np.all(np.isfinite(product))
+    assert np.max(np.abs(line)) < 1e-30 and np.max(np.abs(product)) < 1e-30
 
 
 def test_dual_of_bump_vanishes_outside(rs_two):
@@ -539,25 +542,108 @@ def test_product_dual_matches_axis_factorization(rs_product, rs_one, rs_two):
     assert val == pytest.approx(ref, rel=1e-9)
 
 
-def test_product_dual_matches_its_point_loop_with_one_inner_pass_per_call(rs_product, monkeypatch):
-    f = lambda p: np.exp(-np.sum(p**2, axis=-1) / 2.0) * (1.0 + 0.3 * p[:, 0])
-    pts = [(0.4, 0.9), (-1.1, 0.0), (0.0, -0.5)]
+def test_product_dual_makes_one_call_and_matches_the_nested_loop(rs_product):
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return np.exp(-np.sum(p**2, axis=-1) / 2.0) * (1.0 + 0.3 * p[:, 0])
+
+    pts = [(0.4, 0.9), (-1.1, 0.0), (0.0, -0.5), (0.0, 0.0), (0.4, 0.9)]
 
     def loop(y1, y2):
         # the dual of the second axis at y2, one x1 at a time, under the dual of the first
         inner = lambda x1s: np.array([
-            tV_k_num(rank_one(2), lambda x2s: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1)), y2, n=40)
+            tV_k_num(rank_one(2), lambda x2s: f(np.stack([np.full_like(x2s, x1), x2s], axis=-1)), y2, n=30)
             for x1 in np.atleast_1d(x1s)
         ])
-        return tV_k_num(rank_one(1), inner, y1, n=40)
+        return tV_k_num(rank_one(1), inner, y1, n=30)
 
     ref = [loop(*p) for p in pts]
-    calls = []
-    original = intertwine1d.tV_k_num
-    monkeypatch.setattr(intertwine1d, "tV_k_num", lambda *a, **k: calls.append(1) or original(*a, **k))
-    np.testing.assert_array_equal(tV_k_num_product(rs_product, f, pts, n=40), ref)
-    # per point: the outer call, and one inner call for each of the outer pass's three f calls
-    assert len(calls) == 4 * len(pts)
+    calls.clear()
+    np.testing.assert_allclose(tV_k_num_product(rs_product, f, pts, n=30), ref, rtol=1e-13)
+    # the tail probe of the 8 points of {-14, 0, 14}^2 on its edge, then every node of the 4 distinct
+    # points, which fit in the node budget
+    assert calls == [8, 4 * 60 * 60]
+
+
+@pytest.mark.parametrize("ks", [(1, 2), (Fraction(1, 2), Fraction(7, 3))], ids=["1,2", "1/2,7/3"])
+def test_product_dual_matches_the_exact_dual_axis_by_axis(ks):
+    # separable input p1(x1) p2(x2) e^(-|x|^2/2): the dual is the product of the line duals
+    rs = axis_product(*ks)
+    y1, y2 = np.meshgrid(np.linspace(-3.0, 3.0, 5), np.array([-2.2, 0.0, 0.6, 3.1]), indexing="ij")
+    ys = np.stack([y1, y2], axis=-1)
+    for c1, c2 in [([1], [1]), ([0, 1], [2, -1, 3]), ([1, 0, -2], [0, 0, 0, 1])]:
+        p1, p2 = PolyGauss.create(c1), PolyGauss.create(c2)
+        ref = _exact_dual_values(rank_one(ks[0]), p1, y1) * _exact_dual_values(rank_one(ks[1]), p2, y2)
+        f = lambda p: p1(p[:, 0]) * p2(p[:, 1])
+        out = tV_k_num(rs, f, ys)
+        assert out.shape == y1.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_product_dual_refuses_a_function_decaying_along_one_axis_only(axis, rs_product):
+    f = lambda p: np.exp(-p[:, axis] ** 2)
+    with pytest.raises(AccuracyError, match="decays too slowly"):
+        tV_k_num_product(rs_product, f, [(0.3, 0.4)])
+
+
+def test_product_dual_gives_nan_at_a_nan_row_and_zero_beyond_the_cutoff(rs_product):
+    f = lambda p: np.exp(-np.sum(p**2, axis=-1) / 2.0)
+    pts = [(np.nan, 0.5), (0.3, np.nan), (15.0, 0.2), (0.2, -14.0), (0.2, np.inf), (-np.inf, 0.0), (0.3, 0.4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tV_k_num(rs_product, f, pts)
+    assert np.all(np.isnan(out[:2]))
+    np.testing.assert_array_equal(out[2:6], 0.0)
+    ref = tV_k_num(rank_one(1), gaussian(), 0.3) * tV_k_num(rank_one(2), gaussian(), 0.4)
+    assert out[6] == pytest.approx(ref, rel=1e-13)
+
+
+def test_product_dual_keeps_a_coordinate_of_multiplicity_zero():
+    # axis_product(0, 1) is the identity in x1 and the line dual in x2
+    g1 = PolyGauss.create([1, 2])
+    f = lambda p: g1(p[:, 0]) * gaussian()(p[:, 1])
+    pts = np.array([(0.7, 0.3), (-1.2, 0.0), (0.0, -2.0), (0.7, -2.0)])
+    out = tV_k_num(axis_product(0, 1), f, pts)
+    np.testing.assert_allclose(out, g1(pts[:, 0]) * tV_k_num(rank_one(1), gaussian(), pts[:, 1]), rtol=1e-14)
+    # with every multiplicity 0 the dual is f itself, called once on the points
+    np.testing.assert_array_equal(tV_k_num(axis_product(0, 0), f, pts), f(pts))
+
+
+def test_product_dual_on_three_axes():
+    f = lambda p: np.exp(-np.sum(p**2, axis=-1) / 2.0)
+    y = np.array([0.4, -0.9, 0.0])
+    val = tV_k_num(axis_product(1, 1, 1), f, y, n=12)
+    assert type(val) is float
+    ref = np.prod(tV_k_num(rank_one(1), gaussian(), y, n=12))
+    assert val == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("budget, batches", [(1000, [800, 800, 800, 400]), (100, [400] * 7)])
+def test_product_dual_batches_within_the_node_budget(budget, batches, rs_product, monkeypatch):
+    # 20 nodes per axis, 400 per point: two points a batch, or one when a point alone exceeds the budget
+    sizes = []
+
+    def f(p):
+        sizes.append(len(p))
+        return np.exp(-np.sum(p**2, axis=-1) / 2.0) * np.cos(p[:, 0] - p[:, 1])
+
+    pts = np.array([(0.4, 0.9), (-1.1, 0.0), (0.0, -0.5), (0.0, 0.0), (2.0, 1.5), (-0.3, 0.3), (1.0, -1.0)])
+    each = [tV_k_num(rs_product, f, p, n=10) for p in pts]
+    monkeypatch.setattr(intertwine1d, "_NODE_BUDGET", budget)
+    sizes.clear()
+    np.testing.assert_allclose(tV_k_num(rs_product, f, pts, n=10), each, rtol=1e-14)
+    assert sizes == [8] + batches
+
+
+def test_product_dual_refuses_points_off_the_last_axis(rs_product):
+    f = lambda p: np.exp(-np.sum(p**2, axis=-1))
+    with pytest.raises(InvalidArgumentError, match="last axis of length 2"):
+        tV_k_num(rs_product, f, np.zeros((2, 3)))
+    with pytest.raises(InvalidArgumentError, match="last axis of length 2"):
+        tV_k_num_product(rs_product, f, 0.5)
 
 
 # ----------------------------------------------------------------- properties

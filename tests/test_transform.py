@@ -11,6 +11,7 @@ from dunklkit.cli import parse_preset
 from dunklkit.convolution import convolve_many, translate_spectral_many
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
+from dunklkit.intertwine1d import V_k_num, default_line_plan, inv_V_via_P, mu_quadrature, tV_k_num
 from dunklkit.kernel import kernel_1d
 from dunklkit.rootsys import axis_product, mehta_constant, rank_one
 from dunklkit.suites import SuiteConfig, run_suite
@@ -195,6 +196,49 @@ def test_poly_growth_rejected_by_transform(entry, plan_one, rs_one):
     with pytest.raises(InvalidArgumentError, match="poly-growth"):
         GROWTH_ENTRY_POINTS[entry](rs_one, grows, plan_one)
     assert samples == []
+
+
+WRONG_PLAN_ENTRY_POINTS = {
+    "dunkl_transform_many": lambda rs, plan: dunkl_transform_many(rs, gaussian(), [0.5], plan),
+    "dunkl_inverse_many": lambda rs, plan: dunkl_inverse_many(rs, np.ones(len(plan.freq.nodes)), [0.5], plan),
+    "multiplier_P_many": lambda rs, plan: multiplier_P_many(rs, gaussian(), [0.5], plan),
+    "convolve_many": lambda rs, plan: convolve_many(rs, gaussian(), gaussian(), [0.5], plan),
+    "translate_spectral_many": lambda rs, plan: translate_spectral_many(rs, gaussian(), 0.3, [0.5], plan),
+    "inv_V_via_P": lambda rs, plan: inv_V_via_P(rs, gaussian(), [0.0, 0.5], plan),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_PLAN_ENTRY_POINTS)
+def test_a_plan_built_for_another_system_is_refused(entry, rs_one, rs_two, plan_two):
+    # the plan's own system, or an equal one, is served; another line or a product is refused by name
+    WRONG_PLAN_ENTRY_POINTS[entry](rank_one(2), plan_two)
+    for plan in (default_line_plan(rs_one), make_plan(axis_product(1, 2), grid_n=8)):
+        with pytest.raises(InvalidArgumentError, match="another root system"):
+            WRONG_PLAN_ENTRY_POINTS[entry](rs_two, plan)
+
+
+OUT_OF_DOMAIN = {
+    "V_k_num n=0": lambda: V_k_num(rank_one(1), np.cos, 0.5, n=0),
+    "V_k_num n=-3": lambda: V_k_num(rank_one(1), np.cos, 0.5, n=-3),
+    "tV_k_num n=0": lambda: tV_k_num(rank_one(1), gaussian(), 0.5, n=0),
+    "tV_k_num x_max=-14": lambda: tV_k_num(rank_one(1), gaussian(), 0.5, x_max=-14.0),
+    "tV_k_num x_max=nan": lambda: tV_k_num(rank_one(1), gaussian(), 0.5, x_max=math.nan),
+    "tV_k_num x_max=inf": lambda: tV_k_num(rank_one(1), gaussian(), 0.5, x_max=math.inf),
+    "mu_quadrature n=0": lambda: mu_quadrature(1.0, 0),
+    "plain_line_grid n=0": lambda: plain_line_grid(10.0, 0),
+    "plain_line_grid radius=-1": lambda: plain_line_grid(-1.0),
+    "plain_line_grid radius=nan": lambda: plain_line_grid(math.nan),
+    "weighted_line_grid radius=nan": lambda: weighted_line_grid(1.0, radius=math.nan),
+    "weighted_line_grid radius=inf": lambda: weighted_line_grid(1.0, radius=math.inf),
+    "make_plan freq_radius=nan": lambda: make_plan(rank_one(1), grid_n=8, freq_radius=math.nan),
+    "fourier_bessel alpha=nan": lambda: fourier_bessel(np.exp, 0.5, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN)
+def test_a_quadrature_size_or_radius_outside_the_domain_is_refused_by_name(call):
+    with pytest.raises(InvalidArgumentError):
+        OUT_OF_DOMAIN[call]()
 
 
 def test_bump_sampled_has_compact_decay():
