@@ -404,32 +404,43 @@ def tV_k_exact(rs: RootSystem, f: PolyGauss):
 
 def _inverse_entry(rs: RootSystem, f, x, plan, route):
     """The entry rule of the multiplier inverse paths: integrable input
-    only, the line's default plan unless one is given, the identity at
-    gamma = 0, and a float for one point.  route(plan, xs) does the rest."""
+    only, refused before any sampling, the line's default plan unless one
+    is given, the identity at gamma = 0, and a float for one point.  A
+    sequence of functions adds a leading function axis.  route(plan, fs, xs)
+    does the rest, one row per function."""
     g = line_gamma(rs)
-    if isinstance(f, SampledFunction) and not f.decay.integrable:
-        raise InvalidArgumentError(
-            "inverse paths need schwartz or compactly supported input"
-        )
+    fs = [f] if callable(f) else list(f)
+    for h in fs:
+        _refuse_growth(h, "an inverse path")
     if plan is None:
         plan = default_line_plan(rs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return _like(x, np.asarray(f(xs), dtype=float) if g == 0 else route(plan, xs))
+    out = np.array([np.asarray(h(xs), dtype=float) for h in fs]) if g == 0 else route(plan, fs, xs)
+    return _per_function(f, np.shape(x), out)
 
 
 def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the intertwining operator as multiplier after dual:
-    first apply the dual operator, then the Fourier-multiplier form."""
-    def route(plan, xs):
-        return np.real(multiplier_P_many(rs, lambda pts: tV_k_num(rs, f, pts), xs, plan))
+    first apply the dual operator, then the Fourier-multiplier form.
+
+    A sequence of functions adds a leading function axis.  Their duals come
+    from one tV_k_num call on the plan's plain space grid, so they share one
+    dual rule; each then takes its own multiplier.
+    """
+    def route(plan, fs, xs):
+        duals = tV_k_num(rs, fs, plan.space_plain.nodes)
+        # the multiplier samples its input on the plain space grid alone
+        return np.array([np.real(multiplier_P_many(rs, lambda pts, v=v: v, xs, plan)) for v in duals])
     return _inverse_entry(rs, f, x, plan, route)
 
 
 def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the dual operator: apply the multiplier form first, then
-    average over the intertwining measure."""
-    def route(plan, xs):
-        return V_k_num(rs, lambda pts: np.real(multiplier_P_many(rs, f, pts, plan)), xs)
+    average over the intertwining measure.  A sequence of functions adds a
+    leading function axis."""
+    def route(plan, fs, xs):
+        return np.array([V_k_num(rs, lambda pts, h=h: np.real(multiplier_P_many(rs, h, pts, plan)), xs)
+                         for h in fs])
     return _inverse_entry(rs, f, x, plan, route)
 
 

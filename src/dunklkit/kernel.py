@@ -153,6 +153,25 @@ def _hankel_i(alpha: float, y: np.ndarray) -> np.ndarray:
     return (scale * total * half) * half
 
 
+def _real_j(alpha: float, x: np.ndarray) -> np.ndarray:
+    """j_alpha(x) for finite x >= 0, each branch on its own points."""
+    vals = np.empty_like(x)
+    cut = max(4.0, alpha + 1.0) if alpha > 0 else 0.0
+    elementary = (x > cut) & float(alpha + 0.5).is_integer()
+    near = (x <= _SERIES_RADIUS) & ~elementary
+    far = (x >= 22.0 + alpha * alpha / 8.0) & ~elementary
+    # j_alpha(x) = 2^a Gamma(a+1) J_a(x) / x^a
+    for mask, branch in (
+        (elementary, _half_integer_j),
+        (near, lambda a, v: _bessel_series(a, v / 2.0, -1.0)),
+        (~(elementary | near | far), _miller_j),
+        (far, _hankel_j),
+    ):
+        if np.any(mask):
+            vals[mask] = branch(alpha, x[mask])
+    return vals
+
+
 def bessel_j_normalized(alpha: float, u):
     """j_alpha(u) = Gamma(alpha+1) sum (-1)^n (u/2)^(2n) / (n! Gamma(n+alpha+1)).
 
@@ -168,10 +187,24 @@ def bessel_j_normalized(alpha: float, u):
     arguments take the complex series, only while it is numerically safe
     (|u| <= 30).  Entries that are not finite give NaN.  Orders run from
     -1/2 to 170; any other order is an InvalidArgumentError.
+
+    A u of real dtype is never made complex: it gives a float array, or a
+    float for a scalar, bitwise equal to the real part of the complex-dtype
+    evaluation.  Complex u gives a complex array, or a complex for a scalar.
     """
     if not -0.5 <= alpha <= _MAX_ORDER:
         raise InvalidArgumentError(f"order must lie in [-1/2, {_MAX_ORDER:g}]")
-    arr = np.asarray(u, dtype=complex)
+    arr = np.asarray(u)
+    if arr.dtype.kind in "biuf":
+        x = np.atleast_1d(np.abs(arr.astype(float, copy=False)))
+        finite = np.isfinite(x)
+        if finite.all():  # no masked copy: a kernel matrix's grid is all finite
+            out = _real_j(alpha, x)
+        else:
+            out = np.full(x.shape, np.nan)
+            out[finite] = _real_j(alpha, x[finite])
+        return float(out[0]) if arr.ndim == 0 else out
+    arr = np.asarray(arr, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.empty(arr.shape, dtype=complex)
@@ -194,22 +227,7 @@ def bessel_j_normalized(alpha: float, u):
                     vals[mask] = branch(alpha, y[mask])
         out[is_imag] = vals
     if np.any(is_real):
-        x = re[is_real]
-        vals = np.empty_like(x)
-        cut = max(4.0, alpha + 1.0) if alpha > 0 else 0.0
-        elementary = (x > cut) & float(alpha + 0.5).is_integer()
-        near = (x <= _SERIES_RADIUS) & ~elementary
-        far = (x >= 22.0 + alpha * alpha / 8.0) & ~elementary
-        # j_alpha(x) = 2^a Gamma(a+1) J_a(x) / x^a, each branch on its own points
-        for mask, branch in (
-            (elementary, _half_integer_j),
-            (near, lambda a, v: _bessel_series(a, v / 2.0, -1.0)),
-            (~(elementary | near | far), _miller_j),
-            (far, _hankel_j),
-        ):
-            if np.any(mask):
-                vals[mask] = branch(alpha, x[mask])
-        out[is_real] = vals
+        out[is_real] = _real_j(alpha, re[is_real])
 
     m_gen = finite & ~is_real & ~is_imag
     if np.any(m_gen):

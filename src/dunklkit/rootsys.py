@@ -150,8 +150,8 @@ class RootSystem:
         return self.__dict__["_hash"]
 
     def __getstate__(self):
-        # the cached hash stays out of a pickle: tuple hashing may change between Pythons
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # the caches stay out of a pickle: tuple hashing may change between Pythons
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_axis_profile")}
 
     @property
     def gamma(self) -> Fraction:
@@ -177,16 +177,22 @@ class RootSystem:
         Returns a tuple of (scale, k) pairs, one per coordinate, with scale None
         and k = 0 on axes that carry no root; returns None when some root is not
         axis-aligned.  This is the product structure used by the closed-form
-        normalization and the one-dimensional factorizations.
+        normalization and the one-dimensional factorizations.  It is
+        computed once per instance, like the hash.
         """
-        profile: list = [(None, Fraction(0))] * self.dimension
-        for alpha, k in zip(self.positive_roots, self.multiplicities):
-            support = [j for j, c in enumerate(alpha) if c != 0]
-            if len(support) != 1:
-                return None
-            j = support[0]
-            profile[j] = (abs(alpha[j]), k)
-        return tuple(profile)
+        if "_axis_profile" not in self.__dict__:
+            profile = [(None, Fraction(0))] * self.dimension
+            for alpha, k in zip(self.positive_roots, self.multiplicities):
+                support = [j for j, c in enumerate(alpha) if c != 0]
+                if len(support) != 1:
+                    profile = None
+                    break
+                j = support[0]
+                profile[j] = (abs(alpha[j]), k)
+            else:
+                profile = tuple(profile)
+            object.__setattr__(self, "_axis_profile", profile)
+        return self.__dict__["_axis_profile"]
 
 
 def _parallel(a: Vector, b: Vector) -> bool:

@@ -395,7 +395,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     fs = [PolyGauss.monomial(m) for m in range(5)]
     xs = np.array([-2.3, -0.7, 0.0, 0.5, 1.4, 2.3])
 
-    path_p = [inv_V_via_P(rs, f, xs, plan) for f in fs]
+    path_p = inv_V_via_P(rs, fs, xs, plan)
     if integer:
         path_q = [inv_V_via_Q(rs, f, xs) for f in fs]
         report.add(
@@ -458,8 +458,7 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
     xs = [0.0, 0.5, 1.4, -2.0]
 
     gaps = []
-    for f in fs:
-        ref = inv_V_via_P(rs, f, np.array(xs), plan)
+    for f, ref in zip(fs, inv_V_via_P(rs, fs, np.array(xs), plan)):
         for x, r in zip(xs, ref):
             gaps.append(abs(eta_pairing(rs, x, f) - float(r)) / max(1.0, abs(float(r))))
     report.add(

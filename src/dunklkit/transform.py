@@ -405,15 +405,23 @@ def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128
     over [0, radius], with the power of r absorbed into n Jacobi nodes.  At
     lam = 0 this is the normalized moment integral; at alpha = gamma - 1/2,
     times 2^(gamma+1/2) Gamma(gamma+1/2), the line transform of an even profile.
+    lam is real, of any shape (complex lam is an InvalidArgumentError); the
+    Bessel factor is evaluated once per distinct |lam|, in real arithmetic,
+    and gathered back to lam's shape, bitwise equal to the evaluation at
+    every lam.
     """
     if not alpha >= -0.5:
         raise InvalidArgumentError("alpha must be >= -1/2")
     if n < 2 or not 0.0 < radius < math.inf:
         raise InvalidArgumentError("need n >= 2 and a finite radius > 0")
+    if np.iscomplexobj(lam):
+        raise InvalidArgumentError("lam must be real")
     r, wts = _half_line_rule(n, 2.0 * alpha + 1.0, radius)
-    vals = np.asarray(profile(r)) * np.real(bessel_j_normalized(alpha, np.multiply.outer(lam, r)))
+    # j_alpha is even and |lam r| = |lam| r, so one row per distinct |lam| serves every lam
+    mags, back = np.unique(np.abs(lam), return_inverse=True)
+    vals = np.asarray(profile(r)) * bessel_j_normalized(alpha, np.multiply.outer(mags, r))
     norm = 2.0**alpha * math.gamma(alpha + 1.0)
-    out = np.sum(wts * vals, axis=-1) / norm
+    out = (np.sum(wts * vals, axis=-1) / norm)[back.reshape(np.shape(lam))]
     return float(out) if np.ndim(lam) == 0 else out
 
 

@@ -423,6 +423,37 @@ def test_inverse_paths_agree(gamma, lines):
         assert np.max(np.abs(p_route - q_route)) < 1e-8
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0 / 3.0])
+def test_multiplier_inverses_on_a_sequence_are_bitwise_the_per_function_calls(gamma, lines, monkeypatch):
+    rs = lines[gamma]
+    plan = default_line_plan(rs, 48)
+    xs = np.array([-1.4, 0.0, 0.6, 1.9])
+    # the bump's declared support is its own cutoff, so the duals fall in two cutoff groups
+    fs = [PolyGauss.monomial(m) for m in range(3)] + [gaussian(), standard_bump().as_sampled()]
+    calls = []
+    tV = intertwine1d.tV_k_num
+    monkeypatch.setattr(intertwine1d, "tV_k_num", lambda *a, **k: calls.append(a) or tV(*a, **k))
+    together = inv_V_via_P(rs, fs, xs, plan)
+    assert len(calls) == 1  # one shared dual rule for the whole sequence
+    monkeypatch.undo()
+    for inverse, out in ((inv_V_via_P, together), (inv_tV_via_VkP, inv_tV_via_VkP(rs, fs, xs, plan))):
+        assert out.shape == (len(fs), xs.size)
+        for f, row in zip(fs, out):
+            assert row.tobytes() == inverse(rs, f, xs, plan).tobytes()
+        one = inverse(rs, fs, 0.6, plan)
+        assert one.shape == (len(fs),)
+        assert one.tolist() == [inverse(rs, f, 0.6, plan) for f in fs]
+
+
+def test_multiplier_inverses_at_gamma_zero_return_each_function():
+    rs = rank_one(0)
+    fs = [gaussian(), PolyGauss.monomial(1)]
+    xs = np.array([-1.0, 0.0, 0.5])
+    for inverse in (inv_V_via_P, inv_tV_via_VkP):
+        assert inverse(rs, fs, xs).tolist() == [f(xs).tolist() for f in fs]
+        assert inverse(rs, fs[1], 0.5) == fs[1](0.5)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_forward_roundtrip(gamma, lines):
     rs = lines[gamma]

@@ -237,6 +237,27 @@ def test_bessel_order_above_the_limit_is_refused_by_name(alpha, u):
         bessel_j_normalized(alpha, u)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 11 / 6, 17 / 6, 12.0])
+def test_bessel_real_dtype_stays_real_and_is_bitwise_the_complex_evaluation(alpha):
+    # -150..150 crosses every real branch: the series up to 4, Miller's recurrence,
+    # Hankel's expansion past 22 + alpha^2 / 8, and cos and sin for alpha = -1/2, 1/2
+    u = np.concatenate([np.linspace(-150.0, 150.0, 1201), -_U, _U, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bessel_j_normalized(alpha, u)
+        want = bessel_j_normalized(alpha, u.astype(complex))
+    assert got.dtype == np.float64 and got.shape == u.shape
+    assert got.tobytes() == np.ascontiguousarray(want.real).tobytes()
+    assert np.array_equal(np.isnan(got), ~np.isfinite(u))
+    grid = u[:1200].reshape(30, 40)
+    assert bessel_j_normalized(alpha, grid).tobytes() == got[:1200].tobytes()
+    for scalar in (2.5, np.float64(-30.0), 7, np.array(0.5)):
+        value = bessel_j_normalized(alpha, scalar)
+        assert type(value) is float and value == bessel_j_normalized(alpha, complex(scalar)).real
+    empty = bessel_j_normalized(alpha, np.empty((0, 3)))
+    assert empty.dtype == np.float64 and empty.shape == (0, 3)
+
+
 def test_bessel_imaginary_points_below_the_cut_take_the_series_only(monkeypatch):
     from dunklkit import kernel
 

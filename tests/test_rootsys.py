@@ -111,6 +111,23 @@ def test_equal_systems_hash_once_and_share_cache_entries(monkeypatch):
     assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: axis_product(1, Fraction(2, 3)),
+    lambda: rank_one(2),
+    lambda: RootSystem.create(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [1, 1, 1, 1]),  # B2: no product
+], ids=["product", "line", "B2"])
+def test_axis_profile_is_built_once_per_instance_and_stays_out_of_pickles(make):
+    rs, fresh = make(), make()
+    profile = rs.axis_profile()
+    assert rs.axis_profile() is profile
+    assert (profile is None) == (rs.dimension == 2 and len(rs.positive_roots) == 4)
+    # a pickle carries only the fields, and its copy builds the same profile again
+    assert pickle.dumps(rs) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(rs))
+    assert "_axis_profile" not in back.__dict__
+    assert back == rs and back.axis_profile() == profile
+
+
 def test_serialization_roundtrip(rs_product):
     data = root_system_to_dict(rs_product)
     back = root_system_from_dict(data)

@@ -11,7 +11,14 @@ from dunklkit.cli import parse_preset
 from dunklkit.convolution import convolve_many, translate_spectral_many
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
-from dunklkit.intertwine1d import V_k_num, default_line_plan, inv_V_via_P, mu_quadrature, tV_k_num
+from dunklkit.intertwine1d import (
+    V_k_num,
+    default_line_plan,
+    inv_tV_via_VkP,
+    inv_V_via_P,
+    mu_quadrature,
+    tV_k_num,
+)
 from dunklkit.kernel import kernel_1d
 from dunklkit.rootsys import axis_product, mehta_constant, rank_one
 from dunklkit.suites import SuiteConfig, run_suite
@@ -120,6 +127,37 @@ def test_fourier_bessel_gaussian_self_reciprocal():
             fourier_bessel(gauss, 0.5, 0.0, **bad)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 11 / 6])
+def test_fourier_bessel_evaluates_each_distinct_magnitude_once(alpha, monkeypatch):
+    from dunklkit import transform
+    from dunklkit.rootsys import _half_line_rule
+
+    gauss = lambda r: np.exp(-0.5 * r**2)
+    n = 64
+    r, wts = _half_line_rule(n, 2.0 * alpha + 1.0, 9.0)
+    norm = 2.0**alpha * math.gamma(alpha + 1.0)
+    lams = {
+        "symmetric": np.array([-1.9, -0.7, 0.0, 0.7, 1.9, -0.0]),
+        "2-D": np.array([[0.3, -2.5, 0.3], [2.5, 4.0, -0.3]]),
+        "scalar": -0.7,
+        "NaN-bearing": np.array([0.5, np.nan, -0.5, np.nan, 3.0]),
+    }
+    points = []
+    real_bessel = transform.bessel_j_normalized
+    monkeypatch.setattr(transform, "bessel_j_normalized",
+                        lambda a, u: points.append(np.size(u)) or real_bessel(a, u))
+    for name, lam in lams.items():
+        points.clear()
+        got = fourier_bessel(gauss, lam, alpha, radius=9.0, n=n)
+        assert np.shape(got) == np.shape(lam), name
+        assert points == [np.unique(np.abs(lam)).size * n], name
+        # every lam at its own point, and the entrywise formula on complex arguments
+        each = [fourier_bessel(gauss, v, alpha, radius=9.0, n=n) for v in np.ravel(lam)]
+        entrywise = [np.sum(wts * (gauss(r) * np.real(real_bessel(alpha, complex(v) * r)))) / norm
+                     for v in np.ravel(lam)]
+        assert np.ravel(got).tobytes() == np.array(each).tobytes() == np.array(entrywise).tobytes(), name
+
+
 def test_multiplier_P_is_negative_second_derivative(plan_one, rs_one):
     # at gamma = 1 the multiplier operator acts on nice even+odd data like
     # the prefactored local operator
@@ -185,6 +223,12 @@ GROWTH_ENTRY_POINTS = {
     "translate_spectral_many": lambda rs, f, plan: translate_spectral_many(rs, f, 0.3, [0.5], plan),
     "convolve_many-f": lambda rs, f, plan: convolve_many(rs, f, gaussian(), [0.5], plan),
     "convolve_many-g": lambda rs, f, plan: convolve_many(rs, gaussian(), f, [0.5], plan),
+    "inv_V_via_P": lambda rs, f, plan: inv_V_via_P(rs, f, [0.5], plan),
+    # the growing member comes second, and the first shares its evaluator: neither is sampled
+    "inv_V_via_P-sequence": lambda rs, f, plan: inv_V_via_P(
+        rs, [sampled(f.evaluator, DecayClass.schwartz()), f], [0.5], plan),
+    "inv_tV_via_VkP-sequence": lambda rs, f, plan: inv_tV_via_VkP(
+        rs, [sampled(f.evaluator, DecayClass.schwartz()), f], [0.5], plan),
 }
 
 
@@ -232,6 +276,9 @@ OUT_OF_DOMAIN = {
     "weighted_line_grid radius=inf": lambda: weighted_line_grid(1.0, radius=math.inf),
     "make_plan freq_radius=nan": lambda: make_plan(rank_one(1), grid_n=8, freq_radius=math.nan),
     "fourier_bessel alpha=nan": lambda: fourier_bessel(np.exp, 0.5, math.nan),
+    # |lam| would serve only real frequencies
+    "fourier_bessel lam=0.5j": lambda: fourier_bessel(np.exp, 0.5j, 0.0),
+    "fourier_bessel complex array": lambda: fourier_bessel(np.exp, np.array([0.5, 1.0 + 0.0j]), 0.0),
 }
 
 
