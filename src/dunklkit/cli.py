@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
         label=label,
         grid_n=pick("grid_n"),
         tol=pick("tol"),
-        seed=int(pick("seed", 0)),
+        seed=pick("seed", 0),
     )
     report = run_suite(config)
 

@@ -17,15 +17,15 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedCaseError
 from .functions import standard_bump
-from .intertwine1d import _per_function, default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
+from .intertwine1d import default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
 from .kernel import kernel_value
 from .report import VerificationReport, worst
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _points, _shaped
 from .transform import (
     TransformPlan,
     _axis_gammas,
     _contract,
-    _one_point,
+    _one_value,
     _refuse_growth,
     classical_fourier_many,
     dunkl_inverse_many,
@@ -45,10 +45,10 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     """Spectral translation tau_x f(y): the transform of f times K(ix, .),
     inverted at y.
 
-    x and ys broadcast against each other as pairs of points (points along
-    the last axis beyond the line), one value per pair.  One base point
-    translates onto every y through one multiplier; several are contracted
-    pair by pair against the plan's axis matrices K(t_j, i x_j).
+    x and ys broadcast against each other as pairs of points, one value per
+    pair.  One base point translates onto every y through one multiplier;
+    several are contracted pair by pair against the plan's axis matrices
+    K(t_j, i x_j).
     """
     gammas = _axis_gammas(rs)
     d = len(gammas)
@@ -57,19 +57,19 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
             raise InvalidArgumentError("a plan is required beyond one dimension")
         plan = default_line_plan(rs)
     hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
-    xs = np.asarray(x, dtype=float).reshape(-1, d)
+    (xs, sx), (pts, sy) = _points(x, d, float), _points(ys, d, float)
+    xv, yv = np.broadcast_arrays(xs.reshape(sx + (d,)), pts.reshape(sy + (d,)))
+    if len(xs) > 1:  # one row per pair on both sides
+        xs, pts = xv.reshape(-1, d), yv.reshape(-1, d)
     kx = [plan.axis_kernel("freq", j, g, 1j, xs[:, j]) for j, g in enumerate(gammas)]
     if len(xs) == 1:
-        mult = functools.reduce(np.multiply.outer, [k[:, 0] for k in kx]).reshape(-1)
-        return dunkl_inverse_many(rs, hv * mult, ys, plan)
-    pts = np.broadcast_to(np.asarray(ys, dtype=float).reshape(-1, d), xs.shape)
-    return dunkl_inverse_many(rs, hv, pts, plan, factors=kx)
+        hv, kx = hv * functools.reduce(np.multiply.outer, [k[:, 0] for k in kx]).reshape(-1), None
+    return _shaped(dunkl_inverse_many(rs, hv, pts, plan, factors=kx), xv.shape[:-1], None)
 
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
-    """Translation through the transform: multiply by K(ix, .) and invert."""
-    _axis_gammas(rs)  # a float multiplicity is refused by name before rs.dimension is read
-    return float(np.real(translate_spectral_many(rs, f, x, _one_point(rs, y), plan)[0]))
+    """Translation through the transform at the one pair (x, y): multiply by K(ix, .) and invert."""
+    return _one_value("translate_spectral", translate_spectral_many(rs, f, x, y, plan)).real
 
 
 def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: TransformPlan = None):
@@ -77,8 +77,7 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
     sum_ij w_i w_j (V_k^-1 f)(x t_i + y t_j) over the 48-node averaging rule
     (t, w).
 
-    x and y broadcast as pairs; one pair gives a float, arrays an array of
-    their broadcast shape; a sequence of functions f adds a leading axis.
+    x and y broadcast against each other as pairs of points.
     method "P" routes the inverse through the Fourier multiplier (any
     positive multiplicity): tV_k f is computed once per call for every f
     and Fourier transformed onto the plan's frequency nodes t_l, which makes
@@ -94,7 +93,8 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
     fs = [f] if callable(f) else list(f)
     t, w = mu_quadrature(g, 48)
-    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    (xs, sx), (ys, sy) = _points(x, 1, float), _points(y, 1, float)
+    xs, ys = np.broadcast_arrays(xs.reshape(sx), ys.reshape(sy))
     if method == "P":
         if plan is None:
             plan = default_line_plan(rs)
@@ -111,10 +111,10 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
         out = np.array([[w @ v @ w for v in per_pair] for per_pair in vals])
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    return _per_function(f, xs.shape, out)
+    return _shaped(out, xs.shape, f)
 
 
-def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.ndarray:
+def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None):
     """Weighted convolution of f and g at many points, on the line or an axis
     product: the inverse transform of Ff * Fg, see spectral_convolution.
 
@@ -127,7 +127,7 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None) -> np.nd
     return spectral_convolution(rs, hv_f, np.asarray(g(plan.space.nodes)), xs, plan)
 
 
-def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan) -> np.ndarray:
+def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan):
     """Weighted convolution at xs, from the transform hv_f of f on the plan's
     frequency nodes and the values gv of g on its space nodes.
 
@@ -142,8 +142,7 @@ def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan) -> n
 def convolve(rs: RootSystem, f, g, x, plan: TransformPlan = None) -> float:
     """Weighted convolution, the integral of tau_x f(-y) g(y) against the
     weight: convolve_many at the one point x."""
-    _axis_gammas(rs)  # a float multiplicity is refused by name before rs.dimension is read
-    return float(np.real(convolve_many(rs, f, g, _one_point(rs, x), plan)[0]))
+    return _one_value("convolve", convolve_many(rs, f, g, x, plan)).real
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +178,7 @@ def distribution_convolve(rs: RootSystem, S: ConcreteDistribution, phi, x,
     """S convolved with a test function: <S_y, tau_x phi(-y)>."""
     if plan is None:
         plan = default_line_plan(rs)
-    if S.kind == "point-mass":
-        return translate_spectral(rs, phi, x, -S.point, plan)
-    nodes = plan.space.nodes
-    tv = translate_spectral_many(rs, phi, x, -nodes, plan)
-    return float(np.real(np.sum(plan.space.weights * np.asarray(S.g(nodes)) * tv)))
+    return S.pair(lambda y: translate_spectral_many(rs, phi, x, -y, plan), plan).real
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +267,8 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
 
     bump = BumpProfile.create(rs)
     nodes = plan.space.nodes
-    weights = plan.space.weights
     gv = np.asarray(S.g(nodes))
-    base_pairs = [complex(np.sum(weights * gv * np.asarray(psi(nodes)))) for psi in _TEST_SET]
+    base_pairs = [S.pair(psi, plan) for psi in _TEST_SET]
 
     residuals = []
     m_fits = []
@@ -289,8 +283,9 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
         support_resids.append(np.abs(phi(outside)))
         # S * phi on the space grid through the plan's kernel matrices
         conv = spectral_convolution(rs, phi.transform_at(plan.freq.nodes), gv, nodes, plan)
+        mollified = ConcreteDistribution.weighted(lambda _: conv)
         residuals.append(worst([
-            abs(complex(np.sum(weights * conv * np.asarray(psi(nodes)))) - base) / max(1e-12, abs(base))
+            abs(mollified.pair(psi, plan) - base) / max(1e-12, abs(base))
             for psi, base in zip(_TEST_SET, base_pairs)
         ]))
         tv = phi.transform_at(ybox)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .functions import PolyGauss, SmoothBump
 from .polyexact import OperatorConstants, operator_prefactor, solve_exact
-from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _tensor_rule
+from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule
 from .transform import (
     SampledFunction,
     TransformPlan,
@@ -50,11 +50,6 @@ def default_line_plan(rs: RootSystem, grid_n: int = 160) -> TransformPlan:
     grid_n) for the life of the process; any other system is refused."""
     line_gamma(rs)
     return make_plan(rs, grid_n=grid_n, freq_radius=9.0)
-
-
-def _like(x, out):
-    """out for an array of points x; its one value as a float for a scalar x."""
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def mass_constant(gamma) -> float:
@@ -102,15 +97,14 @@ def mu_density(rs: RootSystem, x, y):
             "the measure at x = 0 is the point mass at 0; no density exists"
         )
     a = abs(float(x))
-    yy = np.asarray(y, dtype=float) * (1.0 if x > 0 else -1.0)
+    pts, shape = _points(y, 1, float)
+    yy = pts[:, 0] * (1.0 if x > 0 else -1.0)
     inside = np.abs(yy) < a
     out = np.where(np.isnan(yy) | math.isnan(a), np.nan, 0.0)
     c = mass_constant(g) * a ** (-2.0 * g)
     yi = yy[inside]
     out[inside] = c * (a - yi) ** (g - 1.0) * (a + yi) ** g
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    return _shaped(out, shape, None)
 
 
 @lru_cache(maxsize=64)
@@ -128,23 +122,22 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
     """Apply the intertwining operator of an axis product rs by quadrature
     over the tensor product of the line measures.
 
-    Points lie along the last axis of x; on the line x may also be a scalar
-    or an array of points.  One point gives a float.  f is called once, on
-    every point times every node.  At x = 0 the measure is the point mass at
-    0, and the result is f(0), read from that call at the last node.
+    f is one function or a sequence of them, each called once, on every
+    point times every node.  At x = 0 the measure is the point mass at 0, and the result is f(0), read
+    from that call at the last node.
     """
     gammas = _axis_gammas(rs)
     d = len(gammas)
-    arr = np.asarray(x, dtype=float)
-    if d > 1 and arr.shape[-1:] != (d,):
-        raise InvalidArgumentError(f"points of a {d}-axis product lie along a last axis of length {d}")
-    pts = arr.reshape(-1, d)
+    pts, shape = _points(x, d, float)
     # an axis with multiplicity 0 keeps its coordinate; the last node is positive on every axis
     t, w = _tensor_rule([mu_quadrature(g, n) if g else (np.ones(1), np.ones(1)) for g in gammas])
     args = pts[:, None, :] * t[None, :, :]
-    vals = np.asarray(f(args.reshape(-1) if d == 1 else args.reshape(-1, d))).reshape(args.shape[:2])
-    out = np.where(pts.any(axis=1), vals @ w, vals[:, -1]).reshape(arr.shape[: arr.ndim - (d > 1)])
-    return float(out) if out.ndim == 0 else out
+    flat = args.reshape(-1) if d == 1 else args.reshape(-1, d)
+
+    def average(h):
+        vals = np.asarray(h(flat)).reshape(args.shape[:2])
+        return np.where(pts.any(axis=1), vals @ w, vals[:, -1])
+    return _shaped([average(h) for h in ([f] if callable(f) else f)], shape, f)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +160,15 @@ class DualDensity:
     def __call__(self, x):
         g = line_gamma(self.rs)
         c = mass_constant(g)
-        xx = np.atleast_1d(np.asarray(x, dtype=float))
+        pts, shape = _points(x, 1, float)
+        xx = pts[:, 0]
         out = np.where(np.isnan(xx) | math.isnan(self.y), np.nan, 0.0)
         ok = np.isfinite(xx) & (np.abs(xx) > abs(self.y))
         a, sy = np.abs(xx[ok]), np.sign(xx[ok]) * self.y
         out[ok] = c * (a - sy) ** (g - 1.0) * (a + sy) ** g
         # the density tends to c |x|^(2 gamma - 1): 0, c or inf as gamma <, = or > 1/2
         out[np.isinf(xx) & math.isfinite(self.y)] = c * math.inf ** (2.0 * g - 1.0)
-        return _like(x, out)
+        return _shaped(out, shape, None)
 
     @property
     def support(self):
@@ -233,12 +227,6 @@ def _cutoff(gammas, f, x_max):
     return x_max
 
 
-def _per_function(f, shape, out):
-    """out in the point shape, less its function axis for one f; one point gives a float."""
-    out = out.reshape((len(out),) + shape)[0 if callable(f) else slice(None)]
-    return float(out) if out.ndim == 0 else out
-
-
 _NODE_BUDGET = 1 << 14  # nodes f sees at once; one point's rule has (2n)^d on d axes
 
 
@@ -246,28 +234,24 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     """Apply the dual intertwining operator of an axis product rs by
     quadrature, over the tensor product of one rule per axis.
 
-    Points lie along the last axis of y; on the line y may also be a scalar
-    or an array of points.  One point gives a float, a NaN point NaN.  An
-    axis of multiplicity 0 keeps its coordinate; on the others the integral
-    runs over {|t| >= |y_j|} up to the reach of f, beyond which a point,
-    infinite included, gives 0: the radius of a SampledFunction declared
-    compact, else x_max, where f must be negligible, which is verified.
+    A NaN point gives NaN.  An axis of multiplicity 0 keeps its coordinate;
+    on the others the integral runs over {|t| >= |y_j|} up to the reach of
+    f, beyond which a point, infinite included, gives 0: the radius of a
+    SampledFunction declared compact, else x_max, where f must be
+    negligible, which is verified.
 
-    A sequence of functions adds a leading function axis.  They share the
-    f-independent rule, built per cutoff on the distinct points in batches
-    of at most _NODE_BUDGET nodes, and each is called once per batch.
+    The functions of a sequence share the f-independent rule, built per
+    cutoff on the distinct points in batches of at most _NODE_BUDGET nodes,
+    and each is called once per batch.
     """
     gammas = _axis_gammas(rs)
     d = len(gammas)
     if not 0.0 < x_max < math.inf:
         raise InvalidArgumentError(f"x_max must be finite and positive, got {x_max}")
-    arr = np.asarray(y, dtype=float)
-    if d > 1 and arr.shape[-1:] != (d,):
-        raise InvalidArgumentError(f"points of a {d}-axis product lie along a last axis of length {d}")
-    shape, pts = arr.shape[: arr.ndim - (d > 1)], arr.reshape(-1, d)
+    pts, shape = _points(y, d, float)
     fs = [f] if callable(f) else list(f)
     if not any(gammas):
-        return _per_function(f, shape, np.array([h(pts[:, 0] if d == 1 else pts) for h in fs], dtype=float))
+        return _shaped(np.array([h(pts[:, 0] if d == 1 else pts) for h in fs], dtype=float), shape, f)
     nan = np.isnan(pts).any(axis=1)
     out = np.where(nan, np.nan, np.zeros((len(fs), 1)))  # no cutoff holds a NaN point, so it would read 0
     cutoffs = [_cutoff(gammas, h, x_max) for h in fs]
@@ -287,7 +271,7 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
                 fvals = np.asarray(fs[i](args)).reshape(weights.shape)
                 vals[row, at] = np.sum(weights * fvals, axis=-1)
         out[np.ix_(group, live)] = vals[:, back.reshape(-1)]
-    return _per_function(f, shape, out)
+    return _shaped(out, shape, f)
 
 
 def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
@@ -295,12 +279,12 @@ def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
     the Dunkl transform.  Used as a cross-check, not in the inverse paths."""
     if plan is None:
         plan = default_line_plan(rs)
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    ys, shape = _points(y, 1, float)
     grid = plain_line_grid(plan.freq_radius + 2.0, 2 * len(plan.space.nodes))
     hvals = dunkl_transform_many(rs, f, grid.nodes, plan)
-    phase = np.exp(1j * np.outer(grid.nodes, ys))
+    phase = np.exp(1j * np.outer(grid.nodes, ys[:, 0]))
     out = ((grid.weights * hvals) @ phase) / (2.0 * math.pi)
-    return _like(y, np.real(out))
+    return _shaped(np.real(out), shape, None)
 
 
 def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None):
@@ -308,9 +292,9 @@ def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None)
     classical Fourier transform."""
     if plan is None:
         plan = default_line_plan(rs)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs, shape = _points(x, 1, float)
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
-    return _like(x, np.real(dunkl_inverse_many(rs, hvals, xs, plan)))
+    return _shaped(np.real(dunkl_inverse_many(rs, hvals, xs, plan)), shape, None)
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +389,27 @@ def tV_k_exact(rs: RootSystem, f: PolyGauss):
 def _inverse_entry(rs: RootSystem, f, x, plan, route):
     """The entry rule of the multiplier inverse paths: integrable input
     only, refused before any sampling, the line's default plan unless one
-    is given, the identity at gamma = 0, and a float for one point.  A
-    sequence of functions adds a leading function axis.  route(plan, fs, xs)
-    does the rest, one row per function."""
+    is given, and the identity at gamma = 0.  route(plan, fs, xs) does the
+    rest, one row per function."""
     g = line_gamma(rs)
     fs = [f] if callable(f) else list(f)
     for h in fs:
         _refuse_growth(h, "an inverse path")
     if plan is None:
         plan = default_line_plan(rs)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    pts, shape = _points(x, 1, float)
+    xs = pts[:, 0]
     out = np.array([np.asarray(h(xs), dtype=float) for h in fs]) if g == 0 else route(plan, fs, xs)
-    return _per_function(f, np.shape(x), out)
+    return _shaped(out, shape, f)
 
 
 def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the intertwining operator as multiplier after dual:
     first apply the dual operator, then the Fourier-multiplier form.
 
-    A sequence of functions adds a leading function axis.  Their duals come
-    from one tV_k_num call on the plan's plain space grid, so they share one
-    dual rule; each then takes its own multiplier.
+    The duals of a sequence of functions come from one tV_k_num call on the
+    plan's plain space grid, so they share one dual rule; each then takes
+    its own multiplier.
     """
     def route(plan, fs, xs):
         duals = tV_k_num(rs, fs, plan.space_plain.nodes)
@@ -436,11 +420,10 @@ def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None):
 
 def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the dual operator: apply the multiplier form first, then
-    average over the intertwining measure.  A sequence of functions adds a
-    leading function axis."""
+    average over the intertwining measure, in one V_k_num call for every
+    function."""
     def route(plan, fs, xs):
-        return np.array([V_k_num(rs, lambda pts, h=h: np.real(multiplier_P_many(rs, h, pts, plan)), xs)
-                         for h in fs])
+        return V_k_num(rs, [lambda pts, h=h: np.real(multiplier_P_many(rs, h, pts, plan)) for h in fs], xs)
     return _inverse_entry(rs, f, x, plan, route)
 
 
@@ -459,15 +442,15 @@ def inv_V_via_Q(rs: RootSystem, f, x):
     SmoothBump), so the multiplier image is exact.  On a PolyGauss the dual
     is exact too (tV_k_exact), so V^(-1) f is a PolyGauss with exact
     coefficients, evaluated once on every point.  SmoothBump images take
-    the dual quadrature tV_k_num, in one pass for all of them.  A sequence
-    of functions gives a leading function axis.
+    the dual quadrature tV_k_num, in one pass for all of them.
     """
     fs = [f] if callable(f) else list(f)
     if not all(isinstance(h, (PolyGauss, SmoothBump)) for h in fs):
         raise UnsupportedCaseError(
             "this path needs a function family closed under the Dunkl operator"
         )
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    pts, shape = _points(x, 1, float)
+    xs = pts[:, 0]
     out = np.empty((len(fs),) + xs.shape)
     bumps = [i for i, h in enumerate(fs) if isinstance(h, SmoothBump)]
     for i, h in enumerate(fs):
@@ -476,7 +459,7 @@ def inv_V_via_Q(rs: RootSystem, f, x):
     if bumps:
         # a bump's image keeps the support [-1, 1], which fixes its cutoff
         out[bumps] = tV_k_num(rs, [local_Q(rs, fs[i]).as_sampled() for i in bumps], xs)
-    return _per_function(f, np.shape(x), out)
+    return _shaped(out, shape, f)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
 from .polyexact import intertwine_matrix, monomial_basis
 from .report import VerificationReport, worst
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _points, _shaped
 
 _SERIES_RADIUS = 4.0
 # Gamma(alpha + 1) in the Miller and Hankel branches overflows double precision past alpha = 170.6
@@ -347,28 +347,18 @@ def _as_vector(x, dimension: int) -> np.ndarray:
     return arr
 
 
-def _as_points(x, dimension: int) -> np.ndarray:
-    """Points along the last axis; on the line a scalar or (m,) array also works."""
-    arr = np.asarray(x, dtype=complex)
-    if dimension == 1 and arr.ndim <= 1:
-        arr = arr[..., None]
-    if arr.ndim == 0 or arr.shape[-1] != dimension:
-        raise InvalidArgumentError(f"expected points of dimension {dimension} along the last axis")
-    return arr
-
-
 def kernel_value(rs: RootSystem, x, z):
-    """K(x, z) for points x and real or purely imaginary vectors z.
+    """K(x, z) for points x and real or purely imaginary vectors z, complex.
 
-    Points lie along the last axis: an (m, d) batch, or (m,) when d = 1,
-    gives an (m,) array; a single point (a (d,) vector, or a scalar when
-    d = 1) gives a complex.  x and z broadcast against each other.  Product
-    systems factor into one-dimensional kernels (the reflection part of each
-    factor only sees its own coordinate), one kernel_1d call per axis over
-    the whole batch; anything else goes through the moment series row by row.
+    x and z broadcast against each other as points (README, Points and
+    functions).  Product systems factor into one-dimensional kernels (the
+    reflection part of each factor only sees its own coordinate), one
+    kernel_1d call per axis over the whole batch; anything else goes
+    through the moment series row by row.
     """
     d = rs.dimension
-    xv, zv = np.broadcast_arrays(_as_points(x, d), _as_points(z, d))
+    (px, sx), (pz, sz) = _points(x, d, complex), _points(z, d, complex)
+    xv, zv = np.broadcast_arrays(px.reshape(sx + (d,)), pz.reshape(sz + (d,)))
     profile = rs.axis_profile()
     if profile is not None:
         out = kernel_1d(profile[0][1], xv[..., 0], zv[..., 0])
@@ -376,8 +366,8 @@ def kernel_value(rs: RootSystem, x, z):
             out = out * kernel_1d(profile[j][1], xv[..., j], zv[..., j])
     else:
         rows = [kernel_series(rs, a, b) for a, b in zip(xv.reshape(-1, d), zv.reshape(-1, d))]
-        out = np.array(rows, dtype=complex).reshape(xv.shape[:-1])
-    return complex(out) if np.ndim(out) == 0 else out
+        out = np.array(rows, dtype=complex)
+    return _shaped(np.reshape(out, -1), xv.shape[:-1], None)
 
 
 @lru_cache(maxsize=None)
@@ -446,13 +436,6 @@ def kernel_series(rs: RootSystem, x, z) -> complex:
     )
 
 
-def _stack(points, dimension: int) -> np.ndarray:
-    rows = [np.asarray(p, dtype=float).reshape(-1) for p in points]
-    if any(r.size != dimension for r in rows):
-        raise InvalidArgumentError("sample dimension mismatch")
-    return np.array(rows).reshape(len(rows), dimension)
-
-
 def check_bounds(rs: RootSystem, samples) -> VerificationReport:
     """Boundedness and invariance checks on a sample set of real pairs (x, y).
 
@@ -465,8 +448,8 @@ def check_bounds(rs: RootSystem, samples) -> VerificationReport:
     """
     tol = _TOLERANCE
     pairs = list(samples)
-    X = _stack([x for x, _ in pairs], rs.dimension)
-    Y = _stack([y for _, y in pairs], rs.dimension)
+    X = _points([x for x, _ in pairs], rs.dimension, float)[0]
+    Y = _points([y for _, y in pairs], rs.dimension, float)[0]
     report = VerificationReport(suite="kernel-bounds", env={"samples": len(pairs), "tol": tol})
 
     # K(ix, y) = K(x, iy), and only the second form has a series path

@@ -255,21 +255,48 @@ def _check_invariance(rs: RootSystem, group: ReflectionGroup):
                 )
 
 
-def weight(rs: RootSystem, x):
-    """The reflection-invariant weight prod |<alpha, x>|^(2 k(alpha)).
+def _points(x, dimension: int, dtype):
+    """The (m, dimension) points of x, of dtype, and the shape they have in x.
 
-    Accepts a single point (scalar for d = 1, length-d sequence otherwise) and
-    returns a float, or an (m, d) array (m-vector for d = 1) and returns an
-    m-vector.
+    This is the one point convention of the numeric layers.  Points lie along
+    a last axis of length dimension.  On the line x may also be a scalar or
+    an array with one point per entry, except that an array of two or more
+    axes whose last axis has length 1 holds its points along that axis.
+    Anything else is an InvalidArgumentError.
     """
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 0 or (arr.ndim == 1 and rs.dimension > 1)
-    pts = arr.reshape(-1, rs.dimension)
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        arr = None  # not an array of numbers
+    if arr is not None and dimension == 1 and (arr.ndim < 2 or arr.shape[-1] != 1):
+        return arr.reshape(-1, 1), arr.shape
+    if arr is None or arr.ndim == 0 or arr.shape[-1] != dimension:
+        got = "no array of numbers" if arr is None else f"shape {arr.shape}"
+        raise InvalidArgumentError(
+            f"points of dimension {dimension} lie along a last axis of length {dimension}; got {got}")
+    return arr.reshape(-1, dimension), arr.shape[:-1]
+
+
+def _shaped(values, shape, f):
+    """values, whose last axis holds the points, in the point shape.
+
+    A leading function axis stays for a sequence of functions f and goes for
+    one callable f; f None has none.  One point, shape (), gives a Python
+    scalar.
+    """
+    values = np.asarray(values)[0] if callable(f) else np.asarray(values)
+    out = values.reshape(values.shape[:-1] + tuple(shape))
+    return out.item() if out.ndim == 0 else out
+
+
+def weight(rs: RootSystem, x):
+    """The reflection-invariant weight prod |<alpha, x>|^(2 k(alpha)) at points x."""
+    pts, shape = _points(x, rs.dimension, float)
     out = np.ones(pts.shape[0])
     for alpha, k in zip(rs.positive_roots, rs.multiplicities):
         a = np.array([float(c) for c in alpha])
         out *= np.abs(pts @ a) ** (2 * float(k))
-    return float(out[0]) if single else out
+    return _shaped(out, shape, None)
 
 
 def weight_exact(rs: RootSystem, x: Sequence) -> Fraction:

@@ -16,6 +16,7 @@ passing.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,7 +398,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
 
     path_p = inv_V_via_P(rs, fs, xs, plan)
     if integer:
-        path_q = [inv_V_via_Q(rs, f, xs) for f in fs]
+        path_q = inv_V_via_Q(rs, fs, xs)
         report.add(
             "inverse-paths-agree",
             "multiplier route and difference-operator route to V^(-1) agree",
@@ -405,13 +406,11 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
             1e-5,
         )
 
-    backs = []
-    for f in fs:
-        if integer:
-            handle = lambda pts, f=f: inv_V_via_Q(rs, f, pts)
-        else:
-            handle = lambda pts, f=f: inv_V_via_P(rs, f, pts, plan)
-        backs.append(np.abs(V_k_num(rs, handle, xs, n=64) - f(xs)))
+    if integer:
+        handles = [lambda pts, f=f: inv_V_via_Q(rs, f, pts) for f in fs]
+    else:
+        handles = [lambda pts, f=f: inv_V_via_P(rs, f, pts, plan) for f in fs]
+    backs = np.abs(V_k_num(rs, handles, xs, n=64) - [f(xs) for f in fs])
     report.add(
         "forward-roundtrip",
         "V applied after V^(-1) returns the input on Hermite-type functions",
@@ -420,8 +419,8 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     rels = [
-        _rel(inv_tV_via_VkP(rs, f, xs, plan), np.real(dual_inverse_via_transform(rs, f, xs, plan)))
-        for f in fs
+        _rel(path, np.real(dual_inverse_via_transform(rs, f, xs, plan)))
+        for f, path in zip(fs, inv_tV_via_VkP(rs, fs, xs, plan))
     ]
     report.add(
         "dual-inverse-paths-agree",
@@ -703,12 +702,14 @@ class SuiteConfig:
             raise InvalidArgumentError(
                 f"unknown suite {self.suite!r}; available: {', '.join(suite_names())}"
             )
-        if self.grid_n is not None and self.grid_n < 8:
-            raise InvalidArgumentError("grid size must be at least 8")
-        if self.tol is not None and not self.tol > 0:
-            raise InvalidArgumentError("tolerance must be positive")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be non-negative")
+        # a mistyped value must not reach NumPy, and a bool is not a number here
+        for name, kind, valid, what in (("grid_n", numbers.Integral, lambda v: v >= 8, "an integer of at least 8"),
+                                        ("tol", numbers.Real, lambda v: v > 0, "a positive real number"),
+                                        ("seed", numbers.Integral, lambda v: v >= 0, "a non-negative integer")):
+            value = getattr(self, name)
+            if (value is not None or name == "seed") and (
+                    isinstance(value, bool) or not isinstance(value, kind) or not valid(value)):
+                raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:

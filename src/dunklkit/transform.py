@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from .kernel import bessel_j_normalized, kernel_1d
-from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _tensor_rule, mehta_constant
+from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule, mehta_constant
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +154,19 @@ def _refuse_growth(f, op: str):
         )
 
 
-def _require_integrable(f: SampledFunction, op: str, dimension: int = 1):
+def _require_integrable(f: SampledFunction, op: str, dimension: int):
     if not isinstance(f, SampledFunction):
         raise InvalidArgumentError(f"{op} expects a SampledFunction")
     _refuse_growth(f, op)
     check_decay(f, dimension)
+
+
+def _one_value(op: str, value):
+    """The value of the scalar form op, from its _many form: refused unless
+    one point gave it, which the return rule makes a Python scalar."""
+    if isinstance(value, np.ndarray):
+        raise InvalidArgumentError(f"{op} takes one point; {op}_many takes an array of points")
+    return value
 
 
 # A schwartz function larger than this on its declared radius draws a warning.
@@ -321,18 +329,13 @@ def p_multiplier_constant(rs: RootSystem) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _one_point(rs: RootSystem, y) -> list:
-    """The one-point target list of a scalar transform at y."""
-    return [y] if rs.dimension == 1 else [list(np.atleast_1d(y))]
-
-
 def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, factors=None):
     """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
     Targets equal to the nodes of a plan tensor grid give the values on that
     grid by sum factorization: the tensor W of weighted values becomes
     F_1^T W F_2 in two dimensions, F_j the axis matrices.  Other targets are
-    a list of points, contracted from the last axis to the first.  gamma None
+    points, contracted from the last axis to the first.  gamma None
     on every axis gives the plain Fourier integral: the gamma = 0 kernel is
     exp(x y).  factors, one (n_j, m) matrix per axis for m target points,
     multiply the axis matrices entrywise, so each target point is contracted
@@ -340,62 +343,60 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
     """
     d = len(gammas)
     fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
-    ys = np.asarray(ys, dtype=float)
+    pts, shape = _points(ys, d, float)
     tensor = d > 1 and factors is None and next(
-        (g for g in _PLAN_GRIDS if np.array_equal(ys, getattr(plan, g).nodes)), None)
+        (g for g in _PLAN_GRIDS if np.array_equal(pts, getattr(plan, g).nodes)), None)
     if tensor:
         for j, gam in enumerate(gammas):
             fw = np.tensordot(fw, plan.axis_kernel(grid, j, gam, side, plan.axis_nodes(tensor, j)), axes=(0, 0))
-        return fw.reshape(-1)
-    pts = ys.reshape(-1, d)
+        return _shaped(fw.reshape(-1), shape, None)
     mats = [plan.axis_kernel(grid, j, gam, side, pts[:, j]) for j, gam in enumerate(gammas)]
     if factors is not None:
         mats = [mat * factor for mat, factor in zip(mats, factors)]
     out = fw @ mats[-1]
     for mat in reversed(mats[:-1]):
         out = np.einsum("...am,am->...m", out, mat)
-    return out
+    return _shaped(out, shape, None)
 
 
-def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan) -> np.ndarray:
+def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan):
     _refuse_growth(f, "dunkl_transform_many")
     return _contract(plan, "space", _axis_gammas(rs, plan), np.asarray(f(plan.space.nodes)), ys, -1j)
 
 
 def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) -> complex:
-    """Weighted integral of f against K(x, -i y)."""
+    """Weighted integral of f against K(x, -i y) at the one point y."""
     _require_integrable(f, "dunkl_transform", rs.dimension)
-    return complex(dunkl_transform_many(rs, f, _one_point(rs, y), plan)[0])
+    return _one_value("dunkl_transform", dunkl_transform_many(rs, f, y, plan))
 
 
 def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan,
-                       factors=None) -> np.ndarray:
+                       factors=None):
     return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs, plan), hvals_on_freq, xs, 1j, factors)
 
 
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:
-    """Inverse transform; h must decay (schwartz or compact)."""
+    """Inverse transform at the one point x; h must decay (schwartz or compact)."""
     _require_integrable(h, "dunkl_inverse", rs.dimension)
-    hvals = np.asarray(h.evaluator(plan.freq.nodes))
-    return complex(dunkl_inverse_many(rs, hvals, _one_point(rs, x), plan)[0])
+    return _one_value("dunkl_inverse", dunkl_inverse_many(rs, np.asarray(h.evaluator(plan.freq.nodes)), x, plan))
 
 
-def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
+def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan):
     """Forward transform sampled on the frequency grid, then inverted at xs."""
     hvals = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
     return dunkl_inverse_many(rs, hvals, xs, plan)
 
 
-def classical_fourier_many(f, ys, plan: TransformPlan) -> np.ndarray:
+def classical_fourier_many(f, ys, plan: TransformPlan):
     _refuse_growth(f, "classical_fourier_many")
     fvals = np.asarray(f(plan.space_plain.nodes))
     return _contract(plan, "space_plain", [None] * plan.rs.dimension, fvals, ys, -1j)
 
 
 def classical_fourier(f: SampledFunction, y, plan: TransformPlan) -> complex:
-    """Plain Fourier integral with kernel exp(-i <x, y>) and no prefactor."""
+    """Plain Fourier integral with kernel exp(-i <x, y>) and no prefactor, at the one point y."""
     _require_integrable(f, "classical_fourier", plan.rs.dimension)
-    return complex(classical_fourier_many(f, _one_point(plan.rs, y), plan)[0])
+    return _one_value("classical_fourier", classical_fourier_many(f, y, plan))
 
 
 def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128):
@@ -425,7 +426,7 @@ def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128
     return float(out) if np.ndim(lam) == 0 else out
 
 
-def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
+def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan):
     """Weight-multiplier operator: conjugate multiplication by the weight
     with the plain Fourier transform, times the inversion scalar."""
     d = len(_axis_gammas(rs, plan))
@@ -435,8 +436,9 @@ def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan) -> np.ndarray:
 
 
 def multiplier_P(rs: RootSystem, f: SampledFunction, x, plan: TransformPlan) -> float:
+    """multiplier_P_many at the one point x, real."""
     _require_integrable(f, "multiplier_P", rs.dimension)
-    val = multiplier_P_many(rs, f, _one_point(rs, x), plan)[0]
+    val = _one_value("multiplier_P", multiplier_P_many(rs, f, x, plan))
     if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
         warnings.warn("multiplier_P produced a significant imaginary part", AccuracyWarning)
     return float(val.real)

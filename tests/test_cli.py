@@ -164,6 +164,17 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid_n", "64"), ("grid_n", 64.5), ("grid_n", True), ("tol", "1e-3"), ("tol", False),
+    ("seed", "x"), ("seed", 1.0), ("seed", None),
+])
+def test_config_value_of_the_wrong_type_is_refused_by_name(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "kernel", "preset": "z2:1", key: value}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+
+
 def test_config_inline_root_system(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

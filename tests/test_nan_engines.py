@@ -1,10 +1,11 @@
 """A NaN from any numeric engine must fail a check or raise a dunklkit error.
 
 Each engine a suite calls is patched, in every dunklkit module that bound
-it, to compute its real value and hand back NaN in its place.  A call
-counter finds the suite x preset cases that reach the engine; each of them
-must then fail a check or raise a DunklKitError, and no check may pass with
-a NaN residual.
+it, to compute its real value and hand back NaN in its place.  One plain
+sweep with a call counter on every engine finds the suite x preset cases
+that reach each engine; a patched run is the plain run up to the engine's
+first call, so it reaches the same cases.  Each of them must then fail a
+check or raise a DunklKitError, and no check may pass with a NaN residual.
 """
 
 import math
@@ -75,8 +76,45 @@ def _fresh_caches(monkeypatch):
         _rebind(monkeypatch, cached, lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__))
 
 
+CASES = [(suite, preset) for preset in PRESETS for suite in suite_names()]
+
+
+def _run(monkeypatch, suite, preset):
+    """The report of one case, with empty engine caches; None if it raised a DunklKitError."""
+    _fresh_caches(monkeypatch)
+    try:
+        with np.errstate(all="ignore"):
+            return run_suite(SuiteConfig(suite, parse_preset(preset)))
+    except DunklKitError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def _reached():
+    """Every engine's cases, in CASES order, from one plain sweep that counts the calls of all ten."""
+    calls = dict.fromkeys(ENGINES, 0)
+    reached = {engine: [] for engine in ENGINES}
+    with pytest.MonkeyPatch.context() as patched:
+        for engine, module in ENGINES.items():
+            original = getattr(sys.modules[f"dunklkit.{module}"], engine)
+
+            def counted(*args, _engine=engine, _original=original, **kwargs):
+                calls[_engine] += 1
+                return _original(*args, **kwargs)
+
+            _rebind(patched, original, counted)
+        for suite, preset in CASES:
+            calls.update(dict.fromkeys(ENGINES, 0))
+            _run(patched, suite, preset)
+            for engine, count in calls.items():
+                if count:
+                    reached[engine].append((suite, preset))
+    return reached
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_nan_engine_fails_every_case_that_reaches_it(engine, monkeypatch):
+    reached = _reached()[engine]
     original = getattr(sys.modules[f"dunklkit.{ENGINES[engine]}"], engine)
     calls = []
 
@@ -85,26 +123,18 @@ def test_a_nan_engine_fails_every_case_that_reaches_it(engine, monkeypatch):
         return _nan_like(original(*args, **kwargs))
 
     _rebind(monkeypatch, original, nan_engine)
-    reached = []
-    for preset in PRESETS:
-        for suite in suite_names():
-            _fresh_caches(monkeypatch)
-            calls.clear()
-            case = f"{suite}@{preset}"
-            try:
-                with np.errstate(all="ignore"):
-                    report = run_suite(SuiteConfig(suite, parse_preset(preset)))
-            except DunklKitError:
-                reached += [case] if calls else []
-                continue
-            if not calls:
-                continue
-            reached.append(case)
-            nan_passes = [c.id for c in report.checks if math.isnan(c.residual) and c.passed]
-            assert not nan_passes, f"{case}: {nan_passes} pass on NaN"
-            assert not report.all_passed, f"{case} passes with a NaN {engine}"
+    for suite, preset in reached:
+        calls.clear()
+        case = f"{suite}@{preset}"
+        report = _run(monkeypatch, suite, preset)
+        assert calls, f"{case} reached {engine} in the plain sweep only"
+        if report is None:
+            continue
+        nan_passes = [c.id for c in report.checks if math.isnan(c.residual) and c.passed]
+        assert not nan_passes, f"{case}: {nan_passes} pass on NaN"
+        assert not report.all_passed, f"{case} passes with a NaN {engine}"
     assert reached, f"no suite reaches {engine}"
-    assert MUST_REACH.get(engine, set()) <= set(reached), engine
+    assert MUST_REACH.get(engine, set()) <= {f"{suite}@{preset}" for suite, preset in reached}, engine
 
 
 def test_a_nan_engine_leaves_no_poisoned_plan(monkeypatch):

@@ -205,10 +205,15 @@ def test_scalar_twins_sample_decay_in_every_coordinate():
     y = [0.3, -0.2, 0.5]
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
-        assert dunkl_transform(rs, f, y, plan) == dunkl_transform_many(rs, f, [y], plan)[0]
-        assert dunkl_inverse(rs, f, y, plan) == dunkl_inverse_many(rs, f(plan.freq.nodes), [y], plan)[0]
-        assert classical_fourier(f, y, plan) == classical_fourier_many(f, [y], plan)[0]
-        assert multiplier_P(rs, f, y, plan) == multiplier_P_many(rs, f, [y], plan)[0].real
+        # each twin is its _many form at the one point, which is a Python complex
+        for twin, many in [
+            (dunkl_transform(rs, f, y, plan), lambda ys: dunkl_transform_many(rs, f, ys, plan)),
+            (dunkl_inverse(rs, f, y, plan), lambda ys: dunkl_inverse_many(rs, f(plan.freq.nodes), ys, plan)),
+            (classical_fourier(f, y, plan), lambda ys: classical_fourier_many(f, ys, plan)),
+            (multiplier_P(rs, f, y, plan), lambda ys: multiplier_P_many(rs, f, ys, plan).real),
+        ]:
+            assert twin == many([y])[0] == many(y)
+            assert type(many(y)) in (float, complex)
     slow = sampled(lambda p: np.exp(-np.sqrt(np.sum(p**2, axis=-1))), DecayClass.schwartz(), "slow")
     with pytest.warns(AccuracyWarning, match="slow"):
         dunkl_transform(rs, slow, y, plan)
@@ -240,6 +245,158 @@ def test_poly_growth_rejected_by_transform(entry, plan_one, rs_one):
     with pytest.raises(InvalidArgumentError, match="poly-growth"):
         GROWTH_ENTRY_POINTS[entry](rs_one, grows, plan_one)
     assert samples == []
+
+
+def _entry_points(rs, plan):
+    """name -> (call of points x, whether each value is computed from its own point alone).
+
+    The others contract through a matrix product, whose rounding may depend
+    on how many points share it.
+    """
+    from dunklkit.convolution import translate_measure
+    from dunklkit.intertwine1d import DualDensity, dual_inverse_via_transform, dual_via_transform, inv_V_via_Q
+    from dunklkit.intertwine1d import mu_density
+    from dunklkit.kernel import kernel_value
+    from dunklkit.rootsys import weight
+
+    d = rs.dimension
+    f = sampled(lambda p: np.exp(-np.sum(np.reshape(p, (len(p), -1)) ** 2, axis=-1)), DecayClass.schwartz())
+    base = 0.7 if d == 1 else [0.7, -0.2]
+    calls = {
+        "weight": (lambda x: weight(rs, x), True),
+        "kernel_value": (lambda x: kernel_value(rs, x, base), True),
+        "dunkl_transform_many": (lambda x: dunkl_transform_many(rs, f, x, plan), False),
+        "dunkl_inverse_many": (lambda x: dunkl_inverse_many(rs, f(plan.freq.nodes), x, plan), False),
+        "classical_fourier_many": (lambda x: classical_fourier_many(f, x, plan), False),
+        "multiplier_P_many": (lambda x: multiplier_P_many(rs, f, x, plan), False),
+        "dunkl_roundtrip_many": (lambda x: dunkl_roundtrip_many(rs, f, x, plan), False),
+        "convolve_many": (lambda x: convolve_many(rs, f, f, x, plan), False),
+        "translate_spectral_many y": (lambda x: translate_spectral_many(rs, f, base, x, plan), False),
+        "translate_spectral_many x": (lambda x: translate_spectral_many(rs, f, x, base, plan), False),
+        "V_k_num": (lambda x: V_k_num(rs, f, x, n=16), False),
+        "tV_k_num": (lambda x: tV_k_num(rs, f, x, n=16), True),
+    }
+    if d == 1:
+        g = PolyGauss.monomial(1)
+        calls.update({
+            "translate_measure": (lambda x: translate_measure(rs, g, x, base, plan=plan), False),
+            "inv_V_via_P": (lambda x: inv_V_via_P(rs, g, x, plan), False),
+            "inv_tV_via_VkP": (lambda x: inv_tV_via_VkP(rs, g, x, plan), False),
+            "inv_V_via_Q": (lambda x: inv_V_via_Q(rs, g, x), True),
+            "dual_via_transform": (lambda x: dual_via_transform(rs, g, x, plan), False),
+            "dual_inverse_via_transform": (lambda x: dual_inverse_via_transform(rs, g, x, plan), False),
+            "mu_density": (lambda x: mu_density(rs, 1.3, x), True),
+            "DualDensity": (lambda x: DualDensity(rs, 0.4)(x), True),
+        })
+    return calls
+
+
+RETURN_RULE = [("line", name) for name in _entry_points(rank_one(1), None)] + [
+    ("product", name) for name in _entry_points(axis_product(1, 2), None)]
+
+
+@pytest.fixture(scope="module")
+def return_rule_cases(rs_one, plan_one, rs_product):
+    return {"line": _entry_points(rs_one, plan_one),
+            "product": _entry_points(rs_product, make_plan(rs_product, grid_n=8))}
+
+
+@pytest.mark.parametrize("system, name", RETURN_RULE)
+def test_one_point_gives_a_scalar_and_a_batch_keeps_its_shape(system, name, return_rule_cases):
+    call, pointwise = return_rule_cases[system][name]
+    point = 0.3 if system == "line" else np.array([0.3, -0.4])
+    batch = np.array([[0.5, -1.2, 0.3], [2.0, 0.3, 1.1]])
+    if system == "product":
+        batch = np.stack([batch, -0.5 * batch], axis=-1)
+        batch[0, 2] = point
+    value, values = call(point), call(batch)
+    assert type(value) in (float, complex)
+    assert values.shape == (2, 3)
+    # bitwise the value of a one-point batch, and of any batch where each value is the point's own
+    assert value == call(point[None] if system == "product" else [point])[0]
+    if pointwise:
+        assert value == values[0, 2]
+    assert abs(value - values[0, 2]) <= 1e-14 * max(1.0, abs(value))
+    if system == "line":  # a batch along a last axis of length 1
+        assert call(batch[..., None]).shape == (2, 3)
+
+
+@pytest.mark.parametrize("name", ["V_k_num", "tV_k_num", "inv_V_via_P", "inv_tV_via_VkP", "inv_V_via_Q",
+                                  "translate_measure"])
+def test_a_sequence_of_functions_adds_a_leading_axis(name, rs_one, plan_one):
+    from dunklkit.convolution import translate_measure
+    from dunklkit.intertwine1d import inv_V_via_Q
+
+    call = {
+        "V_k_num": lambda f, x: V_k_num(rs_one, f, x),
+        "tV_k_num": lambda f, x: tV_k_num(rs_one, f, x),
+        "inv_V_via_P": lambda f, x: inv_V_via_P(rs_one, f, x, plan_one),
+        "inv_tV_via_VkP": lambda f, x: inv_tV_via_VkP(rs_one, f, x, plan_one),
+        "inv_V_via_Q": lambda f, x: inv_V_via_Q(rs_one, f, x),
+        "translate_measure": lambda f, x: translate_measure(rs_one, f, x, 0.4, plan=plan_one),
+    }[name]
+    fs = [PolyGauss.monomial(m) for m in range(3)]
+    batch = np.array([[0.5, -1.2, 0.3], [2.0, 0.3, 1.1]])
+    values = call(fs, batch)
+    assert values.shape == (3, 2, 3)
+    assert call(fs, 0.3).shape == (3,)
+    assert call(fs[:1], 0.3).shape == (1,)
+    for f, row in zip(fs, values):
+        np.testing.assert_array_equal(row, call(f, batch))
+
+
+def _points_refused(rs, plan):
+    """Calls of the entry points that serve rs with points that are not points of rs."""
+    from dunklkit.convolution import convolve, translate_spectral
+    from dunklkit.rootsys import weight
+    from dunklkit.transform import classical_fourier, dunkl_inverse, dunkl_transform, multiplier_P
+
+    d = rs.dimension
+    f = sampled(lambda p: np.exp(-np.sum(np.reshape(p, (len(p), -1)) ** 2, axis=-1)), DecayClass.schwartz())
+    one = 0.3 if d == 1 else [0.3] * d
+    many = {
+        "dunkl_transform_many": lambda y: dunkl_transform_many(rs, f, y, plan),
+        "dunkl_inverse_many": lambda y: dunkl_inverse_many(rs, f(plan.freq.nodes), y, plan),
+        "classical_fourier_many": lambda y: classical_fourier_many(f, y, plan),
+        "multiplier_P_many": lambda y: multiplier_P_many(rs, f, y, plan),
+        "dunkl_roundtrip_many": lambda y: dunkl_roundtrip_many(rs, f, y, plan),
+        "convolve_many": lambda y: convolve_many(rs, f, f, y, plan),
+        "translate_spectral_many": lambda y: translate_spectral_many(rs, f, one, y, plan),
+        "weight": lambda y: weight(rs, y),
+    }
+    twins = {
+        "dunkl_transform": lambda y: dunkl_transform(rs, f, y, plan),
+        "dunkl_inverse": lambda y: dunkl_inverse(rs, f, y, plan),
+        "classical_fourier": lambda y: classical_fourier(f, y, plan),
+        "multiplier_P": lambda y: multiplier_P(rs, f, y, plan),
+        "translate_spectral": lambda y: translate_spectral(rs, f, one, y, plan),
+        "translate_spectral x": lambda x: translate_spectral(rs, f, x, one, plan),
+        "convolve": lambda y: convolve(rs, f, f, y, plan),
+    }
+    if d == 1:
+        return {f"{name} at two points": lambda call=call: call([0.5, 1.0]) for name, call in twins.items()}
+    calls = {f"{name} at a scalar": lambda call=call: call(0.5) for name, call in twins.items()}
+    for shape in [(4, 3), (6,)]:
+        calls.update({f"{name} {shape}": lambda call=call, shape=shape: call(np.ones(shape))
+                      for name, call in many.items()})
+    return calls
+
+
+REFUSED_POINTS = [("line", name) for name in _points_refused(rank_one(1), None)] + [
+    ("product", name) for name in _points_refused(axis_product(1, 2), None)]
+
+
+@pytest.fixture(scope="module")
+def refusal_cases(rs_one, plan_one, rs_product):
+    return {"line": _points_refused(rs_one, plan_one),
+            "product": _points_refused(rs_product, make_plan(rs_product, grid_n=8))}
+
+
+@pytest.mark.parametrize("system, call", REFUSED_POINTS)
+def test_points_that_are_not_points_of_the_system_are_refused_by_name(system, call, refusal_cases):
+    # a (4, 3) batch on a plane is not 6 points, and a scalar form serves exactly one point
+    with pytest.raises(InvalidArgumentError):
+        refusal_cases[system][call]()
 
 
 WRONG_PLAN_ENTRY_POINTS = {
