@@ -20,7 +20,7 @@ from .functions import standard_bump
 from .intertwine1d import default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
 from .kernel import kernel_value
 from .report import VerificationReport, worst
-from .rootsys import RootSystem, _points, _shaped
+from .rootsys import RootSystem, _paired, _points, _shaped
 from .transform import (
     TransformPlan,
     _axis_gammas,
@@ -57,14 +57,13 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
             raise InvalidArgumentError("a plan is required beyond one dimension")
         plan = default_line_plan(rs)
     hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
-    (xs, sx), (pts, sy) = _points(x, d, float), _points(ys, d, float)
-    xv, yv = np.broadcast_arrays(xs.reshape(sx + (d,)), pts.reshape(sy + (d,)))
-    if len(xs) > 1:  # one row per pair on both sides
-        xs, pts = xv.reshape(-1, d), yv.reshape(-1, d)
+    px = _points(x, d, float)
+    xv, pts, shape = _paired(px, _points(ys, d, float))
+    xs = xv if len(px[0]) > 1 else px[0]  # one row per pair, or the one base point
     kx = [plan.axis_kernel("freq", j, g, 1j, xs[:, j]) for j, g in enumerate(gammas)]
     if len(xs) == 1:
         hv, kx = hv * functools.reduce(np.multiply.outer, [k[:, 0] for k in kx]).reshape(-1), None
-    return _shaped(dunkl_inverse_many(rs, hv, pts, plan, factors=kx), xv.shape[:-1], None)
+    return _shaped(dunkl_inverse_many(rs, hv, pts, plan, factors=kx), shape, None)
 
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
@@ -93,25 +92,25 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
     fs = [f] if callable(f) else list(f)
     t, w = mu_quadrature(g, 48)
-    (xs, sx), (ys, sy) = _points(x, 1, float), _points(y, 1, float)
-    xs, ys = np.broadcast_arrays(xs.reshape(sx), ys.reshape(sy))
+    xs, ys, shape = _paired(_points(x, 1, float), _points(y, 1, float))
+    xs, ys = xs[:, 0], ys[:, 0]
     if method == "P":
         if plan is None:
             plan = default_line_plan(rs)
         coef = [plan.freq.weights * classical_fourier_many(lambda _: tv, plan.freq.nodes, plan)
                 for tv in tV_k_num(rs, fs, plan.space_plain.nodes)]
-        base = np.concatenate([xs.reshape(-1), ys.reshape(-1)])
+        base = np.concatenate([xs, ys])
         avg = np.exp(1j * np.multiply.outer(plan.freq.nodes, np.multiply.outer(base, t))) @ w
         ax, ay = np.split(avg, 2, axis=1)
         pref = p_multiplier_constant(rs) / (2.0 * math.pi)
         out = np.array([pref * np.real(c @ (ax * ay)) for c in coef])
     elif method == "Q":
-        pts = np.multiply.outer(xs.reshape(-1), t)[:, :, None] + np.multiply.outer(ys.reshape(-1), t)[:, None, :]
+        pts = np.multiply.outer(xs, t)[:, :, None] + np.multiply.outer(ys, t)[:, None, :]
         vals = inv_V_via_Q(rs, fs, pts.reshape(-1)).reshape((len(fs),) + pts.shape)
         out = np.array([[w @ v @ w for v in per_pair] for per_pair in vals])
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    return _shaped(out, xs.shape, f)
+    return _shaped(out, shape, f)
 
 
 def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None):

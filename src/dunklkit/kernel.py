@@ -2,22 +2,22 @@
 
 The one-dimensional kernel is a two-term combination of normalized Bessel
 functions.  The general kernel is the generating series of intertwined powers
-of a linear form, summed with an explicit tail bound.  Second arguments are
-real or purely imaginary vectors; the one-dimensional closed form also accepts
-general complex scalars of moderate size through the Bessel series.
+of a linear form, run by Dunkl's Euler recursion with a tail bound per point.
+Second arguments are real or purely imaginary vectors; the one-dimensional
+closed form also accepts general complex scalars of moderate size through
+the Bessel series.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
-from .polyexact import intertwine_matrix, monomial_basis
+from .polyexact import _euler_inverse
 from .report import VerificationReport, worst
-from .rootsys import RootSystem, _points, _shaped
+from .rootsys import RootSystem, _paired, _points, _shaped
 
 _SERIES_RADIUS = 4.0
 # Gamma(alpha + 1) in the Miller and Hankel branches overflows double precision past alpha = 170.6
@@ -340,13 +340,6 @@ def kernel_1d_dz(gamma, z, t):
     return _finite_or_raise("kernel_1d_dz", val, zz, tt)
 
 
-def _as_vector(x, dimension: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=complex).reshape(-1)
-    if arr.size != dimension:
-        raise InvalidArgumentError(f"expected a point of dimension {dimension}")
-    return arr
-
-
 def kernel_value(rs: RootSystem, x, z):
     """K(x, z) for points x and real or purely imaginary vectors z, complex.
 
@@ -354,86 +347,74 @@ def kernel_value(rs: RootSystem, x, z):
     functions).  Product systems factor into one-dimensional kernels (the
     reflection part of each factor only sees its own coordinate), one
     kernel_1d call per axis over the whole batch; anything else goes
-    through the moment series row by row.
+    through one kernel_series call over the whole batch.
     """
     d = rs.dimension
-    (px, sx), (pz, sz) = _points(x, d, complex), _points(z, d, complex)
-    xv, zv = np.broadcast_arrays(px.reshape(sx + (d,)), pz.reshape(sz + (d,)))
+    xs, zs, shape = _paired(_points(x, d, complex), _points(z, d, complex))
     profile = rs.axis_profile()
     if profile is not None:
-        out = kernel_1d(profile[0][1], xv[..., 0], zv[..., 0])
+        out = kernel_1d(profile[0][1], xs[:, 0], zs[:, 0])
         for j in range(1, d):
-            out = out * kernel_1d(profile[j][1], xv[..., j], zv[..., j])
+            out = out * kernel_1d(profile[j][1], xs[:, j], zs[:, j])
     else:
-        rows = [kernel_series(rs, a, b) for a, b in zip(xv.reshape(-1, d), zv.reshape(-1, d))]
-        out = np.array(rows, dtype=complex)
-    return _shaped(np.reshape(out, -1), xv.shape[:-1], None)
+        out = kernel_series(rs, xs, zs)
+    return _shaped(np.reshape(out, -1), shape, None)
 
 
-@lru_cache(maxsize=None)
-def _intertwine_matrix_float(rs: RootSystem, degree: int) -> np.ndarray:
-    mat = intertwine_matrix(rs, degree)
-    return np.array([[float(v) for v in row] for row in mat])
+def kernel_series(rs: RootSystem, x, z):
+    """K(x, z) = sum_n V(<., z>^n / n!)(x) for real x and real or purely
+    imaginary z (z = i v takes v's terms times i^n); complex, batched as
+    points (README, Points and functions), so one point gives a complex.
 
-
-def _multinomial_coeffs(exponents, v: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(len(exponents))
-    for i, e in enumerate(exponents):
-        c = math.factorial(n)
-        mono = 1.0
-        for ei, vi in zip(e, v):
-            c //= math.factorial(ei)
-            mono *= vi**ei
-        out[i] = c * mono
-    return out
-
-
-def kernel_series(rs: RootSystem, x, z) -> complex:
-    """K(x, z) as the series of intertwined powers of <., z>.
-
-    The n-th term applies the exact degree-n intertwining matrix to the
-    coefficients of <y, z>^n / n! and evaluates at x.  The tail is bounded by
-    the exponential remainder with ratio |x||z|; if the bound cannot be pushed
-    below 1e-12 within 40 terms, an accuracy error is raised rather than
-    returning an uncertified value.
+    The terms run Dunkl's Euler recursion on the orbit vector
+    Q_n = (q_n(w x)) over w in rs.group(): Q_n = U_n diag(<w x, v>) Q_(n-1),
+    U_n the float copy of polyexact._euler_inverse(rs, n), O(|W|^2) per term
+    and point.  Each point stops at the first n whose tail bound
+    r^(n+1) / ((n+1)! (1 - r/(n+2))), r = |x||z|, is at most 1e-12, as it
+    would alone, so each row of a batch is bitwise the one-point call.  A
+    point whose bound stays above 1e-12 after 40 terms raises an accuracy
+    error before any term is summed, rather than an uncertified value.
     """
-    xv = np.real_if_close(_as_vector(x, rs.dimension))
-    if np.iscomplexobj(xv) and np.max(np.abs(xv.imag)) > 1e-14 * max(1.0, np.max(np.abs(xv))):
+    d = rs.dimension
+    xs, zs, shape = _paired(_points(x, d, complex), _points(z, d, complex))
+    if np.any(np.max(np.abs(xs.imag), axis=-1) > 1e-14 * np.maximum(1.0, np.max(np.abs(xs), axis=-1))):
         raise UnsupportedCaseError("series path needs a real first argument")
-    xv = xv.real.astype(float)
-    zv = _as_vector(z, rs.dimension)
-    scale = max(1.0, float(np.max(np.abs(zv)))) if zv.size else 1.0
-    if np.max(np.abs(zv.imag)) <= 1e-14 * scale:
-        factor, v = 1.0 + 0j, zv.real.astype(float)
-    elif np.max(np.abs(zv.real)) <= 1e-14 * scale:
-        factor, v = 1j, zv.imag.astype(float)
-    else:
-        raise UnsupportedCaseError(
-            "series path supports real or purely imaginary second arguments"
-        )
-    r = float(np.linalg.norm(xv) * np.linalg.norm(v))
-    total = complex(1.0)
-    fact = 1.0
-    phase = complex(1.0)
+    scale = 1e-14 * np.maximum(1.0, np.max(np.abs(zs), axis=-1))
+    real = np.max(np.abs(zs.imag), axis=-1) <= scale
+    if not np.all(real | (np.max(np.abs(zs.real), axis=-1) <= scale)):
+        raise UnsupportedCaseError("series path supports real or purely imaginary second arguments")
+    xs, vs = xs.real, np.where(real[:, None], zs.real, zs.imag)
+    r = np.linalg.norm(xs, axis=-1) * np.linalg.norm(vs, axis=-1)
+    stop = np.zeros(len(r), dtype=int)
     for n in range(1, _TRUNCATION + 1):
-        basis = monomial_basis(rs.dimension, n)
-        coeffs = _multinomial_coeffs(basis, v, n)
-        image = _intertwine_matrix_float(rs, n) @ coeffs
-        mono_vals = np.array([np.prod(xv**np.array(e)) for e in basis])
-        moment = float(image @ mono_vals)
-        fact *= n
-        phase *= factor
-        total += phase * moment / fact
-        if r < n + 2:
-            tail = r ** (n + 1) / (math.factorial(n + 1) * (1.0 - r / (n + 2)))
-            if tail <= _TOLERANCE:
-                return total
-    tail = float("inf") if r >= _TRUNCATION + 2 else r ** (_TRUNCATION + 1) / math.factorial(_TRUNCATION + 1)
-    raise AccuracyError(
-        f"kernel series truncation tail exceeds {_TOLERANCE:g} after {_TRUNCATION} terms; "
-        "shrink the arguments",
-        residual=tail,
-    )
+        pending = np.flatnonzero((stop == 0) & (r < n + 2))
+        tail = r[pending] ** (n + 1) / (float(math.factorial(n + 1)) * (1.0 - r[pending] / (n + 2)))
+        stop[pending[tail <= _TOLERANCE]] = n
+    if np.any(stop == 0):
+        r = float(np.max(r[stop == 0]))
+        tail = float("inf") if r >= _TRUNCATION + 2 else r ** (_TRUNCATION + 1) / math.factorial(_TRUNCATION + 1)
+        raise AccuracyError(
+            f"kernel series truncation tail exceeds {_TOLERANCE:g} after {_TRUNCATION} terms; "
+            "shrink the arguments",
+            residual=tail,
+        )
+    group = np.array(rs.group().elements, dtype=float)
+    ident = int(np.flatnonzero(np.all(group == np.eye(d), axis=(1, 2)))[0])
+    # <w x, v> per point and group element; every sum runs in a fixed order, so rows do not mix
+    wx = sum(group[:, :, j] * xs[:, None, j : j + 1] for j in range(d))
+    proj = sum(wx[:, :, i] * vs[:, None, i] for i in range(d))
+    q = np.ones_like(proj)
+    total = np.ones(len(xs), dtype=complex)
+    factor = np.where(real, 1.0 + 0j, 1j)
+    phase = factor
+    for n in range(1, int(np.max(stop, initial=0)) + 1):
+        u = np.array(_euler_inverse(rs, n), dtype=float)
+        weighted = proj * q  # diag(<w x, v>) Q_(n-1), then U_n times it column by column
+        q = sum(u[:, v] * weighted[:, v : v + 1] for v in range(len(u)))
+        live = n <= stop
+        total[live] += phase[live] * q[live, ident]
+        phase = phase * factor
+    return _shaped(total, shape, None)
 
 
 def check_bounds(rs: RootSystem, samples) -> VerificationReport:
@@ -445,9 +426,12 @@ def check_bounds(rs: RootSystem, samples) -> VerificationReport:
     exceptions: each check carries the largest observed excess over its
     bound, and a NaN kernel value makes that residual NaN.  Each bound is
     met within the series tolerance 1e-12, group invariance within 1e-11.
+    An empty sample set is an InvalidArgumentError: no check passes on no evidence.
     """
     tol = _TOLERANCE
     pairs = list(samples)
+    if not pairs:
+        raise InvalidArgumentError("check_bounds needs at least one sample pair (x, y)")
     X = _points([x for x, _ in pairs], rs.dimension, float)[0]
     Y = _points([y for _, y in pairs], rs.dimension, float)[0]
     report = VerificationReport(suite="kernel-bounds", env={"samples": len(pairs), "tol": tol})

@@ -1,10 +1,11 @@
 """Exact polynomial calculus for Dunkl operators.
 
 Polynomials carry Fraction coefficients, so the transmutation identities can
-be asserted with zero residual.  The intertwining operator is realized degree
-by degree as the unique solution of an exact linear system, and its inverse is
-the exact matrix inverse.  V, V^(-1) and the Dunkl operators act term by term,
-from cached exact images of single monomials.
+be asserted with zero residual.  V and V^(-1) are built monomial by monomial
+from Dunkl's Euler identity sum_i x_i T_i = n + gamma - S on degree n, so
+T_j V = V d_j and V^(-1) V = 1 are consequences to check, not the equations
+that built V.  V, V^(-1) and the Dunkl operators act term by term, from
+cached exact images of single monomials.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedCaseError,
 )
-from .rootsys import RootSystem, rational, reflection_matrix
+from .rootsys import RootSystem, close_group, identity_matrix, mat_mul, rational, reflection_matrix
 
 Exponents = tuple[int, ...]
 
@@ -179,34 +180,31 @@ class RationalPoly:
         return RationalPoly(self.dimension, terms)
 
     def compose_linear(self, m) -> "RationalPoly":
-        """p(M x) for a rational square matrix M given as rows."""
-        forms = [
-            RationalPoly(
-                self.dimension,
-                {
-                    tuple(1 if jj == j else 0 for jj in range(self.dimension)): rational(m[i][j])
-                    for j in range(self.dimension)
-                    if rational(m[i][j]) != 0
-                },
-            )
-            for i in range(self.dimension)
-        ]
-        powers: dict[tuple[int, int], RationalPoly] = {}
+        """p(M x) for a rational square matrix M given as rows.
 
-        def power(i, n):
-            if n == 0:
-                return RationalPoly.constant(self.dimension, 1)
-            key = (i, n)
-            if key not in powers:
-                powers[key] = power(i, n - 1) * forms[i]
-            return powers[key]
-
-        out = RationalPoly.zero(self.dimension)
+        A signed permutation M, as every element of the preset groups,
+        relabels and signs each exponent; any other M expands each term in
+        powers of the linear forms (M x)_i.
+        """
+        d = self.dimension
+        cols = [[j for j in range(d) if m[i][j] != 0] for i in range(d)]
+        if all(len(js) == 1 and abs(m[i][js[0]]) == 1 for i, js in enumerate(cols)):
+            terms = {}
+            for e, c in self.terms.items():
+                f = [0] * d
+                for i, p in enumerate(e):
+                    f[cols[i][0]] = p
+                    c = -c if p % 2 and m[i][cols[i][0]] < 0 else c
+                terms[tuple(f)] = c
+            return RationalPoly(d, terms)
+        forms = [RationalPoly(d, {tuple(int(i == j) for i in range(d)): m[r][j] for j in range(d)}) for r in range(d)]
+        powers, out = [[form] for form in forms], RationalPoly.zero(d)  # powers[i][p - 1] = form_i^p
         for e, c in self.terms.items():
-            term = RationalPoly.constant(self.dimension, c)
+            term = RationalPoly.constant(d, c)
             for i, p in enumerate(e):
-                if p:
-                    term = term * power(i, p)
+                while len(powers[i]) < p:
+                    powers[i].append(powers[i][-1] * forms[i])
+                term = term * powers[i][p - 1] if p else term
             out = out + term
         return out
 
@@ -323,106 +321,112 @@ def directional_apply(rs: RootSystem, alpha, p: RationalPoly, dunkl: bool) -> Ra
 def solve_exact(a_rows, b_rows):
     """Solve A X = B exactly for A of full column rank; B holds stacked columns.
 
-    a_rows: m x n Fractions, b_rows: m x r.  Raises when the system is
-    rank-deficient or inconsistent.
+    a_rows: m x n rationals, b_rows: m x r.  The rows of [A | B] are scaled to
+    integers and eliminated without division, each reduced by its gcd.
+    Raises when the system is rank-deficient or inconsistent.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
-    r = len(b_rows[0]) if b_rows else 0
-    aug = [list(a_rows[i]) + list(b_rows[i]) for i in range(m)]
-    row = 0
+    aug = []
+    for a, b in zip(a_rows, b_rows):
+        row = [rational(v) for v in (*a, *b)]
+        scale = math.lcm(*(v.denominator for v in row))
+        aug.append([v.numerator * (scale // v.denominator) for v in row])
     for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
         if piv is None:
             raise InternalInvariantError("rank-deficient system in exact solve")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col]
         for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    for i in range(row, m):
-        if any(v != 0 for v in aug[i][n:]):
-            raise InternalInvariantError("inconsistent system in exact solve")
-    return [aug[i][n:] for i in range(n)]
-
-
-def invert_exact(m_rows):
-    n = len(m_rows)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return solve_exact(m_rows, eye)
+            f = aug[i][col]
+            if i != col and f != 0:
+                row = [p[col] * a - f * b for a, b in zip(aug[i], p)]
+                g = math.gcd(*row) or 1
+                aug[i] = [v // g for v in row]
+    if any(v != 0 for row in aug[n:] for v in row[n:]):
+        raise InternalInvariantError("inconsistent system in exact solve")
+    return [[Fraction(v, aug[i][i]) for v in aug[i][n:]] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
-# the intertwining operator, degree by degree
+# the intertwining operator, by Dunkl's Euler-operator recursion
 
 @lru_cache(maxsize=None)
 def monomial_basis(dimension: int, degree: int) -> tuple[Exponents, ...]:
     """All exponent tuples of total degree ``degree``, in sorted order."""
-    if degree == 0:
-        return ((0,) * dimension,)
-    out = set()
-    for combo in combinations_with_replacement(range(dimension), degree):
-        e = [0] * dimension
-        for i in combo:
-            e[i] += 1
-        out.add(tuple(e))
-    return tuple(sorted(out))
+    combos = combinations_with_replacement(range(dimension), degree)  # each multiset of variables once
+    return tuple(sorted(tuple(combo.count(i) for i in range(dimension)) for combo in combos))
 
 
 @lru_cache(maxsize=None)
-def _dunkl_matrix(rs: RootSystem, j: int, degree: int):
-    """Matrix of the j-th Dunkl operator from degree n to degree n - 1."""
-    cols = [dict(_dunkl_image(rs, j, e)) for e in monomial_basis(rs.dimension, degree)]
-    return [[col.get(f, Fraction(0)) for col in cols] for f in monomial_basis(rs.dimension, degree - 1)]
-
-
-@lru_cache(maxsize=None)
-def intertwine_matrix(rs: RootSystem, degree: int):
-    """Matrix of the intertwining operator on homogeneous degree ``degree``.
-
-    Characterized by sending 1 to 1 and by the transmutation property: the
-    Dunkl image of a transformed monomial equals the transform of its plain
-    derivative.  For nonnegative multiplicities the stacked system has a
-    unique solution, which is found by exact elimination.
+def _euler_inverse(rs: RootSystem, n: int):
+    """u_n = (n + gamma - S)^(-1) as the exact matrix of left multiplication on
+    Q[W], indexed like rs.group(): S = sum_alpha k_alpha sigma_alpha, w acting
+    by q -> q o w^(-1), so sum_i x_i T_i = n + gamma - S on degree n.  S is
+    central with eigenvalues in [-gamma, gamma], so this is invertible for n >= 1.
     """
-    d = rs.dimension
-    if degree == 0:
-        return [[Fraction(1)]]
-    prev = intertwine_matrix(rs, degree - 1)
-    basis_n = monomial_basis(d, degree)
-    basis_p = monomial_basis(d, degree - 1)
-    index_p = {e: i for i, e in enumerate(basis_p)}
-    a_rows = []
-    for j in range(d):
-        a_rows.extend(_dunkl_matrix(rs, j, degree))
-    rhs_rows = [[Fraction(0)] * len(basis_n) for _ in range(d * len(basis_p))]
-    for col, e in enumerate(basis_n):
-        for j in range(d):
-            if e[j] == 0:
-                continue
-            lower = e[:j] + (e[j] - 1,) + e[j + 1 :]
-            src = index_p[lower]
-            for r in range(len(basis_p)):
-                rhs_rows[j * len(basis_p) + r][col] += e[j] * prev[r][src]
-    return solve_exact(a_rows, rhs_rows)
-
-
-@lru_cache(maxsize=None)
-def intertwine_matrix_inverse(rs: RootSystem, degree: int):
-    return invert_exact(intertwine_matrix(rs, degree))
+    elements = close_group(rs).elements
+    eye = [[Fraction(int(a == b)) for b in elements] for a in elements]
+    m = [[(n + rs.gamma) * v for v in row] for row in eye]
+    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
+        s = reflection_matrix(alpha)
+        for col, w in enumerate(elements):
+            m[elements.index(mat_mul(s, w))][col] -= k
+    return tuple(tuple(row) for row in solve_exact(m, eye))
 
 
 @lru_cache(maxsize=None)
 def _intertwine_column(rs: RootSystem, inverse: bool, e: Exponents):
-    """Column x^e of V (or of V^(-1)) on degree |e|, as its nonzero terms."""
+    """Column x^e of V (or of V^(-1)), as its nonzero terms in sorted order.
+
+    V x^e = u_n sum_i e_i x_i V(x^(e - eps_i)), from T_i V = V d_i and the
+    Euler identity on degree n = |e|; V^(-1) x^e = (1/n) sum_i x_i V^(-1)(T_i x^e),
+    from d_i V^(-1) = V^(-1) T_i and Euler's identity for d_i, with no solve.
+    """
     n = sum(e)
-    mat = (intertwine_matrix_inverse if inverse else intertwine_matrix)(rs, n)
-    basis = monomial_basis(rs.dimension, n)
-    col = basis.index(e)
-    return tuple((f, row[col]) for f, row in zip(basis, mat) if row[col] != 0)
+    if n == 0:
+        return ((e, Fraction(1)),)
+    terms: dict = {}
+    for i in range(rs.dimension):
+        # x_i times V^(-1) of T_i x^e, or x_i times V of d_i x^e = e_i x^(e - eps_i)
+        if inverse:
+            lower = _dunkl_image(rs, i, e)
+        else:
+            lower = ((e[:i] + (e[i] - 1,) + e[i + 1 :], e[i]),) if e[i] else ()
+        for f, c in lower:
+            for g, v in _intertwine_column(rs, inverse, f):
+                h = g[:i] + (g[i] + 1,) + g[i + 1 :]
+                terms[h] = terms.get(h, 0) + c * v
+    if inverse:
+        return tuple(sorted((f, v / n) for f, v in terms.items() if v != 0))
+    # u_n q = sum over w of c_w q(w^(-1) x), c_w in column identity of _euler_inverse
+    elements = close_group(rs).elements
+    ident = elements.index(identity_matrix(rs.dimension))
+    q, out = RationalPoly(rs.dimension, terms), {}
+    for w, row in zip(elements, _euler_inverse(rs, n)):
+        for f, v in q.compose_linear(tuple(zip(*w))).terms.items():
+            out[f] = out.get(f, 0) + row[ident] * v
+    return tuple(sorted((f, v) for f, v in out.items() if v != 0))
+
+
+def _matrix_of_columns(rs: RootSystem, inverse: bool, degree: int):
+    basis = monomial_basis(rs.dimension, degree)
+    cols = [dict(_intertwine_column(rs, inverse, e)) for e in basis]
+    return [[col.get(f, Fraction(0)) for col in cols] for f in basis]
+
+
+@lru_cache(maxsize=None)
+def intertwine_matrix(rs: RootSystem, degree: int):
+    """Matrix of the intertwining operator on homogeneous degree ``degree``,
+    its columns in the order of monomial_basis."""
+    return _matrix_of_columns(rs, False, degree)
+
+
+@lru_cache(maxsize=None)
+def intertwine_matrix_inverse(rs: RootSystem, degree: int):
+    """Matrix of V^(-1) on homogeneous degree ``degree``, built like intertwine_matrix."""
+    return _matrix_of_columns(rs, True, degree)
 
 
 def intertwine(rs: RootSystem, p: RationalPoly) -> RationalPoly:
@@ -475,10 +479,8 @@ class OperatorConstants:
 def _gamma_half_squared_inverse(k: Fraction):
     """Pieces of Gamma(k + 1/2)^(-2): (rational, pi_power, gamma_factors)."""
     if k.denominator == 1:
-        from math import factorial
-
         n = int(k)
-        f = Fraction(4**n * factorial(n), factorial(2 * n))
+        f = Fraction(4**n * math.factorial(n), math.factorial(2 * n))
         return f * f, -1, ()
     return Fraction(1), 0, ((k + Fraction(1, 2), -2),)
 

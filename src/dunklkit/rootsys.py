@@ -277,6 +277,20 @@ def _points(x, dimension: int, dtype):
     return arr.reshape(-1, dimension), arr.shape[:-1]
 
 
+def _paired(a, b):
+    """Two point sets parsed by _points, broadcast against each other: the
+    (m, d) points of each side, one row per pair, and the shape of the pairs.
+    Point sets that do not broadcast are an InvalidArgumentError."""
+    (pa, sa), (pb, sb) = a, b
+    d = pa.shape[-1]
+    try:
+        va, vb = np.broadcast_arrays(pa.reshape(sa + (d,)), pb.reshape(sb + (d,)))
+    except ValueError:
+        raise InvalidArgumentError(
+            f"point sets of shapes {sa} and {sb} do not broadcast against each other") from None
+    return va.reshape(-1, d), vb.reshape(-1, d), va.shape[:-1]
+
+
 def _shaped(values, shape, f):
     """values, whose last axis holds the points, in the point shape.
 

@@ -183,7 +183,8 @@ def normalization_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
                 1e-10,
             )
         if rs.dimension >= 2:
-            vals = V_k_num_product(rs, lambda p: np.ones(p.shape[0]), [(0.7, 1.3)], n=32)
+            point = np.resize([0.7, 1.3], rs.dimension)
+            vals = V_k_num_product(rs, lambda p: np.ones(p.shape[0]), [point], n=32)
             report.add(
                 "product-measure-mass",
                 "the tensor averaging measure has total mass 1",
@@ -264,7 +265,7 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
 
     xz = rng.uniform(-1.2, 1.2, (20, 2, d))
     closed = kernel_value(rs, xz[:, 0], xz[:, 1])
-    series = np.array([kernel_series(rs, x, z) for x, z in xz])
+    series = kernel_series(rs, xz[:, 0], xz[:, 1])
     report.add(
         "closed-vs-series",
         "closed-form kernel matches its truncated intertwined power series",

@@ -123,6 +123,13 @@ def test_check_bounds_dimension_mismatch(rs_product):
         check_bounds(rs_product, [(np.array([1.0]), np.array([1.0, 2.0]))])
 
 
+def test_check_bounds_refuses_an_empty_sample_set_by_name(rs_one):
+    with pytest.raises(InvalidArgumentError, match="at least one sample"):
+        check_bounds(rs_one, [])
+    with pytest.raises(InvalidArgumentError, match="at least one sample"):
+        check_bounds(rs_one, np.empty((0, 2, 1)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=-4, max_value=4),

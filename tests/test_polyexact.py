@@ -1,5 +1,7 @@
 import hashlib
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklkit.cli import parse_preset
-from dunklkit.errors import InvalidArgumentError, UnsupportedCaseError
+from dunklkit.errors import AccuracyError, InvalidArgumentError, UnsupportedCaseError
+from dunklkit.kernel import kernel_series
 from dunklkit.polyexact import (
     RationalPoly,
     apply_P_poly,
@@ -20,6 +23,7 @@ from dunklkit.polyexact import (
     intertwine_matrix_inverse,
     monomial_basis,
     operator_prefactor,
+    solve_exact,
 )
 from dunklkit.rootsys import RootSystem, axis_product, rank_one, reflection_matrix
 from dunklkit.suites import SuiteConfig, run_suite
@@ -162,6 +166,19 @@ def test_intertwine_inverse_roundtrip(deg):
     assert intertwine(rs, intertwine_inverse(rs, p)) == p
 
 
+@pytest.mark.parametrize("make", [b2, a2_in_r3, lambda: RootSystem.create(2, [[1, 2], [2, -1]], [1, Fraction(1, 2)])],
+                         ids=["B2", "A2-in-R3", "rotated-z2xz2"])
+def test_compose_linear_is_p_at_m_x_for_every_group_element(make):
+    # signed permutations relabel and sign the exponents; the rotated product's
+    # reflections take the expansion in powers of linear forms
+    rs = make()
+    d = rs.dimension
+    p = RationalPoly(d, {e: Fraction(sum(e) + 1, e[0] + 1) for n in range(5) for e in monomial_basis(d, n)})
+    x = [Fraction(i + 2, i + 3) for i in range(d)]
+    for w in rs.group():
+        assert p.compose_linear(w).evaluate(x) == p.evaluate([sum(a * b for a, b in zip(row, x)) for row in w])
+
+
 # ---------------------------------------------------------------------------
 # named errors in the arithmetic
 
@@ -213,16 +230,49 @@ def _dense_graded(rs, p, matrix_for):
     return out
 
 
+_reflection = lru_cache(maxsize=None)(reflection_matrix)
+
+
 def _direct_dunkl(rs, j, p):
     """partial_j p plus k alpha_j (p - p o s_alpha) / <alpha, x> for each root, on the whole of p."""
     out = p.partial(j)
     for alpha, k in zip(rs.positive_roots, rs.multiplicities):
         if k == 0 or alpha[j] == 0:
             continue
-        diff = p - p.compose_linear(reflection_matrix(alpha))
+        diff = p - p.compose_linear(_reflection(alpha))
         if not diff.is_zero():
             out = out + (k * alpha[j]) * divide_by_linear_form(diff, alpha)
     return out
+
+
+@lru_cache(maxsize=None)
+def _stacked_matrix(rs, degree):
+    """V on degree n as the exact solution of T_j V = V d_j for every j, with V 1 = 1.
+
+    The rows stack over j the direct-formula T_j from degree n to n - 1 and,
+    on the right, V(d_j x^e) = e_j V x^(e - eps_j) from degree n - 1.  For
+    nonnegative multiplicities the system has a unique solution.
+    """
+    if degree == 0:
+        return [[Fraction(1)]]
+    d = rs.dimension
+    basis_n, basis_p = monomial_basis(d, degree), monomial_basis(d, degree - 1)
+    index_p = {e: i for i, e in enumerate(basis_p)}
+    prev = _stacked_matrix(rs, degree - 1)
+    a_rows, rhs_rows = [], []
+    for j in range(d):
+        images = [_direct_dunkl(rs, j, RationalPoly.monomial(d, e)).terms for e in basis_n]
+        a_rows += [[image.get(f, Fraction(0)) for image in images] for f in basis_p]
+        lower = [index_p[e[:j] + (e[j] - 1,) + e[j + 1:]] if e[j] else None for e in basis_n]
+        rhs_rows += [[e[j] * row[i] if e[j] else Fraction(0) for e, i in zip(basis_n, lower)] for row in prev]
+    return solve_exact(a_rows, rhs_rows)
+
+
+@lru_cache(maxsize=None)
+def _stacked_inverse(rs, degree):
+    """The exact inverse of _stacked_matrix(rs, degree)."""
+    size = len(monomial_basis(rs.dimension, degree))
+    return solve_exact(_stacked_matrix(rs, degree), [[Fraction(int(i == j)) for j in range(size)] for i in range(size)])
 
 
 REFERENCE_SYSTEMS = {
@@ -230,6 +280,7 @@ REFERENCE_SYSTEMS = {
     "z2xz2:1,2": lambda: axis_product(1, 2),
     "B2:1,2": b2,
     "A2-in-R3:1": a2_in_r3,
+    "z2^3:1,2,1/2": lambda: axis_product(1, 2, Fraction(1, 2)),
 }
 
 
@@ -249,8 +300,56 @@ def test_term_by_term_route_matches_the_dense_and_direct_formulas(system, data):
     p = data.draw(_polys(rs.dimension))
     for j in range(rs.dimension):
         assert dunkl_apply(rs, j, p) == _direct_dunkl(rs, j, p)
-    assert intertwine(rs, p) == _dense_graded(rs, p, intertwine_matrix)
-    assert intertwine_inverse(rs, p) == _dense_graded(rs, p, intertwine_matrix_inverse)
+    assert intertwine(rs, p) == _dense_graded(rs, p, _stacked_matrix)
+    assert intertwine_inverse(rs, p) == _dense_graded(rs, p, _stacked_inverse)
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS)
+def test_every_column_of_v_and_its_inverse_equals_the_stacked_solve(system):
+    # the Euler recursion builds V without the transmutation equations, which hold by theorem
+    rs = REFERENCE_SYSTEMS[system]()
+    for n in range(9 if rs.dimension <= 2 else 7):
+        assert intertwine_matrix(rs, n) == _stacked_matrix(rs, n)
+        assert intertwine_matrix_inverse(rs, n) == _stacked_inverse(rs, n)
+
+
+# ---------------------------------------------------------------------------
+# the kernel series against the stacked solve, off coordinate products
+
+
+def _series_terms(rs, x, z, degree):
+    """V(<., z>^n / n!)(x) for n <= degree, exact in Fractions, V from the stacked solve."""
+    terms = []
+    for n in range(degree + 1):
+        basis = monomial_basis(rs.dimension, n)
+        # <y, z>^n / n! = sum over |e| = n of z^e y^e / e!
+        coeffs = [math.prod(Fraction(zi) ** ei / math.factorial(ei) for zi, ei in zip(z, e)) for e in basis]
+        image = [sum((m * c for m, c in zip(row, coeffs)), Fraction(0)) for row in _stacked_matrix(rs, n)]
+        terms.append(sum(v * RationalPoly.monomial(rs.dimension, f).evaluate(x) for v, f in zip(image, basis)))
+    return terms
+
+
+# (system, x, z, reference degree): |x||z| <= 2 on B2 and <= 0.27 on A2, and each
+# reference runs at least to the degree at which kernel_series stops there
+SERIES_POINTS = [
+    (b2, (Fraction(6, 5), Fraction(2, 5)), (-1, Fraction(6, 5)), 20),
+    (b2, (1, Fraction(1, 2)), (Fraction(3, 4), -1), 20),
+    (b2, (Fraction(-1, 3), Fraction(7, 5)), (Fraction(1, 2), Fraction(1, 4)), 20),
+    (a2_in_r3, (Fraction(1, 5), Fraction(-1, 10), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 5), 0), 9),
+    (a2_in_r3, (Fraction(-1, 4), 0, Fraction(1, 10)), (Fraction(2, 5), Fraction(-1, 2), Fraction(1, 2)), 9),
+]
+
+
+@pytest.mark.parametrize("make, x, z, degree", SERIES_POINTS)
+def test_kernel_series_off_coordinate_products_matches_the_stacked_solve(make, x, z, degree):
+    rs = make()
+    xf, zf = np.array(x, dtype=float), np.array(z, dtype=float)
+    assert np.linalg.norm(xf) * np.linalg.norm(zf) <= (2.0 if rs.dimension == 2 else 0.27)
+    terms = _series_terms(rs, x, z, degree)
+    assert abs(kernel_series(rs, xf, zf) - float(sum(terms))) <= 1e-13
+    # K(x, iz) takes the terms times i^n
+    parts = [sum(t * (-1) ** (n // 2) for n, t in enumerate(terms) if n % 2 == odd) for odd in (0, 1)]
+    assert abs(kernel_series(rs, xf, 1j * zf) - complex(*map(float, parts))) <= 1e-13
 
 
 def test_a_polynomial_of_the_wrong_dimension_is_refused_by_name():
@@ -273,6 +372,21 @@ def test_transmutation_suite_on_b2_passes_with_zero_residuals():
     assert [c.id for c in report.checks] == ["transmutation-identity", "unit-normalization", "inverse-roundtrip"]
     assert report.all_passed
     assert all(c.residual == 0.0 for c in report.checks)
+
+
+@pytest.mark.parametrize("suite", ["kernel", "transmutation", "normalization"])
+def test_suites_on_three_axes_pass(suite):
+    # every point the suites build has rs.dimension coordinates, and the kernel series
+    # runs in O(|W|^2) per term and point
+    rs = axis_product(1, 2, Fraction(1, 2))
+    assert run_suite(SuiteConfig(suite=suite, rs=rs, label="z2^3:1,2,1/2")).all_passed
+
+
+@pytest.mark.parametrize("make", [b2, a2_in_r3])
+def test_kernel_suite_off_coordinate_products_raises_the_series_accuracy_error(make):
+    # check_bounds samples reach |x||y| = 50, which no 40-term series certifies
+    with pytest.raises(AccuracyError, match="truncation tail"):
+        run_suite(SuiteConfig(suite="kernel", rs=make()))
 
 
 # The seed-0 body sha256 of the transmutation report.  Every residual is a

@@ -8,7 +8,7 @@ import pytest
 
 from dunklkit import kernel
 from dunklkit.cli import parse_preset
-from dunklkit.convolution import convolve_many, translate_spectral_many
+from dunklkit.convolution import convolve_many, translate_measure, translate_spectral_many
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit.intertwine1d import (
@@ -19,7 +19,7 @@ from dunklkit.intertwine1d import (
     mu_quadrature,
     tV_k_num,
 )
-from dunklkit.kernel import kernel_1d
+from dunklkit.kernel import kernel_1d, kernel_value
 from dunklkit.rootsys import axis_product, mehta_constant, rank_one
 from dunklkit.suites import SuiteConfig, run_suite
 from dunklkit.transform import (
@@ -397,6 +397,20 @@ def test_points_that_are_not_points_of_the_system_are_refused_by_name(system, ca
     # a (4, 3) batch on a plane is not 6 points, and a scalar form serves exactly one point
     with pytest.raises(InvalidArgumentError):
         refusal_cases[system][call]()
+
+
+# three points against two: the pair shapes do not broadcast
+UNPAIRED_POINTS = {
+    "kernel_value": lambda rs, plan: kernel_value(rs, [0.1, 0.2, 0.3], [0.1, 0.2]),
+    "translate_spectral_many": lambda rs, plan: translate_spectral_many(rs, gaussian(), [0.1, 0.2, 0.3], [0.1, 0.2], plan),
+    "translate_measure": lambda rs, plan: translate_measure(rs, gaussian(), [0.1, 0.2, 0.3], [0.1, 0.2], plan=plan),
+}
+
+
+@pytest.mark.parametrize("site", UNPAIRED_POINTS)
+def test_point_sets_that_do_not_broadcast_are_refused_by_name(site, rs_one, plan_one):
+    with pytest.raises(InvalidArgumentError, match="do not broadcast"):
+        UNPAIRED_POINTS[site](rs_one, plan_one)
 
 
 WRONG_PLAN_ENTRY_POINTS = {
