@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .transform import DecayClass, SampledFunction
+from .transform import DecayClass
 
 Number = Union[int, Fraction, float]
 
@@ -121,11 +121,13 @@ class SmoothBump(_PolyFamily):
     """p(x) (1 - x^2)^(-m) exp(-1 / (1 - x^2)) on (-1, 1), zero outside.
 
     Differentiation raises m by two and updates p polynomially, so all
-    derivatives stay in the family and vanish identically outside [-1, 1].
+    derivatives stay in the family and vanish identically outside [-1, 1],
+    which every member declares as its decay.
     """
 
     coeffs: tuple
     m: int = 0
+    decay = DecayClass.compact(1.0)
 
     @staticmethod
     def create(coeffs: Sequence[Number] = (1,), m: int = 0) -> "SmoothBump":
@@ -181,9 +183,6 @@ class SmoothBump(_PolyFamily):
     def dunkl(self, gamma: Number) -> "SmoothBump":
         odd = SmoothBump(_trim(_odd_quotient(self.coeffs)), self.m)._lift(self.m + 2)
         return self.derivative() + odd.scale(gamma)
-
-    def as_sampled(self) -> SampledFunction:
-        return SampledFunction(self.__call__, DecayClass.compact(1.0), "smooth bump")
 
 
 def standard_bump() -> SmoothBump:

@@ -30,7 +30,6 @@ from .functions import PolyGauss, SmoothBump
 from .polyexact import OperatorConstants, operator_prefactor, solve_exact
 from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule
 from .transform import (
-    SampledFunction,
     TransformPlan,
     _axis_gammas,
     _refuse_growth,
@@ -206,14 +205,15 @@ def _dual_rule(g, u, cutoff, n):
 
 def _cutoff(gammas, f, x_max):
     """Where the dual quadrature of f stops on every axis of positive
-    multiplicity: the declared support radius of a compactly supported f,
-    else x_max once f is negligible there.  f is probed at the points of
+    multiplicity: the radius of an f whose decay is declared compact, else
+    x_max once f is negligible there.  f is probed at the points of
     {-x_max, 0, x_max} on those axes (0 on the others) with a coordinate at
     +-x_max; each axis scales its largest |f| by the weight's mass to x_max.
     """
     _refuse_growth(f, "the dual operator")
-    if isinstance(f, SampledFunction) and f.decay.kind == "compact":
-        return f.decay.radius
+    decay = getattr(f, "decay", None)
+    if decay is not None and decay.kind == "compact":
+        return decay.radius
     probe = np.array([p for p in itertools.product(*[(-x_max, 0.0, x_max) if g else (0.0,) for g in gammas])
                       if x_max in map(abs, p)])
     tails = np.abs(np.asarray(f(probe[:, 0] if len(gammas) == 1 else probe))).reshape(-1)
@@ -237,8 +237,8 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     A NaN point gives NaN.  An axis of multiplicity 0 keeps its coordinate;
     on the others the integral runs over {|t| >= |y_j|} up to the reach of
     f, beyond which a point, infinite included, gives 0: the radius of a
-    SampledFunction declared compact, else x_max, where f must be
-    negligible, which is verified.
+    function whose decay is declared compact (a SampledFunction or a
+    SmoothBump), else x_max, where f must be negligible, which is verified.
 
     The functions of a sequence share the f-independent rule, built per
     cutoff on the distinct points in batches of at most _NODE_BUDGET nodes,
@@ -457,8 +457,8 @@ def inv_V_via_Q(rs: RootSystem, f, x):
         if isinstance(h, PolyGauss):
             out[i] = _inverse_of_gauss(rs, h)(xs)
     if bumps:
-        # a bump's image keeps the support [-1, 1], which fixes its cutoff
-        out[bumps] = tV_k_num(rs, [local_Q(rs, fs[i]).as_sampled() for i in bumps], xs)
+        # a bump's image is a bump, whose declared support [-1, 1] fixes its cutoff
+        out[bumps] = tV_k_num(rs, [local_Q(rs, fs[i]) for i in bumps], xs)
     return _shaped(out, shape, f)
 
 

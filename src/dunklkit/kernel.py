@@ -398,10 +398,10 @@ def kernel_series(rs: RootSystem, x, z):
             "shrink the arguments",
             residual=tail,
         )
-    group = np.array(rs.group().elements, dtype=float)
-    ident = int(np.flatnonzero(np.all(group == np.eye(d), axis=(1, 2)))[0])
+    group = rs.group()
+    elements = np.array(group.elements, dtype=float)
     # <w x, v> per point and group element; every sum runs in a fixed order, so rows do not mix
-    wx = sum(group[:, :, j] * xs[:, None, j : j + 1] for j in range(d))
+    wx = sum(elements[:, :, j] * xs[:, None, j : j + 1] for j in range(d))
     proj = sum(wx[:, :, i] * vs[:, None, i] for i in range(d))
     q = np.ones_like(proj)
     total = np.ones(len(xs), dtype=complex)
@@ -412,7 +412,7 @@ def kernel_series(rs: RootSystem, x, z):
         weighted = proj * q  # diag(<w x, v>) Q_(n-1), then U_n times it column by column
         q = sum(u[:, v] * weighted[:, v : v + 1] for v in range(len(u)))
         live = n <= stop
-        total[live] += phase[live] * q[live, ident]
+        total[live] += phase[live] * q[live, group.identity]
         phase = phase * factor
     return _shaped(total, shape, None)
 
@@ -441,10 +441,10 @@ def check_bounds(rs: RootSystem, samples) -> VerificationReport:
     k_real = kernel_value(rs, X, Y)
     bound = np.exp(np.linalg.norm(X, axis=-1) * np.linalg.norm(Y, axis=-1))
     at_zero = np.abs(kernel_value(rs, np.zeros_like(X), Y) - 1.0)
-    group = (np.array(g, dtype=float) for g in rs.group())
+    group = rs.group()
     invariance = np.array([
         np.abs(kernel_value(rs, X @ w.T, Y @ w.T) - k_real)
-        for w in group if not np.array_equal(w, np.eye(rs.dimension))
+        for i, w in enumerate(np.array(group.elements, dtype=float)) if i != group.identity
     ])
 
     report.add(

@@ -23,7 +23,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedCaseError,
 )
-from .rootsys import RootSystem, close_group, identity_matrix, mat_mul, rational, reflection_matrix
+from .rootsys import RootSystem, close_group, rational
 
 Exponents = tuple[int, ...]
 
@@ -279,10 +279,10 @@ def _dunkl_image(rs: RootSystem, j: int, e: Exponents):
     """T_j x^e: partial_j plus k alpha_j (x^e - (s_alpha x)^e) / <alpha, x> per root."""
     p = RationalPoly.monomial(rs.dimension, e)
     out = p.partial(j)
-    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
+    for alpha, k, s in zip(rs.positive_roots, rs.multiplicities, close_group(rs).reflections):
         if k == 0 or alpha[j] == 0:
             continue
-        diff = p - p.compose_linear(reflection_matrix(alpha))
+        diff = p - p.compose_linear(s)
         if not diff.is_zero():
             out = out + (k * alpha[j]) * divide_by_linear_form(diff, alpha)
     return tuple(out.terms.items())
@@ -365,14 +365,14 @@ def _euler_inverse(rs: RootSystem, n: int):
     Q[W], indexed like rs.group(): S = sum_alpha k_alpha sigma_alpha, w acting
     by q -> q o w^(-1), so sum_i x_i T_i = n + gamma - S on degree n.  S is
     central with eigenvalues in [-gamma, gamma], so this is invertible for n >= 1.
+    Row sigma_alpha w of column w of S is the group's table left[alpha][w].
     """
-    elements = close_group(rs).elements
-    eye = [[Fraction(int(a == b)) for b in elements] for a in elements]
+    group = close_group(rs)
+    eye = [[int(a == b) for b in range(group.order)] for a in range(group.order)]
     m = [[(n + rs.gamma) * v for v in row] for row in eye]
-    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
-        s = reflection_matrix(alpha)
-        for col, w in enumerate(elements):
-            m[elements.index(mat_mul(s, w))][col] -= k
+    for k, left in zip(rs.multiplicities, group.left):
+        for col, row in enumerate(left):
+            m[row][col] -= k
     return tuple(tuple(row) for row in solve_exact(m, eye))
 
 
@@ -401,12 +401,11 @@ def _intertwine_column(rs: RootSystem, inverse: bool, e: Exponents):
     if inverse:
         return tuple(sorted((f, v / n) for f, v in terms.items() if v != 0))
     # u_n q = sum over w of c_w q(w^(-1) x), c_w in column identity of _euler_inverse
-    elements = close_group(rs).elements
-    ident = elements.index(identity_matrix(rs.dimension))
+    group = close_group(rs)
     q, out = RationalPoly(rs.dimension, terms), {}
-    for w, row in zip(elements, _euler_inverse(rs, n)):
+    for w, row in zip(group.elements, _euler_inverse(rs, n)):
         for f, v in q.compose_linear(tuple(zip(*w))).terms.items():
-            out[f] = out.get(f, 0) + row[ident] * v
+            out[f] = out.get(f, 0) + row[group.identity] * v
     return tuple(sorted((f, v) for f, v in out.items() if v != 0))
 
 

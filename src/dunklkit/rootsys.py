@@ -2,8 +2,11 @@
 
 Everything here is exact: roots and multiplicities are rational vectors,
 reflections are rational matrices, and group closure is computed by a plain
-breadth-first product closure.  Floating point enters only in ``weight`` and
-``mehta_constant``.
+breadth-first product closure.  The closure keeps what its products give:
+the reflections, the table of left multiplication by each of them and the
+place of the identity, which the exact layer and the kernel series read
+instead of multiplying matrices again.  Floating point enters only in
+``weight`` and ``mehta_constant``.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ def reflection_matrix(alpha: Vector) -> Matrix:
     )
 
 
-def mat_vec(m: Matrix, x: Sequence) -> tuple:
-    return tuple(dot(row, x) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     d = len(a)
     cols = tuple(zip(*b))
@@ -87,10 +86,19 @@ def identity_matrix(d: int) -> Matrix:
 
 @dataclass(frozen=True)
 class ReflectionGroup:
-    """A finite group of orthogonal rational matrices."""
+    """A finite group of orthogonal rational matrices, in sorted order.
+
+    reflections holds the reflection of each positive root, aligned with
+    the system's positive_roots; left[a][b] is the index in elements of
+    reflections[a] times elements[b]; elements[identity] is the identity.
+    close_group fills all of them from one closure.
+    """
 
     dimension: int
     elements: tuple[Matrix, ...]
+    reflections: tuple[Matrix, ...]
+    left: tuple[tuple[int, ...], ...]
+    identity: int
 
     @property
     def order(self) -> int:
@@ -138,8 +146,8 @@ class RootSystem:
                         f"positive roots {a} and {b} are parallel; the system must be reduced"
                     )
         rs = RootSystem(dimension, roots, mults)
-        group = close_group(rs)
-        _check_invariance(rs, group)
+        close_group(rs)
+        _check_invariance(rs)
         return rs
 
     def __hash__(self):
@@ -205,7 +213,8 @@ def _parallel(a: Vector, b: Vector) -> bool:
 
 
 def close_group(rs: RootSystem) -> ReflectionGroup:
-    """Close the generating reflections under products.
+    """Close the generating reflections under products, keeping each product
+    of a reflection and an element as the group's table left.
 
     Raises NotARootSystemError when the closure exceeds _MAX_ORDER elements,
     which is the practical signal that the given roots do not generate a
@@ -216,31 +225,36 @@ def close_group(rs: RootSystem) -> ReflectionGroup:
 
 @lru_cache(maxsize=None)
 def _close_group_cached(dimension, roots) -> ReflectionGroup:
-    generators = [reflection_matrix(a) for a in roots]
-    seen = {identity_matrix(dimension)}
-    frontier = list(seen)
+    generators = tuple(reflection_matrix(a) for a in roots)
+    one = identity_matrix(dimension)
+    products = {one: None}  # each element w, then the products g w of every generator g
+    frontier = [one]
     while frontier:
         new = []
         for w in frontier:
-            for g in generators:
-                wg = mat_mul(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    new.append(wg)
-                    if len(seen) > _MAX_ORDER:
+            products[w] = [mat_mul(g, w) for g in generators]
+            for gw in products[w]:
+                if gw not in products:
+                    products[gw] = None
+                    new.append(gw)
+                    if len(products) > _MAX_ORDER:
                         raise NotARootSystemError(
                             f"reflection closure exceeds {_MAX_ORDER} elements; "
                             "roots do not generate a finite group"
                         )
         frontier = new
-    return ReflectionGroup(dimension, tuple(sorted(seen)))
+    elements = tuple(sorted(products))
+    index = {w: i for i, w in enumerate(elements)}
+    left = tuple(tuple(index[products[w][a]] for w in elements) for a in range(len(generators)))
+    return ReflectionGroup(dimension, elements, generators, left, index[one])
 
 
-def _check_invariance(rs: RootSystem, group: ReflectionGroup):
-    """Every group image of a root must be a root with the same multiplicity."""
-    for w in group:
+def _check_invariance(rs: RootSystem):
+    """Every reflection of the system maps each root to a root of the same
+    multiplicity; the reflections generate the group, so every element does."""
+    for beta in rs.positive_roots:
         for alpha, k in zip(rs.positive_roots, rs.multiplicities):
-            image = mat_vec(w, alpha)
+            image = reflect(beta, alpha)
             try:
                 k_image = rs.multiplicity_of(image)
             except InvalidArgumentError:

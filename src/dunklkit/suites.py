@@ -213,16 +213,14 @@ def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificati
         # axis j holds the line points shifted by j; the first point lies on the first axis
         xs = np.stack([np.roll(xs, -j) for j in range(d)], axis=-1)
         xs[0, 1:] = 0.0
+    ps = [RationalPoly.monomial(d, expo) for deg in range(9) for expo in monomial_basis(d, deg)]
     errors = []
-    for deg in range(9):
-        for expo in monomial_basis(d, deg):
-            p = RationalPoly.monomial(d, expo)
-            exact = intertwine(rs, p).evaluate_float(xs)
-            num = V_k_num(rs, p.evaluate_float, xs, n=n)
-            denom = np.abs(exact)
-            if np.min(denom) == 0.0:
-                denom = np.maximum(denom, 1.0)
-            errors.append(np.abs(num - exact) / denom)
+    for p, num in zip(ps, V_k_num(rs, [p.evaluate_float for p in ps], xs, n=n)):
+        exact = intertwine(rs, p).evaluate_float(xs)
+        denom = np.abs(exact)
+        if np.min(denom) == 0.0:
+            denom = np.maximum(denom, 1.0)
+        errors.append(np.abs(num - exact) / denom)
     report.add(
         "monomials-numeric-vs-exact",
         "quadrature V matches exact V on monomials with degree <= 8, relative error",
@@ -277,11 +275,9 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
     if d == 1:
         gam = line_gamma(rs)
         n = grid_n or 64
-        xs = np.array([-2.0, -0.6, 0.7, 1.8])
-        errors = [
-            _rel(V_k_num(rs, lambda y, t=t: np.exp(np.asarray(y) * t), xs, n=n), kernel_1d(gam, xs, t))
-            for t in (-1.5, -0.5, 0.8, 2.0)
-        ]
+        xs, ts = np.array([-2.0, -0.6, 0.7, 1.8]), (-1.5, -0.5, 0.8, 2.0)
+        averaged = V_k_num(rs, [lambda y, t=t: np.exp(np.asarray(y) * t) for t in ts], xs, n=n)
+        errors = [_rel(v, kernel_1d(gam, xs, t)) for v, t in zip(averaged, ts)]
         report.add(
             "averaged-exponential",
             "V applied to an exponential slice reproduces the kernel",
@@ -455,24 +451,20 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
     plan = _line_plan(rs, grid_n)
     report = VerificationReport("distributions")
     fs = [PolyGauss.monomial(m) for m in (0, 1, 2)]
-    xs = [0.0, 0.5, 1.4, -2.0]
+    xs = np.array([0.0, 0.5, 1.4, -2.0])
 
-    gaps = []
-    for f, ref in zip(fs, inv_V_via_P(rs, fs, np.array(xs), plan)):
-        for x, r in zip(xs, ref):
-            gaps.append(abs(eta_pairing(rs, x, f) - float(r)) / max(1.0, abs(float(r))))
+    ref = inv_V_via_P(rs, fs, xs, plan)
     report.add(
         "inverse-pairing",
         "pairing f with the distribution representing V^(-1) matches V^(-1) f",
-        worst(gaps),
+        worst(np.abs(eta_pairing(rs, xs, fs) - ref) / np.maximum(1.0, np.abs(ref))),
         1e-5,
     )
 
     gaps = []
     for f in fs:
-        ref = np.real(dual_inverse_via_transform(rs, f, np.array(xs), plan))
-        for x, r in zip(xs, ref):
-            gaps.append(abs(z_pairing(rs, x, f, plan) - float(r)) / max(1.0, abs(float(r))))
+        ref = np.real(dual_inverse_via_transform(rs, f, xs, plan))
+        gaps.append(np.abs(z_pairing(rs, xs, f, plan) - ref) / np.maximum(1.0, np.abs(ref)))
     report.add(
         "dual-inverse-pairing",
         "pairing f with the distribution representing the dual inverse matches it",
@@ -480,20 +472,16 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
         1e-5,
     )
 
-    bump = standard_bump()
     report.add(
         "pairing-support",
         "the V^(-1) pairing of a bump vanishes identically beyond its support",
-        worst([abs(eta_pairing(rs, x, bump)) for x in (1.2, -1.2, 2.0, -2.0)]),
+        worst(np.abs(eta_pairing(rs, np.array([1.2, -1.2, 2.0, -2.0]), standard_bump()))),
         0.0,
     )
 
     f, g = fs[0], fs[2]
-    both = f + g
-    gaps = [
-        abs(eta_pairing(rs, x, both) - eta_pairing(rs, x, f) - eta_pairing(rs, x, g))
-        for x in (0.4, 1.1)
-    ]
+    x2 = np.array([0.4, 1.1])
+    gaps = np.abs(eta_pairing(rs, x2, f + g) - eta_pairing(rs, x2, f) - eta_pairing(rs, x2, g))
     report.add("pairing-linearity", "the pairing is linear in the test function", worst(gaps), 1e-8)
     return report
 

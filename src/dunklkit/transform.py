@@ -147,10 +147,11 @@ def sampled(fn, decay: DecayClass, name: str = "") -> SampledFunction:
 
 
 def _refuse_growth(f, op: str):
-    """Refuse a SampledFunction declared non-integrable, without sampling it."""
-    if isinstance(f, SampledFunction) and not f.decay.integrable:
+    """Refuse a function whose declared decay is not integrable, without sampling it."""
+    decay = getattr(f, "decay", None)
+    if decay is not None and not decay.integrable:
         raise InvalidArgumentError(
-            f"{op} needs schwartz or compactly supported input, got {f.decay.kind}"
+            f"{op} needs schwartz or compactly supported input, got {decay.kind}"
         )
 
 
@@ -230,18 +231,16 @@ class TransformPlan:
 
     def axis_kernel(self, grid: str, j: int, gamma, side: complex, targets) -> np.ndarray:
         """K(x, side y) at multiplicity gamma, for x on axis j of a plan grid
-        (rows) and y in targets (columns); side is -1j or 1j.  gamma None
-        gives the plain Fourier kernel exp(side x y), which is not evaluated
-        as a Dunkl kernel.
+        (rows) and y in targets (columns); side is -1j or 1j.  gamma 0 is
+        the plain Fourier kernel exp(side x y).
 
         When the targets are axis j of another plan grid, the matrix lives as
         long as the plan.  It is built once, as the conjugate transpose of
         its mirror when that exists, since K(t, s x) = conj K(x, -s t) for
-        real x, t and imaginary s.  Kernels on other target sets, Dunkl and
-        plain alike, are keyed by the targets' bytes, and only the
-        _TARGET_KERNELS most recently used are kept.  Every kept matrix is
-        read-only, since the plan and its matrices may be shared by the
-        whole process.
+        real x, t and imaginary s.  Kernels on other target sets are keyed
+        by the targets' bytes, and only the _TARGET_KERNELS most recently
+        used are kept.  Every kept matrix is read-only, since the plan and
+        its matrices may be shared by the whole process.
         """
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
         partner = next(
@@ -254,8 +253,6 @@ class TransformPlan:
             mat = self.kernels.pop(key)
         elif mirror in self.kernels:
             mat = np.ascontiguousarray(self.kernels[mirror].conj().T)
-        elif gamma is None:
-            mat = np.exp(side * np.multiply.outer(nodes, targets))
         else:
             mat = kernel_1d(gamma, nodes[:, None], side * targets[None, :])
         mat.flags.writeable = False
@@ -335,11 +332,11 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
     Targets equal to the nodes of a plan tensor grid give the values on that
     grid by sum factorization: the tensor W of weighted values becomes
     F_1^T W F_2 in two dimensions, F_j the axis matrices.  Other targets are
-    points, contracted from the last axis to the first.  gamma None
-    on every axis gives the plain Fourier integral: the gamma = 0 kernel is
-    exp(x y).  factors, one (n_j, m) matrix per axis for m target points,
-    multiply the axis matrices entrywise, so each target point is contracted
-    against its own column of every factor.
+    points, contracted from the last axis to the first.  gamma 0 on every
+    axis gives the plain Fourier integral, with kernel exp(side x y).
+    factors, one (n_j, m) matrix per axis for m target points, multiply the
+    axis matrices entrywise, so each target point is contracted against its
+    own column of every factor.
     """
     d = len(gammas)
     fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
@@ -390,7 +387,7 @@ def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan):
 def classical_fourier_many(f, ys, plan: TransformPlan):
     _refuse_growth(f, "classical_fourier_many")
     fvals = np.asarray(f(plan.space_plain.nodes))
-    return _contract(plan, "space_plain", [None] * plan.rs.dimension, fvals, ys, -1j)
+    return _contract(plan, "space_plain", [0.0] * plan.rs.dimension, fvals, ys, -1j)
 
 
 def classical_fourier(f: SampledFunction, y, plan: TransformPlan) -> complex:
@@ -432,7 +429,7 @@ def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan):
     d = len(_axis_gammas(rs, plan))
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
     pref = p_multiplier_constant(rs) / (2.0 * math.pi) ** d
-    return pref * _contract(plan, "freq", [None] * d, hvals, xs, 1j)
+    return pref * _contract(plan, "freq", [0.0] * d, hvals, xs, 1j)
 
 
 def multiplier_P(rs: RootSystem, f: SampledFunction, x, plan: TransformPlan) -> float:

@@ -244,11 +244,20 @@ def test_dual_of_bump_vanishes_outside(rs_two):
     assert np.max(np.abs(tV_k_num(rs_two, bump, ys))) == 0.0
 
 
+@pytest.mark.parametrize("gamma", [1, 2, 4])
+def test_dual_of_a_bump_stops_at_its_declared_support(gamma):
+    # the reference is a rule 16 times finer, cut at 1 by a SampledFunction declared compact
+    rs, bump = rank_one(gamma), standard_bump()
+    ys = np.array([0.0, 0.35, 0.7, 0.9])
+    ref = tV_k_num(rs, sampled(bump, DecayClass.compact(1.0)), ys, n=1920)
+    assert np.max(np.abs(tV_k_num(rs, bump, ys) - ref) / np.abs(ref)) <= 1e-13
+
+
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_dual_of_a_sequence_matches_the_per_function_loop(gamma, lines):
     # y = 0, points at and beyond both cutoffs (14 and the bump's 1), and repeats
     rs = lines[gamma]
-    fs = [gaussian(), PolyGauss.monomial(1), standard_bump().as_sampled(), PolyGauss.monomial(3)]
+    fs = [gaussian(), PolyGauss.monomial(1), standard_bump(), PolyGauss.monomial(3)]
     ys = np.array([0.7, -1.3, 0.0, 14.0, 0.7, 0.5, -15.0, -1.3, 0.0, 2.2, 0.7])
     together = tV_k_num(rs, fs, ys)
     assert together.shape == (len(fs), len(ys))
@@ -429,7 +438,7 @@ def test_multiplier_inverses_on_a_sequence_are_bitwise_the_per_function_calls(ga
     plan = default_line_plan(rs, 48)
     xs = np.array([-1.4, 0.0, 0.6, 1.9])
     # the bump's declared support is its own cutoff, so the duals fall in two cutoff groups
-    fs = [PolyGauss.monomial(m) for m in range(3)] + [gaussian(), standard_bump().as_sampled()]
+    fs = [PolyGauss.monomial(m) for m in range(3)] + [gaussian(), standard_bump()]
     calls = []
     tV = intertwine1d.tV_k_num
     monkeypatch.setattr(intertwine1d, "tV_k_num", lambda *a, **k: calls.append(a) or tV(*a, **k))

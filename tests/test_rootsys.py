@@ -17,6 +17,7 @@ from dunklkit.rootsys import (
     mehta_constant,
     rank_one,
     reflect,
+    reflection_matrix,
     root_system_from_dict,
     root_system_to_dict,
     weight,
@@ -58,6 +59,41 @@ def test_non_invariant_multiplicity_rejected():
     # the diagonal system needs equal multiplicities on roots in one orbit
     with pytest.raises(NotARootSystemError):
         RootSystem.create(2, [[1, -1], [1, 1], [1, 0], [0, 1]], [1, 1, 1, 2])
+
+
+def test_a_root_set_not_closed_under_its_reflections_is_refused():
+    # the reflection in (1, 0) maps (1, 1) to (-1, 1), which is no root
+    with pytest.raises(NotARootSystemError, match="image .* is not in the system"):
+        RootSystem.create(2, [[1, 0], [1, 1]], [1, 1])
+
+
+def test_roots_generating_an_infinite_group_are_refused():
+    # (1, 0) and (3, 4) meet at an angle that is no rational multiple of pi
+    with pytest.raises(NotARootSystemError, match="exceeds 1024 elements"):
+        RootSystem.create(2, [[1, 0], [3, 4]], [1, 1])
+
+
+TABLE_SYSTEMS = {
+    "z2": lambda: rank_one(1),
+    "z2xz2": lambda: axis_product(1, 2),
+    "z2^3": lambda: axis_product(1, 2, Fraction(1, 2)),
+    "B2": lambda: RootSystem.create(2, [[1, 0], [0, 1], [1, 1], [1, -1]], [1, 1, 2, 2]),
+    "A2-in-R3": lambda: RootSystem.create(3, [[1, -1, 0], [0, 1, -1], [1, 0, -1]], [1, 1, 1]),
+    "rotated-z2xz2": lambda: RootSystem.create(2, [[1, 2], [2, -1]], [1, Fraction(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("system", TABLE_SYSTEMS)
+def test_the_group_table_is_left_multiplication_by_each_reflection(system):
+    rs = TABLE_SYSTEMS[system]()
+    group = rs.group()
+    elements = [np.array(w, dtype=object) for w in group.elements]
+    assert (elements[group.identity] == np.eye(rs.dimension, dtype=int)).all()
+    assert len(group.reflections) == len(group.left) == len(rs.positive_roots)
+    for alpha, s, row in zip(rs.positive_roots, group.reflections, group.left):
+        assert s == reflection_matrix(alpha)
+        for b, w in enumerate(elements):
+            assert (np.array(s, dtype=object).dot(w) == elements[row[b]]).all()
 
 
 def test_weight_matches_exact(rs_product):

@@ -460,9 +460,10 @@ def test_a_quadrature_size_or_radius_outside_the_domain_is_refused_by_name(call)
 
 
 def test_bump_sampled_has_compact_decay():
-    s = standard_bump().as_sampled()
-    assert s.decay.kind == "compact"
-    assert s.decay.radius == 1.0
+    # every member of the family declares the support [-1, 1], images included
+    bump = standard_bump()
+    for f in (bump, bump.derivative(), bump.dunkl(2), bump + bump.derivative()):
+        assert f.decay == DecayClass.compact(1.0)
 
 
 def test_make_plan_shapes(rs_product):
@@ -586,15 +587,15 @@ def test_target_kernel_cache_is_bounded(count_kernel_1d, rs_one):
     def kept():
         return [key for key in plan.kernels if isinstance(key[-1], bytes)]
 
-    # Dunkl (kernel_1d) and plain (exp) kernels on other targets share one bound
+    # Dunkl kernels and plain (multiplicity 0) kernels on other targets share one bound
     for shift in range(_TARGET_KERNELS):
         dunkl_transform_many(rs_one, f, targets(shift), plan)
         classical_fourier_many(f, targets(shift), plan)
     assert len(kept()) == _TARGET_KERNELS
-    assert sum(key[2] is None for key in kept()) == _TARGET_KERNELS // 2
-    plain = plan.axis_kernel("space_plain", 0, None, -1j, targets(_TARGET_KERNELS - 1))
-    assert plan.axis_kernel("space_plain", 0, None, -1j, targets(_TARGET_KERNELS - 1)) is plain
-    assert ("space_plain", 0, None, -1j, targets(0).tobytes()) not in plan.kernels
+    assert sum(key[2] == 0.0 for key in kept()) == _TARGET_KERNELS // 2
+    plain = plan.axis_kernel("space_plain", 0, 0.0, -1j, targets(_TARGET_KERNELS - 1))
+    assert plan.axis_kernel("space_plain", 0, 0.0, -1j, targets(_TARGET_KERNELS - 1)) is plain
+    assert ("space_plain", 0, 0.0, -1j, targets(0).tobytes()) not in plan.kernels
     calls = len(count_kernel_1d)
     # the most recent Dunkl target set is kept; the oldest was dropped and is built again
     dunkl_transform_many(rs_one, f, targets(_TARGET_KERNELS - 1), plan)
@@ -604,7 +605,7 @@ def test_target_kernel_cache_is_bounded(count_kernel_1d, rs_one):
     # plain kernels of multiplier_P on other targets are kept too, and push the rest out
     for shift in range(_TARGET_KERNELS):
         multiplier_P_many(rs_one, f, targets(shift), plan)
-    assert all(key[:4] == ("freq", 0, None, 1j) for key in kept())
+    assert all(key[:4] == ("freq", 0, 0.0, 1j) for key in kept())
     assert np.array_equal(multiplier_P_many(rs_one, f, targets(0), plan),
                           multiplier_P_many(rs_one, f, targets(0), make_plan(rs_one, grid_n=16)))
     assert len(kept()) == _TARGET_KERNELS
@@ -617,7 +618,7 @@ def test_kept_kernel_matrices_are_read_only(rs_one):
         plan.axis_kernel("space", 0, 1.0, -1j, plan.freq.nodes),
         plan.axis_kernel("freq", 0, 1.0, 1j, plan.space.nodes),  # the mirror
         plan.axis_kernel("space", 0, 1.0, -1j, ys),
-        plan.axis_kernel("space_plain", 0, None, -1j, ys),
+        plan.axis_kernel("space_plain", 0, 0.0, -1j, ys),
     ]
     for mat in mats:
         with pytest.raises(ValueError):
