@@ -27,12 +27,13 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .functions import PolyGauss, SmoothBump
-from .polyexact import OperatorConstants, operator_prefactor, solve_exact
+from .polyexact import OperatorConstants, operator_prefactor
 from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule
 from .transform import (
     TransformPlan,
     _axis_gammas,
     _refuse_growth,
+    _refuse_scaled_roots,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_transform_many,
@@ -245,6 +246,7 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     and each is called once per batch.
     """
     gammas = _axis_gammas(rs)
+    _refuse_scaled_roots(rs)
     d = len(gammas)
     if not 0.0 < x_max < math.inf:
         raise InvalidArgumentError(f"x_max must be finite and positive, got {x_max}")
@@ -310,6 +312,7 @@ def _signed_prefactor(rs: RootSystem):
         raise UnsupportedCaseError(
             "this path needs a positive integer multiplicity sum"
         )
+    _refuse_scaled_roots(rs)
     m = int(rs.gamma)
     return 2 * m, operator_prefactor(rs).as_fraction() * (-1) ** m
 
@@ -332,27 +335,18 @@ def local_Q(rs: RootSystem, f):
 
 
 @lru_cache(maxsize=None)
-def _dual_matrix(rs: RootSystem, degree: int):
-    """Exact map from the coefficients of q to those of r, where
-    tV_k(q e^(-x^2/2)) = c r e^(-x^2/2) and deg q = degree.
+def _dual_basis(rs: RootSystem, degree: int) -> tuple:
+    """r_0, ..., r_degree, where tV_k(x^m e^(-x^2/2)) = c r_m e^(-x^2/2).
 
-    Pairing with x^m, m = 0..degree, gives the moment system
-    int x^m r e^(-x^2/2) = lambda_m int x^m q |x|^(2 gamma) e^(-x^2/2) / c,
-    V_k x^m = lambda_m x^m with lambda_m = (1/2)_j / (gamma + 1/2)_j, j = ceil(m/2).
-    Over sqrt(2 pi), the moment of x^n is (n - 1)!! on the left and
-    2^(n/2) (gamma + 1/2)_(n/2) on the right for even n, 0 for odd n.
+    tV_k T = d/dx tV_k, and T(x^(m-1) G) = (b x^(m-2) - x^m) G for the
+    Gaussian G, with T x^n = b x^(n-1), b = n + 2 gamma [n odd] at n = m - 1.
+    So r_0 = 1, r_1 = x and r_m G = b r_(m-2) G - (r_(m-1) G)'.
     """
-    def rising(a, j):
-        return math.prod((a + i for i in range(j)), start=Fraction(1))
-
-    a = rs.gamma + Fraction(1, 2)
-    lam = [rising(Fraction(1, 2), (m + 1) // 2) / rising(a, (m + 1) // 2) for m in range(degree + 1)]
-    even = [[(m + i) % 2 == 0 for i in range(degree + 1)] for m in range(degree + 1)]
-    plain = [[Fraction(math.prod(range(m + i - 1, 0, -2)) if ok else 0) for i, ok in enumerate(row)]
-             for m, row in enumerate(even)]
-    weighted = [[lam[m] * 2 ** ((m + i) // 2) * rising(a, (m + i) // 2) if ok else Fraction(0)
-                 for i, ok in enumerate(row)] for m, row in enumerate(even)]
-    return solve_exact(plain, weighted)
+    if degree < 2:
+        return (PolyGauss.create([1]), PolyGauss.monomial(1))[: degree + 1]
+    r = _dual_basis(rs, degree - 1)
+    b = degree - 1 + (2 * rs.gamma if degree % 2 == 0 else 0)
+    return r + (r[-2].scale(b) + r[-1].derivative().scale(-1),)
 
 
 def _dual_constant(g: Fraction) -> OperatorConstants:
@@ -370,17 +364,17 @@ def tV_k_exact(rs: RootSystem, f: PolyGauss):
 
     Returns (c, r): c = 2^gamma Gamma(gamma + 1/2) / sqrt(pi) as
     OperatorConstants, rational for integer gamma, and r as a PolyGauss
-    whose coefficients are exact at every rational gamma.  It is defined by
-    int V_k p f |x|^(2 gamma) dx = int p tV_k f dx for every polynomial p,
-    with tV_k_num's normalization.
+    whose coefficients are exact at every rational gamma.  tV_k is defined
+    by int V_k p f |x|^(2 gamma) dx = int p tV_k f dx for every polynomial
+    p, with tV_k_num's normalization; r is built from tV_k T = d/dx tV_k
+    instead, as sum_j a_j r_j for q = sum_j a_j x^j (_dual_basis).
     """
     line_gamma(rs)
+    _refuse_scaled_roots(rs)
     if not isinstance(f, PolyGauss):
         raise UnsupportedCaseError("the closed-form dual operator takes a PolyGauss")
-    mat = _dual_matrix(rs, f.degree)
-    return _dual_constant(rs.gamma), PolyGauss.create(
-        [sum((a * c for a, c in zip(row, f.coeffs)), Fraction(0)) for row in mat]
-    )
+    terms = (r.scale(a) for r, a in zip(_dual_basis(rs, f.degree), f.coeffs))
+    return _dual_constant(rs.gamma), sum(terms, PolyGauss.create([0]))
 
 
 # ---------------------------------------------------------------------------

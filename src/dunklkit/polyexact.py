@@ -323,7 +323,8 @@ def solve_exact(a_rows, b_rows):
 
     a_rows: m x n rationals, b_rows: m x r.  The rows of [A | B] are scaled to
     integers and eliminated without division, each reduced by its gcd.
-    Raises when the system is rank-deficient or inconsistent.
+    Raises when the system is rank-deficient or inconsistent.  It gives
+    _euler_inverse its u_n, and the tests their stacked reference for V.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0

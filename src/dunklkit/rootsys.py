@@ -133,7 +133,7 @@ class RootSystem:
             raise NotARootSystemError("at least one positive root required")
         for r in roots:
             if len(r) != dimension:
-                raise NotARootSystemError(f"root {r} has wrong dimension")
+                raise NotARootSystemError(f"root {_show(r)} has wrong dimension")
             if all(c == 0 for c in r):
                 raise NotARootSystemError("roots must be nonzero")
         for k in mults:
@@ -143,7 +143,7 @@ class RootSystem:
             for b in roots[i + 1 :]:
                 if _parallel(a, b):
                     raise NotARootSystemError(
-                        f"positive roots {a} and {b} are parallel; the system must be reduced"
+                        f"positive roots {_show(a)} and {_show(b)} are parallel; the system must be reduced"
                     )
         rs = RootSystem(dimension, roots, mults)
         close_group(rs)
@@ -177,7 +177,7 @@ class RootSystem:
         for beta, k in zip(self.positive_roots, self.multiplicities):
             if _parallel(root, beta):
                 return k
-        raise InvalidArgumentError(f"{root} is not a root of this system")
+        raise InvalidArgumentError(f"{_show(root)} is not a root of this system")
 
     def axis_profile(self):
         """Per-axis (scale, multiplicity) when every root lies on a coordinate axis.
@@ -201,6 +201,11 @@ class RootSystem:
                 profile = tuple(profile)
             object.__setattr__(self, "_axis_profile", profile)
         return self.__dict__["_axis_profile"]
+
+
+def _show(v) -> str:
+    """A vector as a refusal message prints it: (-1, 1), not its Fractions' reprs."""
+    return f"({', '.join(map(str, v))})"
 
 
 def _parallel(a: Vector, b: Vector) -> bool:
@@ -259,13 +264,13 @@ def _check_invariance(rs: RootSystem):
                 k_image = rs.multiplicity_of(image)
             except InvalidArgumentError:
                 raise NotARootSystemError(
-                    f"image {image} of root {alpha} is not in the system; "
+                    f"image {_show(image)} of root {_show(alpha)} is not in the system; "
                     "the root set is not closed under its reflections"
                 ) from None
             if k_image != k:
                 raise NotARootSystemError(
                     "multiplicity is not constant on the orbit of "
-                    f"{alpha}: {k} vs {k_image}"
+                    f"{_show(alpha)}: {k} vs {k_image}"
                 )
 
 

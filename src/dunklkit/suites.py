@@ -208,11 +208,9 @@ def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificati
     d = len(_axis_gammas(rs))
     report = VerificationReport("cross-engine")
     n = grid_n or 64
-    xs = np.array([-1.7, -0.4, 0.3, 1.0, 2.5])
-    if d > 1:
-        # axis j holds the line points shifted by j; the first point lies on the first axis
-        xs = np.stack([np.roll(xs, -j) for j in range(d)], axis=-1)
-        xs[0, 1:] = 0.0
+    # axis j holds the line points shifted by j; the first point lies on the first axis
+    xs = np.stack([np.roll([-1.7, -0.4, 0.3, 1.0, 2.5], -j) for j in range(d)], axis=-1)
+    xs[0, 1:] = 0.0
     ps = [RationalPoly.monomial(d, expo) for deg in range(9) for expo in monomial_basis(d, deg)]
     errors = []
     for p, num in zip(ps, V_k_num(rs, [p.evaluate_float for p in ps], xs, n=n)):
@@ -237,7 +235,7 @@ def cross_engine_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificati
         )
     # on a product, y^3 is the sum of the coordinates cubed
     cubes = lambda t: np.sum(np.reshape(t, (len(t), -1)) ** 3, axis=-1)
-    pair = np.array([1.25, -1.25]) if d == 1 else np.outer([1.25, -1.25], np.ones(d))
+    pair = np.outer([1.25, -1.25], np.ones(d))
     odd = V_k_num(rs, cubes, pair, n=n)
     report.add(
         "parity",
@@ -271,7 +269,6 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
         1e-10,
     )
 
-    profile = rs.axis_profile()
     if d == 1:
         gam = line_gamma(rs)
         n = grid_n or 64
@@ -284,14 +281,7 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
             worst(errors),
             1e-10,
         )
-        grid = np.linspace(-5.0, 5.0, 201)
-        kv = kernel_1d(gam, 1j * grid, 1.0)
-        report.add_curve(
-            "kernel-curve",
-            ["x", "re", "im"],
-            [(float(x), float(np.real(v)), float(np.imag(v))) for x, v in zip(grid, kv)],
-        )
-    elif profile is not None:
+    if rs.axis_profile() is not None:
         grid = np.linspace(-5.0, 5.0, 201)
         ones = np.ones(d)
         kv = kernel_value(rs, 1j * grid[:, None] * ones, ones)
@@ -310,18 +300,15 @@ def transform_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     report = VerificationReport("transform")
 
     def gauss(x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float)) if d > 1 else np.asarray(x, dtype=float)
-        sq = np.sum(pts**2, axis=-1) if d > 1 else pts**2
-        return np.exp(-0.5 * sq)
+        return np.exp(-0.5 * np.sum(np.reshape(x, (len(x), -1)) ** 2, axis=-1))
 
-    if d == 1:
-        # |y| <= 4 keeps the reference above the absolute roundoff floor of
-        # the quadrature, so the relative comparison stays meaningful
-        ys = np.linspace(-4.0, 4.0, 41)
-    else:
-        axis = np.linspace(-2.0, 2.0, 5)
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        ys = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    def mesh(axis):
+        # the d-fold product of axis, one point per row
+        return np.stack([m.reshape(-1) for m in np.meshgrid(*[axis] * d, indexing="ij")], axis=-1)
+
+    # on the line, |y| <= 4 keeps the reference above the absolute roundoff
+    # floor of the quadrature, so the relative comparison stays meaningful
+    ys = np.linspace(-4.0, 4.0, 41) if d == 1 else mesh(np.linspace(-2.0, 2.0, 5))
     hv = dunkl_transform_many(rs, gauss, ys, plan)
     ref = gaussian_eigen_constant(rs) * gauss(ys)
     report.add(
@@ -340,9 +327,7 @@ def transform_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
             lambda p: np.atleast_2d(p)[:, 0] * gauss(p),
             lambda p: np.atleast_2d(p)[:, 0] * np.atleast_2d(p)[:, 1] * gauss(p),
         ]
-        axis = np.linspace(-2.0, 2.0, 3)
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        xs = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        xs = mesh(np.linspace(-2.0, 2.0, 3))
     report.add(
         "roundtrip",
         "inverse transform after forward transform returns the input",
@@ -416,7 +401,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     rels = [
-        _rel(path, np.real(dual_inverse_via_transform(rs, f, xs, plan)))
+        _rel(path, dual_inverse_via_transform(rs, f, xs, plan))
         for f, path in zip(fs, inv_tV_via_VkP(rs, fs, xs, plan))
     ]
     report.add(
@@ -427,7 +412,7 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     )
 
     xs2 = np.array([-1.6, -0.4, 0.3, 1.1])
-    handles = [lambda pts, f=f: np.real(dual_inverse_via_transform(rs, f, pts, plan)) for f in fs[:3]]
+    handles = [lambda pts, f=f: dual_inverse_via_transform(rs, f, pts, plan) for f in fs[:3]]
     try:
         backs = tV_k_num(rs, handles, xs2, n=100, x_max=12.0) - [f(xs2) for f in fs[:3]]
     except AccuracyError:  # an inverse that is not finite, or not negligible, at the cutoff
@@ -463,7 +448,7 @@ def distributions_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificat
 
     gaps = []
     for f in fs:
-        ref = np.real(dual_inverse_via_transform(rs, f, xs, plan))
+        ref = dual_inverse_via_transform(rs, f, xs, plan)
         gaps.append(np.abs(z_pairing(rs, xs, f, plan) - ref) / np.maximum(1.0, np.abs(ref)))
     report.add(
         "dual-inverse-pairing",

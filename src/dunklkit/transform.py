@@ -27,20 +27,11 @@ from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped,
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Nodes and weights of a quadrature rule; axes holds the line grids of a
-    tensor grid.
-
-    calibration is the exact integral of the absorbed weight over the domain,
-    used as a self-check.
-    """
+    tensor grid."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    calibration: float
     axes: Optional[tuple] = None
-
-    def calibration_residual(self) -> float:
-        total = float(np.sum(self.weights))
-        return abs(total - self.calibration) / max(1.0, abs(self.calibration))
 
 
 def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureGrid:
@@ -57,8 +48,7 @@ def weighted_line_grid(gamma, radius: float = 10.0, n: int = 192) -> QuadratureG
     x_pos, w_pos = _half_line_rule(n, 2.0 * g, radius)
     nodes = np.concatenate([-x_pos[::-1], x_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
-    calibration = 2.0 * radius ** (2.0 * g + 1.0) / (2.0 * g + 1.0)
-    return QuadratureGrid(nodes, weights, calibration)
+    return QuadratureGrid(nodes, weights)
 
 
 def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
@@ -66,34 +56,45 @@ def plain_line_grid(radius: float = 10.0, n: int = 384) -> QuadratureGrid:
     if not 0.0 < radius < math.inf:
         raise InvalidArgumentError("need a finite radius > 0")
     t, w = _gauss_rule("jacobi", n)
-    return QuadratureGrid(radius * t, radius * w, 2.0 * radius)
+    return QuadratureGrid(radius * t, radius * w)
 
 
 def tensor_grid(axes) -> QuadratureGrid:
     """Tensor product of one-dimensional grids."""
     axes = tuple(axes)
     nodes, weights = _tensor_rule([(g.nodes, g.weights) for g in axes])
-    calibration = float(np.prod([g.calibration for g in axes]))
-    return QuadratureGrid(nodes, weights, calibration, axes=axes)
+    return QuadratureGrid(nodes, weights, axes=axes)
 
 
 def weighted_grid(rs: RootSystem, radius: float = 10.0, n: int = 192) -> QuadratureGrid:
-    """Grid absorbing the full reflection weight of an axis-product system."""
+    """Grid absorbing the full reflection weight of an axis-product system
+    with unit roots; a scaled root is refused by _refuse_scaled_roots."""
     profile = rs.axis_profile()
     if profile is None:
         raise UnsupportedCaseError(
             "weighted grids exist only for products of one-dimensional factors"
         )
-    axes = []
-    for scale, k in profile:
-        g = weighted_line_grid(k, radius, n)
-        if scale is not None and scale != 1:
-            factor = float(scale * scale) ** float(k)
-            g = QuadratureGrid(g.nodes, g.weights * factor, g.calibration * factor)
-        axes.append(g)
+    _refuse_scaled_roots(rs)
+    axes = [weighted_line_grid(k, radius, n) for _, k in profile]
     if rs.dimension == 1:
         return axes[0]
     return tensor_grid(axes)
+
+
+def _refuse_scaled_roots(rs: RootSystem):
+    """Refuse an axis product (whose profile the caller has read) with a
+    root of length other than 1.
+
+    Such a root scales the weight by |alpha|^(2k).  The weighted grids, the
+    dual operator and the local multiplier forms leave that factor out, so
+    they would return wrong values rather than fail.
+    """
+    scales = [str(scale) for scale, _ in rs.axis_profile() if scale not in (None, 1)]
+    if scales:
+        raise UnsupportedCaseError(
+            f"roots of length {', '.join(scales)} on their axes are not supported here; "
+            "the numeric layers take unit roots, so rescale each root to length 1"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_config_inline_root_system(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
 
 
+def test_config_with_a_scaled_root_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "suite": "transform",
+        "root_system": {"dimension": 1, "positive_roots": [["2"]], "multiplicities": ["1"]},
+    }))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "rescale each root to length 1" in capsys.readouterr().err
+
+
 def test_config_missing_file(capsys):
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

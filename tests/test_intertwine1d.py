@@ -52,9 +52,9 @@ from dunklkit.convolution import (
     translate_spectral_many,
 )
 from dunklkit.polyexact import RationalPoly, intertwine, operator_prefactor
-from dunklkit.rootsys import axis_product, rank_one
+from dunklkit.rootsys import RootSystem, _points, axis_product, rank_one
 from dunklkit.suites import SuiteConfig, _line_plan, run_suite
-from dunklkit.transform import DecayClass, line_gamma, make_plan, sampled
+from dunklkit.transform import DecayClass, line_gamma, make_plan, sampled, weighted_grid
 
 GAMMAS = [0.5, 1.0, 2.0, 7.0 / 3.0]
 LINES = [rank_one(Fraction(1, 2)), rank_one(1), rank_one(2)]
@@ -354,12 +354,14 @@ def _exact_dual_values(rs, f, ys):
     return c.as_float() * r(ys)
 
 
-@pytest.mark.parametrize("gamma", EXACT_GAMMAS)
-@pytest.mark.parametrize("coeffs", [[1], [0, 1], [2, -1, 3], [1, 0, 0, -2], [Fraction(1, 3), 1, 0, 2, -1, 5]])
+@pytest.mark.parametrize("gamma", [Fraction(0), *EXACT_GAMMAS, Fraction(10)])
+@pytest.mark.parametrize("coeffs", [[1], [0, 1], [2, -1, 3], [1, 0, 0, -2], [Fraction(1, 3), 1, 0, 2, -1, 5],
+                                    [1, -2, 0, Fraction(1, 5), 3, 0, -1, 2, Fraction(7, 2)]])
 def test_exact_dual_satisfies_the_defining_identity(gamma, coeffs):
     # int V_k p . q e^(-x^2/2) |x|^(2 gamma) dx = int p tV_k(q e^(-x^2/2)) dx for monomials p,
-    # both sides over sqrt(2 pi) c_gamma, in Fractions, with V_k from the graded matrices;
-    # degrees up to deg q determine r, the ones above it are checks
+    # both sides over sqrt(2 pi) c_gamma, in Fractions, with V_k from the Euler recursion of
+    # polyexact.  tV_k_exact builds r from tV_k T = d/dx tV_k instead; the pairings up to
+    # degree deg q pin r, and the ones above it are checks
     rs = rank_one(gamma)
     q = PolyGauss.create(coeffs)
     _, r = tV_k_exact(rs, q)
@@ -389,6 +391,19 @@ def test_exact_dual_constant_at_a_fractional_multiplicity():
 def test_exact_dual_refuses_other_families(rs_one):
     with pytest.raises(UnsupportedCaseError):
         tV_k_exact(rs_one, standard_bump())
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs: weighted_grid(rs),
+    lambda rs: tV_k_num(rs, gaussian(), 0.5),
+    lambda rs: tV_k_exact(rs, gaussian()),
+    lambda rs: local_P(rs, gaussian()),
+    lambda rs: local_Q(rs, gaussian()),
+], ids=["weighted_grid", "tV_k_num", "tV_k_exact", "local_P", "local_Q"])
+def test_a_scaled_root_is_refused_where_the_weight_constant_enters(call):
+    # a root of length 2 scales the weight by 4^k, which these leave out
+    with pytest.raises(UnsupportedCaseError, match=r"roots of length 2 .* rescale each root to length 1"):
+        call(RootSystem.create(1, [[2]], [1]))
 
 
 @pytest.mark.parametrize("gamma", EXACT_GAMMAS)
@@ -728,9 +743,10 @@ def _return_nan(monkeypatch, name):
     original = getattr(intertwine1d, name)
 
     def nan(rs, f, points, *args, **kwargs):
-        # a sequence of functions gets a leading function axis, as the real engines give
+        # the points read and the result shaped as the real engines do, a sequence of
+        # functions with a leading function axis
         functions = () if callable(f) else (len(f),)
-        return np.full(functions + np.shape(points), np.nan)[()]
+        return np.full(functions + _points(points, rs.dimension, float)[1], np.nan)[()]
 
     def nan_exact(rs, f):
         # the closed-form dual gives (c, r); an r whose one coefficient is NaN is NaN everywhere

@@ -26,7 +26,7 @@ from dunklkit.polyexact import (
     solve_exact,
 )
 from dunklkit.rootsys import RootSystem, axis_product, rank_one, reflection_matrix
-from dunklkit.suites import SuiteConfig, run_suite
+from dunklkit.suites import SuiteConfig, run_suite, suite_names
 
 
 def b2():
@@ -374,12 +374,24 @@ def test_transmutation_suite_on_b2_passes_with_zero_residuals():
     assert all(c.residual == 0.0 for c in report.checks)
 
 
-@pytest.mark.parametrize("suite", ["kernel", "transmutation", "normalization"])
+@pytest.mark.parametrize("suite", ["kernel", "transmutation", "normalization", "transform"])
 def test_suites_on_three_axes_pass(suite):
     # every point the suites build has rs.dimension coordinates, and the kernel series
     # runs in O(|W|^2) per term and point
     rs = axis_product(1, 2, Fraction(1, 2))
     assert run_suite(SuiteConfig(suite=suite, rs=rs, label="z2^3:1,2,1/2")).all_passed
+
+
+@pytest.mark.parametrize("suite", suite_names())
+def test_suites_on_a_scaled_root_pass_or_refuse_it_by_name(suite):
+    # the kernel, V and the exact layer read the weight themselves; every path that takes
+    # the weight's constant from a unit root refuses the root of length 2
+    config = SuiteConfig(suite=suite, rs=RootSystem.create(1, [[2]], [1]), label="root 2")
+    if suite in ("kernel", "normalization", "cross-engine", "transmutation"):
+        assert run_suite(config).all_passed
+    else:
+        with pytest.raises(UnsupportedCaseError, match="rescale each root to length 1"):
+            run_suite(config)
 
 
 @pytest.mark.parametrize("make", [b2, a2_in_r3])

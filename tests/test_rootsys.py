@@ -63,7 +63,7 @@ def test_non_invariant_multiplicity_rejected():
 
 def test_a_root_set_not_closed_under_its_reflections_is_refused():
     # the reflection in (1, 0) maps (1, 1) to (-1, 1), which is no root
-    with pytest.raises(NotARootSystemError, match="image .* is not in the system"):
+    with pytest.raises(NotARootSystemError, match=r"image \(-1, 1\) of root \(1, 1\) is not in the system"):
         RootSystem.create(2, [[1, 0], [1, 1]], [1, 1])
 
 

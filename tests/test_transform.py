@@ -67,8 +67,11 @@ def test_line_gamma_reads_the_line_and_refuses_a_product():
 
 
 def test_grid_calibration_small():
-    for grid in (weighted_line_grid(1.0), plain_line_grid()):
-        assert grid.calibration_residual() < 1e-9
+    # the weights sum to the exact integral of the absorbed weight over [-R, R]
+    R, g = 10.0, 1.0
+    for grid, exact in ((weighted_line_grid(g, R), 2.0 * R ** (2.0 * g + 1.0) / (2.0 * g + 1.0)),
+                        (plain_line_grid(R), 2.0 * R)):
+        assert float(np.sum(grid.weights)) == pytest.approx(exact, rel=1e-9)
 
 
 def test_tensor_grid_mass(rs_product):
