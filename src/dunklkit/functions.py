@@ -1,50 +1,51 @@
 """Closed function families for the one-dimensional numeric checks.
 
-PolyGauss (polynomial times Gaussian) is closed under differentiation,
-reflection, and the one-dimensional Dunkl operator, so repeated applications
-stay exact in the coefficients.  SmoothBump wraps the standard compactly
-supported mollifier profile with an exact derivative recursion.
+Each family is p E: a polynomial p with exact coefficients times an even
+envelope E, e^(-x^2/2) (PolyGauss) or (1 - x^2)^(-m) e^(-1/(1 - x^2))
+(SmoothBump).  Since E is even, d/dx and the line's Dunkl operator T act by
+one rule, D(p E) = q E + p E' with q = p' or q = T p, and p E' stays in the
+family, so every image is exact in the coefficients.  The polynomial algebra
+is RationalPoly's, and T p is polyexact.dunkl_apply on the line's RootSystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .polyexact import RationalPoly, dunkl_apply
+from .rootsys import RootSystem
 from .transform import DecayClass
 
 Number = Union[int, Fraction, float]
 
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+_X = RationalPoly.variable(1, 0)
+_U = 1 - _X**2  # the bump's u = 1 - x^2
+_U2 = _U * _U
 
 
-def _add(a, b) -> tuple:
-    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+def _poly(coeffs) -> RationalPoly:
+    """The polynomial with these coefficients, lowest degree first."""
+    return RationalPoly(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
-def _odd_quotient(coeffs) -> list:
-    """Coefficients of (p(x) - p(-x)) / x: the odd part of p is divisible by
-    x, so the quotient is an exact coefficient shift and no pole appears."""
-    shifted = [Fraction(0)] * max(1, len(coeffs) - 1)
-    for i, c in enumerate(coeffs):
-        if i % 2 == 1:
-            shifted[i - 1] += 2 * c
-    return shifted
+def _coeffs(p: RationalPoly) -> tuple:
+    """p's coefficients, lowest degree first, up to its degree; (0,) for p = 0."""
+    return tuple(p.terms.get((i,), Fraction(0)) for i in range(max(p.degree(), 0) + 1))
 
 
 class _PolyFamily:
-    """What both families share: a polynomial factor p with exact
-    coefficients, kept in the field coeffs of each dataclass."""
+    """What both families share: p's exact coefficients in the field coeffs,
+    and d/dx and T as one rule, _step(q) = q E + p E' written in the family."""
+
+    @property
+    def poly(self) -> RationalPoly:
+        """p as a RationalPoly in one variable."""
+        return _poly(self.coeffs)
 
     def _p(self, x: np.ndarray) -> np.ndarray:
         p = np.zeros_like(x)
@@ -53,16 +54,21 @@ class _PolyFamily:
         return p
 
     def scale(self, c: Number):
+        # coefficient by coefficient, so a NaN coefficient scales to NaN
         c = Fraction(c)
-        return replace(self, coeffs=_trim(ci * c for ci in self.coeffs))
+        return replace(self, coeffs=tuple(ci * c for ci in self.coeffs) if c else (Fraction(0),))
 
-    def reflect(self):
-        return replace(self, coeffs=_trim(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+    def derivative(self):
+        return self._step(self.poly.partial(0))
 
-    def dunkl_power(self, gamma: Number, m: int):
+    def dunkl(self, rs: RootSystem):
+        """The Dunkl operator of the line rs: T(p E) = (T p) E + p E' for an even E."""
+        return self._step(dunkl_apply(rs, 0, self.poly))
+
+    def dunkl_power(self, rs: RootSystem, m: int):
         f = self
         for _ in range(m):
-            f = f.dunkl(gamma)
+            f = f.dunkl(rs)
         return f
 
 
@@ -74,13 +80,13 @@ class PolyGauss(_PolyFamily):
 
     @staticmethod
     def create(coeffs: Sequence[Number]) -> "PolyGauss":
-        return PolyGauss(_trim(Fraction(c) for c in coeffs))
+        return PolyGauss(_coeffs(_poly(map(Fraction, coeffs))))
 
     @staticmethod
     def monomial(n: int) -> "PolyGauss":
         if n < 0:
             raise InvalidArgumentError("degree must be nonnegative")
-        return PolyGauss(_trim([Fraction(0)] * n + [Fraction(1)]))
+        return PolyGauss((Fraction(0),) * n + (Fraction(1),))
 
     @property
     def degree(self) -> int:
@@ -94,31 +100,20 @@ class PolyGauss(_PolyFamily):
         return self._p(x) * np.exp(-(x * x) / 2.0)
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
-        return PolyGauss(_add(self.coeffs, other.coeffs))
+        return PolyGauss(_coeffs(self.poly + other.poly))
 
-    def derivative(self) -> "PolyGauss":
-        # (p e^{-x^2/2})' = (p' - x p) e^{-x^2/2}
-        n = len(self.coeffs)
-        out = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            if i >= 1:
-                out[i - 1] += i * c
-            out[i + 1] -= c
-        return PolyGauss(_trim(out))
-
-    def dunkl(self, gamma: Number) -> "PolyGauss":
-        """One-dimensional Dunkl operator: f' + gamma (f - f(-x)) / x."""
-        g = Fraction(gamma)
-        return PolyGauss(_add(self.derivative().coeffs, [g * c for c in _odd_quotient(self.coeffs)]))
+    def _step(self, q: RationalPoly) -> "PolyGauss":
+        # E' = -x E
+        return PolyGauss(_coeffs(q - _X * self.poly))
 
 
 def gaussian() -> PolyGauss:
-    return PolyGauss.create([1])
+    return PolyGauss.monomial(0)
 
 
 @dataclass(frozen=True)
 class SmoothBump(_PolyFamily):
-    """p(x) (1 - x^2)^(-m) exp(-1 / (1 - x^2)) on (-1, 1), zero outside.
+    """p(x) (1 - x^2)^(-m) exp(-1 / (1 - x^2)) on (-1, 1), zero outside, NaN at NaN.
 
     Differentiation raises m by two and updates p polynomially, so all
     derivatives stay in the family and vanish identically outside [-1, 1],
@@ -133,11 +128,11 @@ class SmoothBump(_PolyFamily):
     def create(coeffs: Sequence[Number] = (1,), m: int = 0) -> "SmoothBump":
         if m < 0:
             raise InvalidArgumentError("m must be nonnegative")
-        return SmoothBump(_trim(Fraction(c) for c in coeffs), m)
+        return SmoothBump(_coeffs(_poly(map(Fraction, coeffs))), m)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        out = np.where(np.isnan(x), x, 0.0)
         inside = np.abs(x) < 1.0
         xi = x[inside]
         u = 1.0 - xi * xi
@@ -145,45 +140,14 @@ class SmoothBump(_PolyFamily):
         return out
 
     def __add__(self, other: "SmoothBump") -> "SmoothBump":
-        if self.m != other.m:
-            # lift both to the larger m: multiply p by (1-x^2)^(dm)
-            m = max(self.m, other.m)
-            return self._lift(m) + other._lift(m)
-        return SmoothBump(_add(self.coeffs, other.coeffs), self.m)
+        # at the larger m of the two: p u^(-k) = p u^(m - k) u^(-m)
+        m = max(self.m, other.m)
+        return SmoothBump(_coeffs(self.poly * _U ** (m - self.m) + other.poly * _U ** (m - other.m)), m)
 
-    def _lift(self, m: int) -> "SmoothBump":
-        out = self
-        for _ in range(m - self.m):
-            c = [Fraction(0)] * (len(out.coeffs) + 2)
-            for i, ci in enumerate(out.coeffs):
-                c[i] += ci
-                c[i + 2] -= ci
-            out = SmoothBump(_trim(c), out.m + 1)
-        return out
-
-    def derivative(self) -> "SmoothBump":
-        # d/dx [p u^{-m} e^{-1/u}] with u = 1 - x^2:
-        #   p_new = p' u^2 + 2 m x p u - 2 x p,   m_new = m + 2
-        p = list(self.coeffs)
-        n = len(p)
-        out = [Fraction(0)] * (n + 3)
-        for i, c in enumerate(p):
-            if i >= 1:
-                # p' * (1 - x^2)^2 = p' * (1 - 2 x^2 + x^4)
-                out[i - 1] += i * c
-                out[i + 1] -= 2 * i * c
-                out[i + 3] += i * c
-            if self.m:
-                # 2 m x p (1 - x^2)
-                out[i + 1] += 2 * self.m * c
-                out[i + 3] -= 2 * self.m * c
-            out[i + 1] -= 2 * c
-        return SmoothBump(_trim(out), self.m + 2)
-
-    def dunkl(self, gamma: Number) -> "SmoothBump":
-        odd = SmoothBump(_trim(_odd_quotient(self.coeffs)), self.m)._lift(self.m + 2)
-        return self.derivative() + odd.scale(gamma)
+    def _step(self, q: RationalPoly) -> "SmoothBump":
+        # E_m' = (2 m u - 2) x E_(m+2), so q E_m + p E_m' = (q u^2 + p (2 m u - 2) x) E_(m+2)
+        return SmoothBump(_coeffs(q * _U2 + self.poly * ((2 * self.m * _U - 2) * _X)), self.m + 2)
 
 
 def standard_bump() -> SmoothBump:
-    return SmoothBump.create([1], 0)
+    return SmoothBump((Fraction(1),))

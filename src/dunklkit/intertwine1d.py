@@ -329,9 +329,9 @@ def local_P(rs: RootSystem, f):
 
 def local_Q(rs: RootSystem, f):
     """Difference-differential form of the second multiplier operator:
-    prefactor times (-1)^gamma times the 2 gamma-th Dunkl power."""
+    prefactor times (-1)^gamma times the 2 gamma-th power of rs's Dunkl operator."""
     order, c = _signed_prefactor(rs)
-    return f.dunkl_power(rs.gamma, order).scale(c)
+    return f.dunkl_power(rs, order).scale(c)
 
 
 @lru_cache(maxsize=None)

@@ -173,9 +173,9 @@ class RootSystem:
         return close_group(self)
 
     def multiplicity_of(self, root: Vector) -> Fraction:
-        """Multiplicity of a root given up to sign and scaling."""
+        """Multiplicity of a root of this dimension, given up to sign and scaling."""
         for beta, k in zip(self.positive_roots, self.multiplicities):
-            if _parallel(root, beta):
+            if len(root) == self.dimension and any(root) and _parallel(root, beta):
                 return k
         raise InvalidArgumentError(f"{_show(root)} is not a root of this system")
 

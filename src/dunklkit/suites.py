@@ -622,7 +622,7 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     deriv = (fp(ypts + h) - fp(ypts - h)) / (2 * h)
     if gam > 0:
         deriv = deriv + gam * (fp(ypts) - fp(-ypts)) / ypts
-    rhs_op = np.real(translate_spectral_many(rs, f.dunkl(rs.gamma), x0, ypts, plan))
+    rhs_op = np.real(translate_spectral_many(rs, f.dunkl(rs), x0, ypts, plan))
     report.add(
         "translation-commutes-with-operator",
         "the difference-differential operator commutes with translation",

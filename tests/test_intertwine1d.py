@@ -511,14 +511,14 @@ def test_local_Q_prefactor_gamma_two(rs_two):
     f = PolyGauss.monomial(0)
     qf = local_Q(rs_two, f)
     # (1/9) T^4 f with the sign (-1)^gamma
-    ref = f.dunkl_power(2.0, 4)
+    ref = f.dunkl_power(rs_two, 4)
     xs = np.array([0.5, 1.1])
     assert np.allclose(qf(xs), ref(xs) / 9.0, atol=1e-12)
 
 
 def test_local_Q_uses_the_exact_multiplicity():
     f = PolyGauss.monomial(3)
-    ref = f.dunkl_power(Fraction(2), 4).scale(operator_prefactor(rank_one(2)).as_fraction())
+    ref = f.dunkl_power(rank_one(2), 4).scale(operator_prefactor(rank_one(2)).as_fraction())
     assert local_Q(rank_one(2), f) == ref
 
 

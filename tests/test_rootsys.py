@@ -73,6 +73,24 @@ def test_roots_generating_an_infinite_group_are_refused():
         RootSystem.create(2, [[1, 0], [3, 4]], [1, 1])
 
 
+@pytest.mark.parametrize("make, vector", [
+    (lambda: rank_one(1), (3, 4)),
+    (lambda: rank_one(1), ()),
+    (lambda: rank_one(1), (0,)),
+    (lambda: axis_product(1, 2), (1,)),
+    (lambda: axis_product(1, 2), (0, 0)),
+    (lambda: axis_product(1, 2), (1, 0, 0)),
+], ids=["line-(3,4)", "line-()", "line-(0)", "z2xz2-(1)", "z2xz2-(0,0)", "z2xz2-(1,0,0)"])
+def test_a_vector_of_another_length_or_zero_has_no_multiplicity(make, vector):
+    with pytest.raises(InvalidArgumentError, match="is not a root of this system"):
+        make().multiplicity_of(vector)
+
+
+def test_multiplicity_of_reads_a_root_up_to_sign_and_scaling():
+    assert rank_one(Fraction(7, 3)).multiplicity_of((-2,)) == Fraction(7, 3)
+    assert axis_product(1, 2).multiplicity_of((0, Fraction(-1, 2))) == 2
+
+
 TABLE_SYSTEMS = {
     "z2": lambda: rank_one(1),
     "z2xz2": lambda: axis_product(1, 2),

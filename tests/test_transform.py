@@ -465,7 +465,7 @@ def test_a_quadrature_size_or_radius_outside_the_domain_is_refused_by_name(call)
 def test_bump_sampled_has_compact_decay():
     # every member of the family declares the support [-1, 1], images included
     bump = standard_bump()
-    for f in (bump, bump.derivative(), bump.dunkl(2), bump + bump.derivative()):
+    for f in (bump, bump.derivative(), bump.dunkl(rank_one(2)), bump + bump.derivative()):
         assert f.decay == DecayClass.compact(1.0)
 
 
