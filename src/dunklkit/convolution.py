@@ -190,9 +190,9 @@ class BumpProfile:
     """Radial bump scaled to support radius epsilon, with unit weighted mass.
 
     The bump is even: its transform is fourier_bessel of order gamma - 1/2 on
-    _BUMP_GRID_N nodes over its support.  The norm is fixed once by that
-    transform at 0 at epsilon = 1, and scaling preserves mass exactly, so the
-    transform at zero of every scaled bump reproduces 1 to rounding.
+    _BUMP_GRID_N nodes over its support, from its moments up to |y| = 4/epsilon.
+    The norm is fixed by that transform at 0 at epsilon = 1; scaling keeps
+    mass exactly, so every scaled bump's transform at 0 is 1 to rounding.
     """
 
     rs: RootSystem
@@ -275,19 +275,21 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
     support_resids = []
     ybox = np.linspace(-plan.freq_radius, plan.freq_radius, 81)
     ybox = ybox[np.abs(ybox) > 1e-9]
+    # one transform per scale: its mass, its values on the frequency nodes and on ybox
+    ys = np.concatenate([[0.0], plan.freq.nodes, ybox])
     for e in eps:
         phi = bump.scaled(e)
-        norm_resids.append(abs(phi.mass() - 1.0))
+        mass, on_freq, tv = np.split(phi.transform_at(ys), [1, 1 + len(plan.freq.nodes)])
+        norm_resids.append(abs(mass[0] - 1.0))
         outside = np.linspace(e * 1.0001, max(2.0, 4 * e), 33)
         support_resids.append(np.abs(phi(outside)))
         # S * phi on the space grid through the plan's kernel matrices
-        conv = spectral_convolution(rs, phi.transform_at(plan.freq.nodes), gv, nodes, plan)
+        conv = spectral_convolution(rs, on_freq, gv, nodes, plan)
         mollified = ConcreteDistribution.weighted(lambda _: conv)
         residuals.append(worst([
             abs(mollified.pair(psi, plan) - base) / max(1e-12, abs(base))
             for psi, base in zip(_TEST_SET, base_pairs)
         ]))
-        tv = phi.transform_at(ybox)
         m_fits.append(float(np.max(np.abs(tv - 1.0) / (e * ybox**2))))
 
     report.add("bump-normalization", "scaled bump keeps unit weighted mass", worst(norm_resids), 1e-10)

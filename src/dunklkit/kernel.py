@@ -361,6 +361,14 @@ def kernel_value(rs: RootSystem, x, z):
     return _shaped(np.reshape(out, -1), shape, None)
 
 
+def _series_radius() -> float:
+    """The largest |x||z| that kernel_series certifies, about 8.18: where its last tail bound is _TOLERANCE."""
+    n, r = _TRUNCATION + 1, 0.0
+    for _ in range(20):
+        r = (_TOLERANCE * float(math.factorial(n)) * (1.0 - r / (n + 1))) ** (1.0 / n)
+    return r
+
+
 def kernel_series(rs: RootSystem, x, z):
     """K(x, z) = sum_n V(<., z>^n / n!)(x) for real x and real or purely
     imaginary z (z = i v takes v's terms times i^n); complex, batched as

@@ -52,6 +52,14 @@ class RationalPoly:
         self.dimension = dimension
         self.terms = clean
 
+    @classmethod
+    def _exact(cls, dimension: int, terms: dict) -> "RationalPoly":
+        """A result of exact arithmetic on valid terms: only its zeros are dropped, nothing is re-validated."""
+        p = object.__new__(cls)
+        p.dimension = dimension
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -124,7 +132,7 @@ class RationalPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + sign * c
-        return RationalPoly(self.dimension, terms)
+        return RationalPoly._exact(self.dimension, terms)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -138,33 +146,29 @@ class RationalPoly:
         return (-self) + other
 
     def __neg__(self):
-        return RationalPoly(self.dimension, {e: -c for e, c in self.terms.items()})
+        return RationalPoly._exact(self.dimension, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = rational(other)
-            return RationalPoly(self.dimension, {e: c * v for e, v in self.terms.items()})
+            return RationalPoly._exact(self.dimension, {e: c * v for e, v in self.terms.items()})
         other = self._operand(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return RationalPoly(self.dimension, terms)
+        return RationalPoly._exact(self.dimension, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise InvalidArgumentError(f"power must be a nonnegative integer, not {n!r}")
-        out = RationalPoly.constant(self.dimension, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n < 2:
+            return self if n else RationalPoly.constant(self.dimension, 1)
+        half = self ** (n // 2)  # floor(log2 n) + popcount(n) - 1 products in all
+        return half * half * self if n % 2 else half * half
 
     # -- calculus ------------------------------------------------------------
 
@@ -177,7 +181,7 @@ class RationalPoly:
                 continue
             ne = e[:j] + (e[j] - 1,) + e[j + 1 :]
             terms[ne] = terms.get(ne, Fraction(0)) + c * e[j]
-        return RationalPoly(self.dimension, terms)
+        return RationalPoly._exact(self.dimension, terms)
 
     def compose_linear(self, m) -> "RationalPoly":
         """p(M x) for a rational square matrix M given as rows.
@@ -196,7 +200,7 @@ class RationalPoly:
                     f[cols[i][0]] = p
                     c = -c if p % 2 and m[i][cols[i][0]] < 0 else c
                 terms[tuple(f)] = c
-            return RationalPoly(d, terms)
+            return RationalPoly._exact(d, terms)
         forms = [RationalPoly(d, {tuple(int(i == j) for i in range(d)): m[r][j] for j in range(d)}) for r in range(d)]
         powers, out = [[form] for form in forms], RationalPoly.zero(d)  # powers[i][p - 1] = form_i^p
         for e, c in self.terms.items():
@@ -300,7 +304,7 @@ def _apply_sparse(rs: RootSystem, p: RationalPoly, image, key) -> RationalPoly:
     for e, c in p.terms.items():
         for f, v in image(rs, key, e):
             terms[f] = terms.get(f, 0) + c * v
-    return RationalPoly(p.dimension, terms)
+    return RationalPoly._exact(p.dimension, terms)
 
 
 def directional_apply(rs: RootSystem, alpha, p: RationalPoly, dunkl: bool) -> RationalPoly:

@@ -52,7 +52,7 @@ from .intertwine1d import (
     tV_k_num,
     z_pairing,
 )
-from .kernel import check_bounds, kernel_1d, kernel_series, kernel_value
+from .kernel import _series_radius, check_bounds, kernel_1d, kernel_series, kernel_value
 from .polyexact import (
     RationalPoly,
     apply_P_poly,
@@ -254,6 +254,9 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
     """Kernel bounds on random samples, series agreement, and the line curve."""
     rng = np.random.default_rng(seed)
     d = rs.dimension
+    if rs.axis_profile() is None:  # only kernel_series evaluates the kernel there
+        raise UnsupportedCaseError(f"kernel off coordinate products needs the kernel series, certified only for "
+                                   f"|x||y| <= {_series_radius():.2f}; its bound samples reach |x||y| = {25 * d}")
     # row i holds (x_i, y_i), drawn in the same order as pair-by-pair draws
     samples = rng.uniform(-5, 5, (1000, 2, d))
     report = check_bounds(rs, samples)
@@ -281,11 +284,10 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
             worst(errors),
             1e-10,
         )
-    if rs.axis_profile() is not None:
-        grid = np.linspace(-5.0, 5.0, 201)
-        ones = np.ones(d)
-        kv = kernel_value(rs, 1j * grid[:, None] * ones, ones)
-        report.add_curve("kernel-curve", ["x", "re", "im"], zip(grid, kv.real, kv.imag))
+    grid = np.linspace(-5.0, 5.0, 201)
+    ones = np.ones(d)
+    kv = kernel_value(rs, 1j * grid[:, None] * ones, ones)
+    report.add_curve("kernel-curve", ["x", "re", "im"], zip(grid, kv.real, kv.imag))
     return report
 
 
@@ -585,9 +587,10 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     # the bump transform comes from its support-fitted grid; the global grid
     # cannot resolve a narrow mollifier
     phi = BumpProfile.create(rs, 0.5)
-    conv_b = spectral_convolution(rs, phi.transform_at(plan.freq.nodes), g(nodes), nodes, plan)
+    on_freq, on_ts = np.split(phi.transform_at(np.concatenate([plan.freq.nodes, ts])), [len(plan.freq.nodes)])
+    conv_b = spectral_convolution(rs, on_freq, g(nodes), nodes, plan)
     lhs = dunkl_transform_many(rs, lambda _: conv_b, ts, plan)
-    rhs = phi.transform_at(ts) * dunkl_transform_many(rs, g, ts, plan)
+    rhs = on_ts * dunkl_transform_many(rs, g, ts, plan)
     report.add(
         "distribution-convolution-transform",
         "the transform of (weighted density * bump) is the product of transforms",

@@ -207,6 +207,27 @@ def test_power_other_than_a_nonnegative_integer_is_refused_by_name(n):
         RationalPoly.variable(1, 0) ** n
 
 
+@pytest.mark.parametrize("k", range(1, 10))
+def test_power_is_the_product_in_the_binary_count_of_products(k, monkeypatch):
+    p = RationalPoly(2, {(1, 0): Fraction(2, 3), (0, 2): Fraction(-1), (0, 0): Fraction(5)})
+    expected = p
+    for _ in range(k - 1):
+        expected = expected * p
+    products = []
+    real_mul = RationalPoly.__mul__
+    monkeypatch.setattr(RationalPoly, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    assert p**k == expected
+    assert len(products) == k.bit_length() - 1 + bin(k).count("1") - 1
+    assert p**0 == RationalPoly.constant(2, 1)
+
+
+@pytest.mark.parametrize("terms", [{(1,): 1}, {(1, 0, 0): 1}, {(1, -1): 1}, {(1, 2): 0.5}],
+                         ids=["short", "long", "negative", "float-coefficient"])
+def test_the_public_constructor_refuses_bad_terms(terms):
+    with pytest.raises(InvalidArgumentError):
+        RationalPoly(2, terms)
+
+
 def test_arithmetic_across_dimensions_is_refused_by_name():
     with pytest.raises(InvalidArgumentError):
         RationalPoly.variable(1, 0) + RationalPoly.variable(2, 0)
@@ -395,10 +416,22 @@ def test_suites_on_a_scaled_root_pass_or_refuse_it_by_name(suite):
 
 
 @pytest.mark.parametrize("make", [b2, a2_in_r3])
-def test_kernel_suite_off_coordinate_products_raises_the_series_accuracy_error(make):
-    # check_bounds samples reach |x||y| = 50, which no 40-term series certifies
-    with pytest.raises(AccuracyError, match="truncation tail"):
+def test_kernel_suite_off_coordinate_products_is_refused_with_the_certified_radius(make, monkeypatch):
+    # check_bounds samples reach |x||y| = 25 d, which no 40-term series
+    # certifies: refused by name before any kernel is evaluated
+    from dunklkit import suites
+
+    for name in ("check_bounds", "kernel_series", "kernel_value"):
+        monkeypatch.setattr(suites, name, lambda *a, _name=name: pytest.fail(f"{_name} was called"))
+    with pytest.raises(UnsupportedCaseError, match=r"\|x\|\|y\| <= 8\.18;"):
         run_suite(SuiteConfig(suite="kernel", rs=make()))
+    # the series itself keeps its accuracy error, past the radius only
+    rs = make()
+    x = np.zeros(rs.dimension)
+    x[0] = 1.0
+    kernel_series(rs, x, 8.18 * x)
+    with pytest.raises(AccuracyError, match="truncation tail"):
+        kernel_series(rs, x, 8.19 * x)
 
 
 # The seed-0 body sha256 of the transmutation report.  Every residual is a

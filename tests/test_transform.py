@@ -131,19 +131,23 @@ def test_fourier_bessel_gaussian_self_reciprocal():
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 11 / 6])
-def test_fourier_bessel_evaluates_each_distinct_magnitude_once(alpha, monkeypatch):
+def test_fourier_bessel_sums_each_distinct_magnitude_once(alpha, monkeypatch):
+    # |lam| radius <= 4 sums moments (their accuracy is in test_accuracy.py);
+    # beyond, one Bessel row per distinct |lam|
     from dunklkit import transform
     from dunklkit.rootsys import _half_line_rule
 
     gauss = lambda r: np.exp(-0.5 * r**2)
-    n = 64
-    r, wts = _half_line_rule(n, 2.0 * alpha + 1.0, 9.0)
+    n, radius = 64, 9.0
+    r, wts = _half_line_rule(n, 2.0 * alpha + 1.0, radius)
     norm = 2.0**alpha * math.gamma(alpha + 1.0)
     lams = {
         "symmetric": np.array([-1.9, -0.7, 0.0, 0.7, 1.9, -0.0]),
         "2-D": np.array([[0.3, -2.5, 0.3], [2.5, 4.0, -0.3]]),
         "scalar": -0.7,
-        "NaN-bearing": np.array([0.5, np.nan, -0.5, np.nan, 3.0]),
+        "scalar inside": 0.2,
+        "all inside": np.array([0.1, -0.2, 0.0, 4.0 / radius]),
+        "NaN-bearing": np.array([0.5, np.nan, -0.5, np.nan, 3.0, 0.2, -np.inf]),
     }
     points = []
     real_bessel = transform.bessel_j_normalized
@@ -151,14 +155,23 @@ def test_fourier_bessel_evaluates_each_distinct_magnitude_once(alpha, monkeypatc
                         lambda a, u: points.append(np.size(u)) or real_bessel(a, u))
     for name, lam in lams.items():
         points.clear()
-        got = fourier_bessel(gauss, lam, alpha, radius=9.0, n=n)
+        got = fourier_bessel(gauss, lam, alpha, radius=radius, n=n)
         assert np.shape(got) == np.shape(lam), name
-        assert points == [np.unique(np.abs(lam)).size * n], name
-        # every lam at its own point, and the entrywise formula on complex arguments
-        each = [fourier_bessel(gauss, v, alpha, radius=9.0, n=n) for v in np.ravel(lam)]
-        entrywise = [np.sum(wts * (gauss(r) * np.real(real_bessel(alpha, complex(v) * r)))) / norm
-                     for v in np.ravel(lam)]
-        assert np.ravel(got).tobytes() == np.array(each).tobytes() == np.array(entrywise).tobytes(), name
+        far = ~(np.abs(np.ravel(lam)) * radius <= kernel._SERIES_RADIUS)  # NaN is far
+        rows = np.unique(np.abs(np.ravel(lam))[far]).size
+        assert points == ([rows * n] if rows else []), name
+        # every lam at its own point
+        each = [fourier_bessel(gauss, v, alpha, radius=radius, n=n) for v in np.ravel(lam)]
+        assert np.ravel(got).tobytes() == np.array(each).tobytes(), name
+        # the entrywise formula on complex arguments: bitwise beyond the radius,
+        # within the moment sums' bound of test_accuracy.py inside it
+        with np.errstate(invalid="ignore"):  # -inf times the node at 0
+            entrywise = np.array([np.sum(wts * (gauss(r) * np.real(real_bessel(alpha, complex(v) * r)))) / norm
+                                  for v in np.ravel(lam)])
+        assert np.ravel(got)[far].tobytes() == entrywise[far].tobytes(), name
+        assert np.all(np.abs(np.ravel(got)[~far] - entrywise[~far]) <= 5e-15), name
+    # at 0 the moment integral itself
+    assert fourier_bessel(gauss, 0.0, alpha, radius=radius, n=n) == np.sum(wts * gauss(r)) / norm
 
 
 def test_multiplier_P_is_negative_second_derivative(plan_one, rs_one):
