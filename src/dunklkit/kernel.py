@@ -428,21 +428,23 @@ def kernel_series(rs: RootSystem, x, z):
 def check_bounds(rs: RootSystem, samples) -> VerificationReport:
     """Boundedness and invariance checks on a sample set of real pairs (x, y).
 
-    The samples are stacked into (m, d) arrays X and Y, and each kernel is
-    evaluated in one batch: K(X, iY), K(X, Y) and K(0, Y) once, K(Xw^T, Yw^T)
-    once per group element other than the identity.  Violations are reported as residuals, not
+    The samples, an (m, 2, d) array or m pairs, are read as one array and
+    split into (m, d) points X and Y, and each kernel is evaluated in one
+    batch: K(X, iY), K(X, Y) and K(0, Y) once, K(Xw^T, Yw^T) once per group
+    element other than the identity.  Violations are reported as residuals, not
     exceptions: each check carries the largest observed excess over its
     bound, and a NaN kernel value makes that residual NaN.  Each bound is
     met within the series tolerance 1e-12, group invariance within 1e-11.
     An empty sample set is an InvalidArgumentError: no check passes on no evidence.
     """
     tol = _TOLERANCE
-    pairs = list(samples)
-    if not pairs:
+    pts, shape = _points(samples, rs.dimension, float)
+    if not pts.size:
         raise InvalidArgumentError("check_bounds needs at least one sample pair (x, y)")
-    X = _points([x for x, _ in pairs], rs.dimension, float)[0]
-    Y = _points([y for _, y in pairs], rs.dimension, float)[0]
-    report = VerificationReport(suite="kernel-bounds", env={"samples": len(pairs), "tol": tol})
+    if shape[1:] != (2,):
+        raise InvalidArgumentError(f"samples are pairs (x, y) of points, not points of shape {shape}")
+    X, Y = pts[0::2].copy(), pts[1::2].copy()
+    report = VerificationReport(suite="kernel-bounds", env={"samples": shape[0], "tol": tol})
 
     # K(ix, y) = K(x, iy), and only the second form has a series path
     k_imag = kernel_value(rs, X, 1j * Y)

@@ -4,13 +4,14 @@ Polynomials carry Fraction coefficients, so the transmutation identities can
 be asserted with zero residual.  V and V^(-1) are built monomial by monomial
 from Dunkl's Euler identity sum_i x_i T_i = n + gamma - S on degree n, so
 T_j V = V d_j and V^(-1) V = 1 are consequences to check, not the equations
-that built V.  V, V^(-1) and the Dunkl operators act term by term, from
-cached exact images of single monomials.
+that built V.  V, V^(-1), the Dunkl operators and the inversion multipliers
+P and Q act term by term, from cached exact images of single monomials.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,10 +46,10 @@ class RationalPoly:
             c = rational(coeff)
             if c == 0:
                 continue
-            e = tuple(int(v) for v in exps)
-            if len(e) != dimension or any(v < 0 for v in e):
-                raise InvalidArgumentError(f"bad exponent tuple {exps}")
-            clean[e] = c
+            # numpy integers are Integral; a float such as 0.5 is refused, not truncated
+            if len(exps) != dimension or not all(isinstance(v, numbers.Integral) and v >= 0 for v in exps):
+                raise InvalidArgumentError(f"bad exponent tuple {exps}: {dimension} nonnegative integers needed")
+            clean[tuple(int(v) for v in exps)] = c
         self.dimension = dimension
         self.terms = clean
 
@@ -489,8 +490,9 @@ def _gamma_half_squared_inverse(k: Fraction):
     return Fraction(1), 0, ((k + Fraction(1, 2), -2),)
 
 
+@lru_cache(maxsize=None)
 def operator_prefactor(rs: RootSystem) -> OperatorConstants:
-    """The scalar appearing in both inversion multipliers.
+    """The scalar appearing in both inversion multipliers, built once per system.
 
     Requires an axis-product system, where the normalization constant has the
     closed Gamma-product form.
@@ -523,35 +525,34 @@ def operator_prefactor(rs: RootSystem) -> OperatorConstants:
     return OperatorConstants(rat, pi_power, tuple(gammas), tuple(powers))
 
 
-def _require_integer_case(rs: RootSystem, what: str):
+def _apply_multiplier(rs: RootSystem, p: RationalPoly, dunkl: bool, what: str) -> RationalPoly:
     if not rs.is_integer_case:
         raise UnsupportedCaseError(f"{what} exists only for integer multiplicities")
+    operator_prefactor(rs)  # refuses a system off coordinate products, for p = 0 too
+    return _apply_sparse(rs, p, _multiplier_image, dunkl)
 
 
-def _root_power_product(rs: RootSystem, p: RationalPoly, dunkl: bool) -> RationalPoly:
-    """Scalar times the product over positive roots of (-1)^k (alpha . D)^(2k) applied to p."""
-    pref = operator_prefactor(rs).as_fraction()
-    out = p
-    sign = 1
+@lru_cache(maxsize=None)
+def _multiplier_image(rs: RootSystem, dunkl: bool, e: Exponents):
+    """Scalar times the product over positive roots of (-1)^k (alpha . D)^(2k)
+    applied to x^e, D the gradient or (dunkl) the Dunkl gradient."""
+    out = RationalPoly.monomial(rs.dimension, e)
     for alpha, k in zip(rs.positive_roots, rs.multiplicities):
-        n = int(k)
-        sign *= (-1) ** n
-        for _ in range(2 * n):
+        for _ in range(2 * int(k)):
             out = directional_apply(rs, alpha, out, dunkl=dunkl)
-    return (pref * sign) * out
+    return tuple((out * (operator_prefactor(rs).as_fraction() * (-1) ** int(rs.gamma))).terms.items())
 
 
 def apply_P_poly(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     """The local form of the first inversion multiplier on polynomials.
 
-    Scalar times the product over positive roots of (-1)^k (alpha . grad)^(2k).
+    Scalar times the product over positive roots of (-1)^k (alpha . grad)^(2k),
+    summed from cached exact images of p's monomials, as V and T_j are.
     Integer multiplicities only; the result is exact.
     """
-    _require_integer_case(rs, "the differential form of the inversion multiplier")
-    return _root_power_product(rs, p, dunkl=False)
+    return _apply_multiplier(rs, p, False, "the differential form of the inversion multiplier")
 
 
 def apply_Q_poly(rs: RootSystem, p: RationalPoly) -> RationalPoly:
     """Same scalar and product shape as apply_P_poly with Dunkl gradients."""
-    _require_integer_case(rs, "the Dunkl form of the inversion multiplier")
-    return _root_power_product(rs, p, dunkl=True)
+    return _apply_multiplier(rs, p, True, "the Dunkl form of the inversion multiplier")

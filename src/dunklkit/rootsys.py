@@ -120,13 +120,20 @@ class RootSystem:
     dimension: int
     positive_roots: tuple[Vector, ...]
     multiplicities: tuple[Fraction, ...]
+    _interned = {}  # not a field: the one instance of each validated value
 
     @staticmethod
     def create(dimension: int, positive_roots, multiplicities):
+        """The one instance of this value: the first call runs every check and
+        keeps the system, an equal later call returns it, so a cache keyed by
+        a system hits on identity.  A refused system is never kept, and a
+        direct ``RootSystem(...)`` is not interned."""
         if dimension < 1:
             raise InvalidArgumentError("dimension must be >= 1")
         roots = tuple(_vec(r) for r in positive_roots)
         mults = tuple(rational(k) for k in multiplicities)
+        if (rs := RootSystem._interned.get((dimension, roots, mults))) is not None:
+            return rs
         if len(roots) != len(mults):
             raise InvalidArgumentError("one multiplicity per positive root required")
         if not roots:
@@ -148,7 +155,7 @@ class RootSystem:
         rs = RootSystem(dimension, roots, mults)
         close_group(rs)
         _check_invariance(rs)
-        return rs
+        return RootSystem._interned.setdefault((dimension, roots, mults), rs)
 
     def __hash__(self):
         # Fraction hashes are slow and every lru_cache lookup keyed by a system takes one

@@ -123,6 +123,33 @@ def test_check_bounds_dimension_mismatch(rs_product):
         check_bounds(rs_product, [(np.array([1.0]), np.array([1.0, 2.0]))])
 
 
+def test_check_bounds_refuses_ragged_pairs_wrong_dimensions_and_non_pairs_by_name(rs_product):
+    x, y = np.array([1.0, 0.5]), np.array([-0.5, 2.0])
+    with pytest.raises(InvalidArgumentError, match="no array of numbers"):  # ragged
+        check_bounds(rs_product, [(x, y), (x, y[:1])])
+    with pytest.raises(InvalidArgumentError, match="last axis of length 2; got shape"):
+        check_bounds(rs_product, np.zeros((4, 2, 3)))
+    with pytest.raises(InvalidArgumentError, match="last axis of length 2; got shape"):
+        check_bounds(rs_product, [(x[:1], y[:1])])
+    with pytest.raises(InvalidArgumentError, match="pairs"):
+        check_bounds(rs_product, np.zeros((4, 3, 2)))
+    with pytest.raises(InvalidArgumentError, match="at least one sample"):
+        check_bounds(rs_product, np.empty((0, 2, 2)))
+
+
+@pytest.mark.parametrize("preset", ["z2:2", "z2xz2:1,2"])
+def test_check_bounds_reads_a_list_of_pairs_as_the_stacked_array(preset):
+    rs = parse_preset(preset)
+    samples = np.random.default_rng(6).uniform(-4, 4, (30, 2, rs.dimension))
+    body = check_bounds(rs, samples).body_bytes()
+    assert check_bounds(rs, [(x, y) for x, y in samples]).body_bytes() == body
+    assert check_bounds(rs, [tuple(pair) for pair in samples.tolist()]).body_bytes() == body
+    if rs.dimension == 1:  # scalar pairs on the line
+        assert check_bounds(rs, samples[..., 0]).body_bytes() == body
+        assert check_bounds(rs, [(float(x), float(y)) for x, y in samples[..., 0]]).body_bytes() == body
+    assert check_bounds(rs, samples).env["samples"] == 30
+
+
 def test_check_bounds_refuses_an_empty_sample_set_by_name(rs_one):
     with pytest.raises(InvalidArgumentError, match="at least one sample"):
         check_bounds(rs_one, [])

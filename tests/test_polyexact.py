@@ -15,6 +15,7 @@ from dunklkit.polyexact import (
     RationalPoly,
     apply_P_poly,
     apply_Q_poly,
+    directional_apply,
     divide_by_linear_form,
     dunkl_apply,
     intertwine,
@@ -139,6 +140,56 @@ def test_apply_Q_rejects_fractional():
         apply_Q_poly(rank_one(Fraction(1, 2)), RationalPoly.monomial(1, (2,)))
 
 
+def _multiplier_reference(rs, p, dunkl):
+    """The multiplier as it was computed on the whole polynomial: the prefactor
+    times the product over roots of (-1)^k (alpha . D)^(2k), by directional_apply."""
+    out, sign = p, 1
+    for alpha, k in zip(rs.positive_roots, rs.multiplicities):
+        sign *= (-1) ** int(k)
+        for _ in range(2 * int(k)):
+            out = directional_apply(rs, alpha, out, dunkl=dunkl)
+    return (operator_prefactor(rs).as_fraction() * sign) * out
+
+
+@pytest.mark.parametrize("preset", ["z2:1", "z2:2", "z2xz2:1,2"])
+def test_p_and_q_from_cached_monomial_images_equal_the_directional_product(preset):
+    rs = parse_preset(preset)
+    total = RationalPoly.zero(rs.dimension)
+    for deg in range(7):
+        for e in monomial_basis(rs.dimension, deg):
+            p = RationalPoly.monomial(rs.dimension, e, Fraction(deg + 1, 3))
+            total = total + p
+            assert apply_P_poly(rs, p) == _multiplier_reference(rs, p, False), e
+            assert apply_Q_poly(rs, p) == _multiplier_reference(rs, p, True), e
+    # and on a sum of monomials, term by term
+    assert apply_P_poly(rs, total) == _multiplier_reference(rs, total, False)
+    assert apply_Q_poly(rs, total) == _multiplier_reference(rs, total, True)
+
+
+def test_p_and_q_refuse_a_system_off_coordinate_products_even_on_zero():
+    for apply in (apply_P_poly, apply_Q_poly):
+        for p in (RationalPoly.zero(2), RationalPoly.monomial(2, (2, 2))):
+            with pytest.raises(UnsupportedCaseError, match="one-dimensional factors"):
+                apply(b2(), p)
+
+
+def test_operator_prefactor_is_built_once_per_system():
+    rs = axis_product(3, 1)
+    assert operator_prefactor(rs) is operator_prefactor(axis_product(3, 1))
+
+
+def test_a_warm_transmutation_run_compares_no_root_systems(monkeypatch):
+    # one system per value: every cache keyed by a system hits on identity
+    config = SuiteConfig(suite="transmutation", rs=parse_preset("z2xz2:1,2"), label="z2xz2:1,2")
+    run_suite(config)
+    compared = []
+    original = RootSystem.__eq__
+    monkeypatch.setattr(RootSystem, "__eq__", lambda a, b: compared.append(1) or original(a, b))
+    report = run_suite(SuiteConfig(suite="transmutation", rs=parse_preset("z2xz2:1,2"), label="z2xz2:1,2"))
+    assert report.all_passed and compared == []
+    assert parse_preset("z2xz2:1,2") == axis_product(1, 2) and compared  # the counter counts
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.fractions(min_value=-3, max_value=3), min_size=1, max_size=4),
@@ -221,11 +272,21 @@ def test_power_is_the_product_in_the_binary_count_of_products(k, monkeypatch):
     assert p**0 == RationalPoly.constant(2, 1)
 
 
-@pytest.mark.parametrize("terms", [{(1,): 1}, {(1, 0, 0): 1}, {(1, -1): 1}, {(1, 2): 0.5}],
-                         ids=["short", "long", "negative", "float-coefficient"])
+# an exponent that is not an integer is refused, not truncated: (0.5, 1) is not x_1
+@pytest.mark.parametrize("terms", [{(1,): 1}, {(1, 0, 0): 1}, {(1, -1): 1}, {(1, 2): 0.5}, {(0.5, 1): 1},
+                                   {(1.0, 1): 1}, {(Fraction(1, 2), 1): 1}, {("1", 1): 1}],
+                         ids=["short", "long", "negative", "float-coefficient", "half-exponent",
+                              "float-exponent", "fraction-exponent", "str-exponent"])
 def test_the_public_constructor_refuses_bad_terms(terms):
     with pytest.raises(InvalidArgumentError):
         RationalPoly(2, terms)
+
+
+def test_integer_exponents_of_any_integer_type_are_taken():
+    expected = RationalPoly.monomial(2, (2, 1), 3)
+    for e in [(2, 1), (np.int64(2), np.int32(1)), tuple(np.array([2, 1]))]:
+        p = RationalPoly(2, {e: 3})
+        assert p == expected and all(type(v) is int for v in next(iter(p.terms)))
 
 
 def test_arithmetic_across_dimensions_is_refused_by_name():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklkit.cli import parse_preset
 from dunklkit.errors import InvalidArgumentError, NotARootSystemError
 from dunklkit.intertwine1d import default_line_plan
 from dunklkit.rootsys import (
@@ -163,6 +164,40 @@ def test_equal_systems_hash_once_and_share_cache_entries(monkeypatch):
     fresh = rank_one(Fraction(7, 3))
     assert a == fresh and repr(a) == repr(fresh) and pickle.dumps(a) == pickle.dumps(fresh)
     assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+
+
+def test_create_keeps_one_system_per_value():
+    assert rank_one(Fraction(7, 3)) is rank_one(Fraction(7, 3)) is rank_one("7/3")
+    assert parse_preset("z2xz2:1,2") is axis_product(1, 2) is axis_product(Fraction(2, 2), 2)
+    assert root_system_from_dict(root_system_to_dict(rank_one(2))) is rank_one(2)
+    assert rank_one(2) is not rank_one(3) and axis_product(1, 2) is not axis_product(2, 1)
+    # a direct construction skips the checks and is not interned; it still equals the system
+    direct = RootSystem(1, ((Fraction(1),),), (Fraction(2),))
+    assert direct == rank_one(2) and direct is not rank_one(2)
+    assert RootSystem.create(1, [[1]], [2]) is rank_one(2)
+
+
+@pytest.mark.parametrize("dimension, roots, mults", [
+    (2, [[1, 0], [1, 1]], [1, 1]),  # not closed under its reflections
+    (2, [[1, -1], [1, 1], [1, 0], [0, 1]], [1, 1, 1, 2]),  # multiplicity not invariant
+    (2, [[1, 0], [3, 4]], [1, 1]),  # an infinite group
+])
+def test_a_refused_system_is_refused_again_and_never_kept(dimension, roots, mults):
+    for _ in range(2):
+        with pytest.raises(NotARootSystemError):
+            RootSystem.create(dimension, roots, mults)
+    assert not any(key[1:] == (tuple(tuple(map(Fraction, r)) for r in roots), tuple(map(Fraction, mults)))
+                   for key in RootSystem._interned)
+
+
+def test_a_repeated_create_skips_the_closure_and_the_invariance_check(monkeypatch):
+    import dunklkit.rootsys as rootsys
+
+    rs = axis_product(Fraction(5, 7), 3)
+    seen = []
+    monkeypatch.setattr(rootsys, "close_group", lambda r: seen.append("close"))
+    monkeypatch.setattr(rootsys, "_check_invariance", lambda r: seen.append("check"))
+    assert axis_product(Fraction(5, 7), 3) is rs and seen == []
 
 
 @pytest.mark.parametrize("make", [
