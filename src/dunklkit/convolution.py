@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedCaseError
 from .functions import standard_bump
-from .intertwine1d import default_line_plan, inv_V_via_Q, mu_quadrature, tV_k_num
+from .intertwine1d import _plan, inv_V_via_Q, mu_quadrature, tV_k_num
 from .kernel import kernel_value
 from .report import VerificationReport, worst
-from .rootsys import RootSystem, _paired, _points, _shaped
+from .rootsys import RootSystem, _functions, _paired, _points, _shaped
 from .transform import (
     TransformPlan,
     _axis_gammas,
@@ -52,10 +52,7 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     """
     gammas = _axis_gammas(rs)
     d = len(gammas)
-    if plan is None:
-        if d != 1:
-            raise InvalidArgumentError("a plan is required beyond one dimension")
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
     px = _points(x, d, float)
     xv, pts, shape = _paired(px, _points(ys, d, float))
@@ -90,13 +87,12 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
     g = line_gamma(rs)
     if g <= 0:
         raise InvalidArgumentError("the measure form needs a positive multiplicity")
-    fs = [f] if callable(f) else list(f)
+    fs = _functions(f)
     t, w = mu_quadrature(g, 48)
     xs, ys, shape = _paired(_points(x, 1, float), _points(y, 1, float))
     xs, ys = xs[:, 0], ys[:, 0]
     if method == "P":
-        if plan is None:
-            plan = default_line_plan(rs)
+        plan = _plan(rs, plan)
         coef = [plan.freq.weights * classical_fourier_many(lambda _: tv, plan.freq.nodes, plan)
                 for tv in tV_k_num(rs, fs, plan.space_plain.nodes)]
         base = np.concatenate([xs, ys])
@@ -117,11 +113,10 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None):
     """Weighted convolution of f and g at many points, on the line or an axis
     product: the inverse transform of Ff * Fg, see spectral_convolution.
 
-    Without a plan only the line is served; default_line_plan refuses the rest.
+    Without a plan only the line is served, as default_line_plan refuses the rest.
     """
     _refuse_growth(g, "convolve_many")
-    if plan is None:
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
     return spectral_convolution(rs, hv_f, np.asarray(g(plan.space.nodes)), xs, plan)
 
@@ -175,8 +170,7 @@ class ConcreteDistribution:
 def distribution_convolve(rs: RootSystem, S: ConcreteDistribution, phi, x,
                           plan: TransformPlan = None) -> float:
     """S convolved with a test function: <S_y, tau_x phi(-y)>."""
-    if plan is None:
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     return S.pair(lambda y: translate_spectral_many(rs, phi, x, -y, plan), plan).real
 
 
@@ -258,8 +252,7 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
         )
     if S.kind != "weighted-function":
         raise UnsupportedCaseError("the convergence check pairs against the weighted kind")
-    if plan is None:
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     report = VerificationReport("approx-identity", env={
         "gamma": g, "eps": eps, "grid_n": len(plan.space.nodes),
     })

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .functions import PolyGauss, SmoothBump
 from .polyexact import OperatorConstants, operator_prefactor
-from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule
+from .rootsys import RootSystem, _functions, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule
 from .transform import (
     TransformPlan,
     _axis_gammas,
@@ -50,6 +50,14 @@ def default_line_plan(rs: RootSystem, grid_n: int = 160) -> TransformPlan:
     grid_n) for the life of the process; any other system is refused."""
     line_gamma(rs)
     return make_plan(rs, grid_n=grid_n, freq_radius=9.0)
+
+
+def _plan(rs: RootSystem, plan: TransformPlan) -> TransformPlan:
+    """The plan a route of rs runs on: rs's default line plan, or plan once it is checked to be rs's."""
+    if plan is None:
+        return default_line_plan(rs)
+    _axis_gammas(rs, plan)
+    return plan
 
 
 def mass_constant(gamma) -> float:
@@ -137,7 +145,7 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
     def average(h):
         vals = np.asarray(h(flat)).reshape(args.shape[:2])
         return np.where(pts.any(axis=1), vals @ w, vals[:, -1])
-    return _shaped([average(h) for h in ([f] if callable(f) else f)], shape, f)
+    return _shaped([average(h) for h in _functions(f)], shape, f)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +250,8 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     SmoothBump), else x_max, where f must be negligible, which is verified.
 
     The functions of a sequence share the f-independent rule, built per
-    cutoff on the distinct points in batches of at most _NODE_BUDGET nodes,
-    and each is called once per batch.
+    cutoff on the points in batches of at most _NODE_BUDGET nodes, and each
+    is called once per batch.
     """
     gammas = _axis_gammas(rs)
     _refuse_scaled_roots(rs)
@@ -251,7 +259,7 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     if not 0.0 < x_max < math.inf:
         raise InvalidArgumentError(f"x_max must be finite and positive, got {x_max}")
     pts, shape = _points(y, d, float)
-    fs = [f] if callable(f) else list(f)
+    fs = _functions(f)
     if not any(gammas):
         return _shaped(np.array([h(pts[:, 0] if d == 1 else pts) for h in fs], dtype=float), shape, f)
     nan = np.isnan(pts).any(axis=1)
@@ -260,8 +268,7 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     for cutoff in set(cutoffs):
         group = [i for i, c in enumerate(cutoffs) if c == cutoff]
         live = ~nan & np.all(np.abs(pts[:, np.array(gammas) > 0]) < cutoff, axis=1)
-        rows, back = np.unique(pts[live], axis=0 if d > 1 else None, return_inverse=True)
-        rows = rows.reshape(-1, d)
+        rows = pts[live]
         # an n below 1 reaches the Gauss rule, which refuses it by name
         step = max(1, _NODE_BUDGET // max(1, math.prod(2 * n if g else 1 for g in gammas)))
         vals = np.empty((len(group), len(rows)))
@@ -272,15 +279,14 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
             for row, i in enumerate(group):
                 fvals = np.asarray(fs[i](args)).reshape(weights.shape)
                 vals[row, at] = np.sum(weights * fvals, axis=-1)
-        out[np.ix_(group, live)] = vals[:, back.reshape(-1)]
+        out[np.ix_(group, live)] = vals
     return _shaped(out, shape, f)
 
 
 def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
     """Independent route to the dual operator: classical inverse Fourier of
     the Dunkl transform.  Used as a cross-check, not in the inverse paths."""
-    if plan is None:
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     ys, shape = _points(y, 1, float)
     grid = plain_line_grid(plan.freq_radius + 2.0, 2 * len(plan.space.nodes))
     hvals = dunkl_transform_many(rs, f, grid.nodes, plan)
@@ -292,8 +298,7 @@ def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
 def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Independent route to the inverse dual operator: Dunkl inverse of the
     classical Fourier transform."""
-    if plan is None:
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     xs, shape = _points(x, 1, float)
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
     return _shaped(np.real(dunkl_inverse_many(rs, hvals, xs, plan)), shape, None)
@@ -386,11 +391,10 @@ def _inverse_entry(rs: RootSystem, f, x, plan, route):
     is given, and the identity at gamma = 0.  route(plan, fs, xs) does the
     rest, one row per function."""
     g = line_gamma(rs)
-    fs = [f] if callable(f) else list(f)
+    fs = _functions(f)
     for h in fs:
         _refuse_growth(h, "an inverse path")
-    if plan is None:
-        plan = default_line_plan(rs)
+    plan = _plan(rs, plan)
     pts, shape = _points(x, 1, float)
     xs = pts[:, 0]
     out = np.array([np.asarray(h(xs), dtype=float) for h in fs]) if g == 0 else route(plan, fs, xs)
@@ -438,7 +442,7 @@ def inv_V_via_Q(rs: RootSystem, f, x):
     coefficients, evaluated once on every point.  SmoothBump images take
     the dual quadrature tV_k_num, in one pass for all of them.
     """
-    fs = [f] if callable(f) else list(f)
+    fs = _functions(f)
     if not all(isinstance(h, (PolyGauss, SmoothBump)) for h in fs):
         raise UnsupportedCaseError(
             "this path needs a function family closed under the Dunkl operator"

@@ -108,13 +108,13 @@ class ReflectionGroup:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """A reduced root system with a reflection-invariant multiplicity.
 
     positive_roots holds one representative per pair {alpha, -alpha};
-    multiplicities is aligned with it.  Use ``RootSystem.create`` so the
-    closure and invariance checks run.
+    multiplicities is aligned with it.  Use ``RootSystem.create``, which runs
+    the checks and interns: a system compares and hashes by identity.
     """
 
     dimension: int
@@ -125,9 +125,9 @@ class RootSystem:
     @staticmethod
     def create(dimension: int, positive_roots, multiplicities):
         """The one instance of this value: the first call runs every check and
-        keeps the system, an equal later call returns it, so a cache keyed by
-        a system hits on identity.  A refused system is never kept, and a
-        direct ``RootSystem(...)`` is not interned."""
+        keeps the system, an equal later call returns it, so a cache keyed by a
+        system hits on identity.  A refused system is never kept.  A direct
+        ``RootSystem(...)`` is unchecked and equal only to itself."""
         if dimension < 1:
             raise InvalidArgumentError("dimension must be >= 1")
         roots = tuple(_vec(r) for r in positive_roots)
@@ -157,16 +157,9 @@ class RootSystem:
         _check_invariance(rs)
         return RootSystem._interned.setdefault((dimension, roots, mults), rs)
 
-    def __hash__(self):
-        # Fraction hashes are slow and every lru_cache lookup keyed by a system takes one
-        if "_hash" not in self.__dict__:
-            fields = (self.dimension, self.positive_roots, self.multiplicities)
-            object.__setattr__(self, "_hash", hash(fields))
-        return self.__dict__["_hash"]
-
-    def __getstate__(self):
-        # the caches stay out of a pickle: tuple hashing may change between Pythons
-        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_axis_profile")}
+    def __reduce__(self):
+        # a pickle or a copy comes back through create, as the interned instance
+        return RootSystem.create, (self.dimension, self.positive_roots, self.multiplicities)
 
     @property
     def gamma(self) -> Fraction:
@@ -193,7 +186,7 @@ class RootSystem:
         and k = 0 on axes that carry no root; returns None when some root is not
         axis-aligned.  This is the product structure used by the closed-form
         normalization and the one-dimensional factorizations.  It is
-        computed once per instance, like the hash.
+        computed once per instance.
         """
         if "_axis_profile" not in self.__dict__:
             profile = [(None, Fraction(0))] * self.dimension
@@ -315,6 +308,13 @@ def _paired(a, b):
         raise InvalidArgumentError(
             f"point sets of shapes {sa} and {sb} do not broadcast against each other") from None
     return va.reshape(-1, d), vb.reshape(-1, d), va.shape[:-1]
+
+
+def _functions(f):
+    """The functions of f, one callable or a non-empty list or tuple of them; else an InvalidArgumentError."""
+    if callable(f) or isinstance(f, (list, tuple)) and f and all(map(callable, f)):
+        return [f] if callable(f) else list(f)
+    raise InvalidArgumentError(f"expected a function or a non-empty list or tuple of functions, got {f!r}")
 
 
 def _shaped(values, shape, f):

@@ -278,7 +278,7 @@ def make_plan(rs: RootSystem, grid_n: Optional[int] = None, freq_radius: float =
 
 
 def _axis_gammas(rs: RootSystem, plan: TransformPlan = None) -> list:
-    """The multiplicity on each coordinate axis, as floats; a plan must be rs's.
+    """The multiplicity on each coordinate axis, as floats; a plan must be built for rs itself.
 
     With line_gamma, this is where the numeric layers leave the exact
     multiplicities of a RootSystem.
@@ -292,7 +292,7 @@ def _axis_gammas(rs: RootSystem, plan: TransformPlan = None) -> list:
         raise UnsupportedCaseError(
             "numeric transforms exist only for products of one-dimensional factors"
         )
-    if plan is not None and not (plan.rs is rs or plan.rs == rs):
+    if plan is not None and plan.rs is not rs:
         raise InvalidArgumentError("the plan was built for another root system")
     return [float(k) for _, k in profile]
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -266,7 +267,7 @@ def test_dual_of_a_sequence_matches_the_per_function_loop(gamma, lines):
     assert type(tV_k_num(rs, fs[0], 0.7)) is float
 
 
-def test_dual_evaluates_each_function_on_the_distinct_points_only(rs_one):
+def test_dual_calls_each_function_on_2n_nodes_per_point_and_a_row_is_its_one_point_call(rs_one):
     n, distinct = 40, np.array([-1.3, 0.4, 0.9, 2.2])
     sizes = []
 
@@ -274,10 +275,30 @@ def test_dual_evaluates_each_function_on_the_distinct_points_only(rs_one):
         sizes.append(np.size(t))
         return gaussian()(t)
 
+    h = sampled(f, DecayClass.compact(8.0))
     for k in (1, 5):
+        ys = np.tile(distinct, k)
         sizes.clear()
-        tV_k_num(rs_one, sampled(f, DecayClass.compact(8.0)), np.tile(distinct, k), n=n)
-        assert sum(sizes) <= 2 * n * len(distinct)
+        out = tV_k_num(rs_one, h, ys, n=n)
+        assert sum(sizes) == 2 * n * len(ys)
+        np.testing.assert_array_equal(out, [tV_k_num(rs_one, h, y, n=n) for y in ys])
+
+
+FUNCTION_ROUTES = {
+    "V_k_num": lambda f: V_k_num(rank_one(1), f, 0.5),
+    "tV_k_num": lambda f: tV_k_num(rank_one(1), f, 0.5),
+    "inv_V_via_P": lambda f: inv_V_via_P(rank_one(1), f, 0.5),
+    "inv_tV_via_VkP": lambda f: inv_tV_via_VkP(rank_one(1), f, 0.5),
+    "inv_V_via_Q": lambda f: inv_V_via_Q(rank_one(1), f, 0.5),
+    "translate_measure": lambda f: translate_measure(rank_one(1), f, 0.5, 0.3),
+}
+
+
+@pytest.mark.parametrize("f", [[], [1, 2], 5], ids=["empty", "numbers", "number"])
+@pytest.mark.parametrize("route", FUNCTION_ROUTES)
+def test_a_route_takes_one_function_or_a_non_empty_list_or_tuple_of_them(route, f):
+    with pytest.raises(InvalidArgumentError, match="non-empty list or tuple of functions, got " + re.escape(repr(f))):
+        FUNCTION_ROUTES[route](f)
 
 
 def _dual_density_at_infinity(g):
@@ -597,7 +618,7 @@ def test_product_dual_matches_axis_factorization(rs_product, rs_one, rs_two):
     assert val == pytest.approx(ref, rel=1e-9)
 
 
-def test_product_dual_makes_one_call_and_matches_the_nested_loop(rs_product):
+def test_product_dual_makes_one_call_per_batch_and_matches_the_nested_loop(rs_product):
     calls = []
 
     def f(p):
@@ -617,9 +638,9 @@ def test_product_dual_makes_one_call_and_matches_the_nested_loop(rs_product):
     ref = [loop(*p) for p in pts]
     calls.clear()
     np.testing.assert_allclose(tV_k_num_product(rs_product, f, pts, n=30), ref, rtol=1e-13)
-    # the tail probe of the 8 points of {-14, 0, 14}^2 on its edge, then every node of the 4 distinct
-    # points, which fit in the node budget
-    assert calls == [8, 4 * 60 * 60]
+    # the tail probe of the 8 points of {-14, 0, 14}^2 on its edge, then every node of the 4 points
+    # that fit in the node budget, then of the fifth, a repeat of the first
+    assert calls == [8, 4 * 60 * 60, 60 * 60]
 
 
 @pytest.mark.parametrize("ks", [(1, 2), (Fraction(1, 2), Fraction(7, 3))], ids=["1,2", "1/2,7/3"])

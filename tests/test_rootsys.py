@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 from fractions import Fraction
@@ -150,20 +151,14 @@ def test_mehta_quadrature_product(rs_product):
     )
 
 
-def test_equal_systems_hash_once_and_share_cache_entries(monkeypatch):
-    a, b = rank_one(Fraction(7, 3)), rank_one(Fraction(7, 3))
+def test_a_system_hashes_by_identity_and_shares_cache_entries(monkeypatch):
+    a, b = axis_product(Fraction(11, 13), Fraction(3, 17)), rank_one(Fraction(7, 3))
     hashed = []
     original = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda k: hashed.append(k) or original(k))
-    assert hash(a) == hash(b) == hash((a.dimension, a.positive_roots, a.multiplicities)) and hashed
-    hashed.clear()
-    hash(a), hash(b)
-    assert hashed == []
-    assert default_line_plan(a) is default_line_plan(b)
-    # equality, repr and pickles see only the fields
-    fresh = rank_one(Fraction(7, 3))
-    assert a == fresh and repr(a) == repr(fresh) and pickle.dumps(a) == pickle.dumps(fresh)
-    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+    assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+    assert hashed == [] and hash(Fraction(1, 3)) and hashed  # the counter counts
+    assert default_line_plan(b) is default_line_plan(rank_one(Fraction(7, 3)))
 
 
 def test_create_keeps_one_system_per_value():
@@ -171,10 +166,13 @@ def test_create_keeps_one_system_per_value():
     assert parse_preset("z2xz2:1,2") is axis_product(1, 2) is axis_product(Fraction(2, 2), 2)
     assert root_system_from_dict(root_system_to_dict(rank_one(2))) is rank_one(2)
     assert rank_one(2) is not rank_one(3) and axis_product(1, 2) is not axis_product(2, 1)
-    # a direct construction skips the checks and is not interned; it still equals the system
+    # a direct construction skips the checks and is not interned; it equals only itself
     direct = RootSystem(1, ((Fraction(1),),), (Fraction(2),))
-    assert direct == rank_one(2) and direct is not rank_one(2)
+    assert direct != rank_one(2) and direct == direct
     assert RootSystem.create(1, [[1]], [2]) is rank_one(2)
+    for preset in ("z2:1/2", "z2:1", "z2:2", "z2:7/3", "z2:0", "z2xz2:1,2"):
+        rs = parse_preset(preset)
+        assert pickle.loads(pickle.dumps(rs)) is rs and copy.deepcopy(rs) is rs
 
 
 @pytest.mark.parametrize("dimension, roots, mults", [
@@ -206,15 +204,16 @@ def test_a_repeated_create_skips_the_closure_and_the_invariance_check(monkeypatc
     lambda: RootSystem.create(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [1, 1, 1, 1]),  # B2: no product
 ], ids=["product", "line", "B2"])
 def test_axis_profile_is_built_once_per_instance_and_stays_out_of_pickles(make):
-    rs, fresh = make(), make()
+    rs = make()
     profile = rs.axis_profile()
     assert rs.axis_profile() is profile
     assert (profile is None) == (rs.dimension == 2 and len(rs.positive_roots) == 4)
-    # a pickle carries only the fields, and its copy builds the same profile again
-    assert pickle.dumps(rs) == pickle.dumps(fresh)
-    back = pickle.loads(pickle.dumps(rs))
-    assert "_axis_profile" not in back.__dict__
-    assert back == rs and back.axis_profile() == profile
+    # a pickle carries only the fields and comes back through create, as the instance itself;
+    # so does a copy, and so do both of a direct construction
+    assert b"_axis_profile" not in pickle.dumps(rs)
+    direct = RootSystem(rs.dimension, rs.positive_roots, rs.multiplicities)
+    for system in (rs, direct):
+        assert pickle.loads(pickle.dumps(system)) is copy.copy(system) is copy.deepcopy(system) is rs
 
 
 def test_serialization_roundtrip(rs_product):

@@ -8,12 +8,21 @@ import pytest
 
 from dunklkit import kernel
 from dunklkit.cli import parse_preset
-from dunklkit.convolution import convolve_many, translate_measure, translate_spectral_many
+from dunklkit.convolution import (
+    ConcreteDistribution,
+    approx_identity_check,
+    convolve_many,
+    distribution_convolve,
+    translate_measure,
+    translate_spectral_many,
+)
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from dunklkit.functions import PolyGauss, gaussian, standard_bump
 from dunklkit.intertwine1d import (
     V_k_num,
     default_line_plan,
+    dual_inverse_via_transform,
+    dual_via_transform,
     inv_tV_via_VkP,
     inv_V_via_P,
     mu_quadrature,
@@ -436,12 +445,20 @@ WRONG_PLAN_ENTRY_POINTS = {
     "convolve_many": lambda rs, plan: convolve_many(rs, gaussian(), gaussian(), [0.5], plan),
     "translate_spectral_many": lambda rs, plan: translate_spectral_many(rs, gaussian(), 0.3, [0.5], plan),
     "inv_V_via_P": lambda rs, plan: inv_V_via_P(rs, gaussian(), [0.0, 0.5], plan),
+    "inv_tV_via_VkP": lambda rs, plan: inv_tV_via_VkP(rs, gaussian(), [0.0, 0.5], plan),
+    "dual_via_transform": lambda rs, plan: dual_via_transform(rs, gaussian(), [0.5], plan),
+    "dual_inverse_via_transform": lambda rs, plan: dual_inverse_via_transform(rs, gaussian(), [0.5], plan),
+    "translate_measure": lambda rs, plan: translate_measure(rs, gaussian(), 0.5, 0.3, plan=plan),
+    "distribution_convolve": lambda rs, plan: distribution_convolve(
+        rs, ConcreteDistribution.point_mass(0.3), gaussian(), 0.5, plan),
+    "approx_identity_check": lambda rs, plan: approx_identity_check(
+        rs, ConcreteDistribution.weighted(gaussian()), plan=plan),
 }
 
 
 @pytest.mark.parametrize("entry", WRONG_PLAN_ENTRY_POINTS)
 def test_a_plan_built_for_another_system_is_refused(entry, rs_one, rs_two, plan_two):
-    # the plan's own system, or an equal one, is served; another line or a product is refused by name
+    # the plan's own system is served; another line or a product is refused by name
     WRONG_PLAN_ENTRY_POINTS[entry](rank_one(2), plan_two)
     for plan in (default_line_plan(rs_one), make_plan(axis_product(1, 2), grid_n=8)):
         with pytest.raises(InvalidArgumentError, match="another root system"):
