@@ -6,15 +6,18 @@ suites, fractional multiplicities for the distribution pairings) are listed
 as skipped rather than failed.  Exits nonzero if any executed check fails.
 
 Each row ends with the first 12 hex digits of the sha256 of the report body
-and the wall time.  The body leaves out timing, so two checkouts give the
-same reports exactly when their tables differ only in the times:
+and the wall time, and the last line gives the process's peak resident
+memory (``ru_maxrss``).  The body leaves out timing, so two checkouts give the
+same reports exactly when their tables differ only in the times and the
+memory:
 
-    diff <(python3 scripts/run_all_suites.py | sed -E 's/ +[0-9]+ ms$//') \
-         <(cd ../other && python3 scripts/run_all_suites.py | sed -E 's/ +[0-9]+ ms$//')
+    diff <(python3 scripts/run_all_suites.py | sed -E 's/ +[0-9]+ ms$//; /^peak RSS/d') \
+         <(cd ../other && python3 scripts/run_all_suites.py | sed -E 's/ +[0-9]+ ms$//; /^peak RSS/d')
 """
 
 import argparse
 import hashlib
+import resource
 import sys
 
 from dunklkit.cli import parse_preset
@@ -57,9 +60,11 @@ def main(argv=None) -> int:
                         print(f"      failed {c.id}: residual {c.residual:.3e} > tol {c.tol:.1e}")
     if failures:
         print(f"\n{failures} suite run(s) failed", file=sys.stderr)
-        return 1
-    print("\nall executed suites passed")
-    return 0
+    else:
+        print("\nall executed suites passed")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .rootsys import RootSystem, _functions, _paired, _points, _shaped
 from .transform import (
     TransformPlan,
     _axis_gammas,
+    _columns,
     _contract,
     _one_value,
     _refuse_growth,
@@ -47,7 +48,7 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
 
     x and ys broadcast against each other as pairs of points, one value per
     pair.  One base point translates onto every y through one multiplier;
-    several are contracted pair by pair against the plan's axis matrices
+    several are contracted pair by pair against the plan's axis halves of
     K(t_j, i x_j).
     """
     gammas = _axis_gammas(rs)
@@ -57,9 +58,10 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     px = _points(x, d, float)
     xv, pts, shape = _paired(px, _points(ys, d, float))
     xs = xv if len(px[0]) > 1 else px[0]  # one row per pair, or the one base point
-    kx = [plan.axis_kernel("freq", j, g, 1j, xs[:, j]) for j, g in enumerate(gammas)]
-    if len(xs) == 1:
-        hv, kx = hv * functools.reduce(np.multiply.outer, [k[:, 0] for k in kx]).reshape(-1), None
+    kx = [_columns(*plan.axis_kernel("freq", j, g, xs[:, j]), 1j) for j, g in enumerate(gammas)]
+    if len(xs) == 1:  # K(+-t, i x) = a +- i b, mirrored onto the whole axis
+        full = [np.concatenate([(a - 1j * b)[::-1, 0], a[:, 0] + 1j * b[:, 0]]) for a, b in kx]
+        hv, kx = hv * functools.reduce(np.multiply.outer, full).reshape(-1), None
     return _shaped(dunkl_inverse_many(rs, hv, pts, plan, factors=kx), shape, None)
 
 
@@ -91,8 +93,9 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
     t, w = mu_quadrature(g, 48)
     xs, ys, shape = _paired(_points(x, 1, float), _points(y, 1, float))
     xs, ys = xs[:, 0], ys[:, 0]
-    if method == "P":
+    if method == "P" or plan is not None:  # Q reads no plan, but a given one must be rs's own
         plan = _plan(rs, plan)
+    if method == "P":
         coef = [plan.freq.weights * classical_fourier_many(lambda _: tv, plan.freq.nodes, plan)
                 for tv in tV_k_num(rs, fs, plan.space_plain.nodes)]
         base = np.concatenate([xs, ys])
@@ -276,7 +279,7 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
         norm_resids.append(abs(mass[0] - 1.0))
         outside = np.linspace(e * 1.0001, max(2.0, 4 * e), 33)
         support_resids.append(np.abs(phi(outside)))
-        # S * phi on the space grid through the plan's kernel matrices
+        # S * phi on the space grid through the plan's kernel halves
         conv = spectral_convolution(rs, on_freq, gv, nodes, plan)
         mollified = ConcreteDistribution.weighted(lambda _: conv)
         residuals.append(worst([

@@ -241,30 +241,6 @@ def bessel_j_normalized(alpha: float, u):
     return complex(out[0]) if scalar else out
 
 
-def _distinct_magnitudes(zz: np.ndarray, tt: np.ndarray):
-    """For an (n, 1) column zz and a (1, m) row tt of finite entries whose
-    product is purely imaginary: the outer product of the distinct |z| and
-    |t|, and the indices that rebuild the rows and columns from it; None for
-    any other input.
-
-    Then u = i z t is real with |u| = |z| |t| exactly, so j_alpha(u), which is
-    even, depends on the pair of magnitudes only.
-    """
-    if zz.ndim != 2 or tt.ndim != 2 or zz.shape[1] != 1 or tt.shape[0] != 1:
-        return None
-    if not (np.all(np.isfinite(zz)) and np.all(np.isfinite(tt))):
-        return None
-    if not np.any(zz.imag) and not np.any(tt.real):
-        a, b = zz.real, tt.imag
-    elif not np.any(zz.real) and not np.any(tt.imag):
-        a, b = zz.imag, tt.real
-    else:
-        return None
-    a, ia = np.unique(np.abs(a[:, 0]), return_inverse=True)
-    b, ib = np.unique(np.abs(b[0]), return_inverse=True)
-    return np.multiply.outer(a, b), ia, ib
-
-
 def kernel_1d(gamma, z, t):
     """The rank-one kernel via its Bessel closed form.
 
@@ -273,10 +249,7 @@ def kernel_1d(gamma, z, t):
     are handled by the series.  gamma = 0 degenerates to exp(z t).  Finite
     arguments whose kernel overflows double precision (real z t beyond about
     700) raise AccuracyError instead of returning inf or nan; NaN arguments
-    give NaN.  A kernel matrix, z an (n, 1) column and t a (1, m) row of
-    finite entries with z t purely imaginary, evaluates each Bessel order
-    once per distinct |z| |t| and gathers; the result is bitwise equal to
-    the entrywise evaluation.
+    give NaN.
     """
     g = float(gamma)
     if g < 0:
@@ -287,19 +260,8 @@ def kernel_1d(gamma, z, t):
         if g == 0.0:
             val = np.exp(zz * tt)
         else:
-            distinct = _distinct_magnitudes(zz, tt)
-            if distinct is None:
-                u = 1j * zz * tt
-                j_lo, j_hi = bessel_j_normalized(g - 0.5, u), bessel_j_normalized(g + 0.5, u)
-            else:
-                u, ia, ib = distinct
-                # rows, then columns: twice as fast as one j[np.ix_(ia, ib)]
-                j_lo, j_hi = (
-                    bessel_j_normalized(alpha, u)[ia].take(ib, axis=1) for alpha in (g - 0.5, g + 0.5)
-                )
-            val = zz * tt / (2.0 * g + 1.0)
-            val *= j_hi
-            val += j_lo
+            u = 1j * zz * tt
+            val = zz * tt / (2.0 * g + 1.0) * bessel_j_normalized(g + 0.5, u) + bessel_j_normalized(g - 0.5, u)
     return _finite_or_raise("kernel_1d", val, zz, tt)
 
 

@@ -68,6 +68,7 @@ from .transform import (
     DecayClass,
     SampledFunction,
     _axis_gammas,
+    _columns,
     classical_fourier_many,
     dunkl_inverse_many,
     dunkl_roundtrip_many,
@@ -83,7 +84,7 @@ __all__ = ["SUITES", "SuiteConfig", "run_suite", "suite_names"]
 
 def _line_plan(rs: RootSystem, grid_n):
     """The cached plan of a line suite, kept per (rs, grid_n) with its kernel
-    matrices; refuses a system that is not a line.  The default grid keeps
+    halves; refuses a system that is not a line.  The default grid keeps
     the key (rs,) that every other caller of default_line_plan uses."""
     return default_line_plan(rs) if grid_n is None else default_line_plan(rs, grid_n)
 
@@ -579,7 +580,8 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     # sum_y w(y) f0(-y) tau_x g(y) on the mirrored space grid
     x3 = np.array([0.0, 0.8, -1.3])
     ghat = dunkl_transform_many(rs, g, plan.freq.nodes, plan)
-    kx = plan.axis_kernel("freq", 0, gam, 1j, x3)
+    a, b = _columns(*plan.axis_kernel("freq", 0, gam, x3), 1j)  # K(+-t, i x) = a +- i b at the nodes t > 0
+    kx = np.concatenate([(a - 1j * b)[::-1], a + 1j * b])
     gf = [(weights * f0(-nodes)) @ dunkl_inverse_many(rs, ghat * k, nodes, plan) for k in kx.T]
     swapped = np.abs(convolve_many(rs, f0, g, x3, plan) - gf)
     report.add("convolution-commutes", "weighted convolution is commutative", worst(swapped), 1e-8)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
-from .kernel import _SERIES_RADIUS, bessel_j_normalized, kernel_1d
+from .kernel import _SERIES_RADIUS, bessel_j_normalized
 from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule, mehta_constant
 
 
@@ -201,21 +201,32 @@ def check_decay(f: SampledFunction, dimension: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # plans and constants
 
-# A plan keeps the kernel matrices of this many target sets other than its
-# own grids, dropping the least recently used: a check reuses one target set
-# for several functions (the same quadrature points, the same samples).
+# A plan keeps the kernel halves of this many target sets besides its own grids, the
+# most recently used: a check reuses a target set (its quadrature points, its samples).
 _TARGET_KERNELS = 16
 _PLAN_GRIDS = ("space", "space_plain", "freq")
 # Half-width of every plan's space grids.
 _SPACE_RADIUS = 10.0
 
 
+def _kernel_halves(gamma, x, mags):
+    """The real halves E = j_(gamma-1/2)(x |y|), O = x |y| j_(gamma+1/2)(x |y|) / (2 gamma + 1)
+    of the line kernel at x > 0 (rows) and |y| (columns), cos and sin at gamma 0:
+    K(+-x, side y) = E +- side sgn(y) O for side -1j or 1j."""
+    u = np.multiply.outer(x, mags)
+    with np.errstate(invalid="ignore"):
+        if gamma == 0:
+            return np.cos(u), np.sin(u)
+        return bessel_j_normalized(gamma - 0.5, u), u / (2.0 * gamma + 1.0) * bessel_j_normalized(gamma + 0.5, u)
+
+
 @dataclass(frozen=True, eq=False)
 class TransformPlan:
     """Grids shared by a family of transform calls.
 
-    The plan owns the one-dimensional kernel matrices that its transforms
-    contract with; ``axis_kernel`` builds each on first use.
+    Every grid axis is mirrored about 0, so the plan keeps the kernels its
+    transforms contract with as real even and odd halves over the positive
+    nodes; ``axis_kernel`` builds each on first use.
     """
 
     rs: RootSystem
@@ -230,38 +241,26 @@ class TransformPlan:
         g = getattr(self, grid)
         return g.nodes if g.axes is None else g.axes[j].nodes
 
-    def axis_kernel(self, grid: str, j: int, gamma, side: complex, targets) -> np.ndarray:
-        """K(x, side y) at multiplicity gamma, for x on axis j of a plan grid
-        (rows) and y in targets (columns); side is -1j or 1j.  gamma 0 is
-        the plain Fourier kernel exp(side x y).
-
-        When the targets are axis j of another plan grid, the matrix lives as
-        long as the plan.  It is built once, as the conjugate transpose of
-        its mirror when that exists, since K(t, s x) = conj K(x, -s t) for
-        real x, t and imaginary s.  Kernels on other target sets are keyed
-        by the targets' bytes, and only the _TARGET_KERNELS most recently
-        used are kept.  Every kept matrix is read-only, since the plan and
-        its matrices may be shared by the whole process.
-        """
+    def axis_kernel(self, grid: str, j: int, gamma, targets):
+        """(E, O, back, sign): the _kernel_halves on the positive nodes of axis j
+        of a plan grid and the distinct |y| of the targets, the index of each
+        |y| and sgn y: K(+-x, side y) = E[:, back] +- side sign O[:, back].
+        Halves on an axis of a plan grid live as long as the plan; of the rest
+        the _TARGET_KERNELS most recently used are kept.  All are read-only."""
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
-        partner = next(
-            (g for g in _PLAN_GRIDS if g != grid and np.array_equal(targets, self.axis_nodes(g, j))), None
-        )
-        key = (grid, j, gamma, side, partner or targets.tobytes())
-        mirror = (partner, j, gamma, -side, grid)
-        nodes = self.axis_nodes(grid, j)
-        if key in self.kernels:
-            mat = self.kernels.pop(key)
-        elif mirror in self.kernels:
-            mat = np.ascontiguousarray(self.kernels[mirror].conj().T)
-        else:
-            mat = kernel_1d(gamma, nodes[:, None], side * targets[None, :])
-        mat.flags.writeable = False
-        self.kernels[key] = mat
-        if partner is None:
-            for stale in [k for k in self.kernels if isinstance(k[-1], bytes)][:-_TARGET_KERNELS]:
+        key = (grid, j, gamma, targets.tobytes())
+        halves = built = self.kernels.pop(key, None)
+        if built is None:
+            mags, back = np.unique(np.abs(targets), return_inverse=True)
+            halves = _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags) + (back, np.sign(targets))
+            for part in halves:
+                part.flags.writeable = False
+        self.kernels[key] = halves
+        if built is None:
+            own = {(i, self.axis_nodes(g, i).tobytes()) for g in _PLAN_GRIDS for i in range(self.rs.dimension)}
+            for stale in [k for k in self.kernels if (k[1], k[3]) not in own][:-_TARGET_KERNELS]:
                 del self.kernels[stale]
-        return mat
+        return halves
 
 
 def make_plan(rs: RootSystem, grid_n: Optional[int] = None, freq_radius: float = 8.0) -> TransformPlan:
@@ -327,17 +326,36 @@ def p_multiplier_constant(rs: RootSystem) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 
+def _fold(v, side, E, O, back, sign):
+    """sum over x of v(x) K(x, side y) along the first axis of v, a plan axis
+    mirrored about 0, one row per target of the axis_kernel halves: v(x) + v(-x)
+    against E and v(x) - v(-x) against O on x > 0; a complex v goes as real pairs."""
+    flat = np.ascontiguousarray(v).reshape(len(v), -1)
+    pos, neg = flat[len(v) // 2:], flat[len(v) // 2 - 1::-1]
+    even, odd = pos + neg, pos - neg
+    if flat.dtype.kind == "c":
+        even, odd = (E.T @ even.view(float)).view(complex), (O.T @ odd.view(float)).view(complex)
+        out = even[back] + (side * sign)[:, None] * odd[back]
+    else:
+        out = np.empty((len(back), flat.shape[1]), complex)
+        out.real, out.imag = (E.T @ even)[back], (O.T @ odd)[back] * (side.imag * sign)[:, None]
+    return out.reshape(back.shape + v.shape[1:])
+
+
+def _columns(E, O, back, sign, side):
+    """The axis_kernel halves target by target: (A, B) with K(+-x, side y) = A +- i B in column y."""
+    return E[:, back], side.imag * sign * O[:, back]
+
+
 def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, factors=None):
     """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
-    Targets equal to the nodes of a plan tensor grid give the values on that
-    grid by sum factorization: the tensor W of weighted values becomes
-    F_1^T W F_2 in two dimensions, F_j the axis matrices.  Other targets are
-    points, contracted from the last axis to the first.  gamma 0 on every
-    axis gives the plain Fourier integral, with kernel exp(side x y).
-    factors, one (n_j, m) matrix per axis for m target points, multiply the
-    axis matrices entrywise, so each target point is contracted against its
-    own column of every factor.
+    Each axis is folded into even and odd parts on its positive nodes, so K
+    is never a complex matrix: every axis in turn onto a plan tensor grid
+    (sum factorization), else the first axis onto the points and the rest
+    column by column.  gamma 0 gives the plain Fourier kernel exp(side x y).
+    factors, one pair (A, B) of real (n_j / 2, m) arrays per axis for m
+    points (or 1 for all), multiply the kernel of axis j at +-x_j by A +- i B.
     """
     d = len(gammas)
     fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
@@ -346,14 +364,19 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
         (g for g in _PLAN_GRIDS if np.array_equal(pts, getattr(plan, g).nodes)), None)
     if tensor:
         for j, gam in enumerate(gammas):
-            fw = np.tensordot(fw, plan.axis_kernel(grid, j, gam, side, plan.axis_nodes(tensor, j)), axes=(0, 0))
+            fw = np.moveaxis(_fold(fw, side, *plan.axis_kernel(grid, j, gam, plan.axis_nodes(tensor, j))), 0, -1)
         return _shaped(fw.reshape(-1), shape, None)
-    mats = [plan.axis_kernel(grid, j, gam, side, pts[:, j]) for j, gam in enumerate(gammas)]
-    if factors is not None:
-        mats = [mat * factor for mat, factor in zip(mats, factors)]
-    out = fw @ mats[-1]
-    for mat in reversed(mats[:-1]):
-        out = np.einsum("...am,am->...m", out, mat)
+    halves = [plan.axis_kernel(grid, j, gam, pts[:, j]) for j, gam in enumerate(gammas)]
+    if factors is None:
+        out, cols = _fold(fw, side, *halves[0]), [_columns(*h, side) for h in halves[1:]]
+    else:  # the columns times the factors; the first axis folds them as one column per point
+        cols = [_columns(*h, side) for h in halves]
+        cols = [(a * fa - b * fb, a * fb + b * fa) for (a, b), (fa, fb) in zip(cols, factors)]
+        out, cols = _fold(fw, 1j, *cols[0], np.arange(len(pts)), np.ones(len(pts))), cols[1:]
+    for a, b in cols:
+        h = out.shape[1] // 2
+        pos, neg = out[:, h:], out[:, h - 1::-1]
+        out = np.einsum("ma...,am->m...", pos + neg, a) + 1j * np.einsum("ma...,am->m...", pos - neg, b)
     return _shaped(out, shape, None)
 
 

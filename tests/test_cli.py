@@ -298,6 +298,19 @@ def test_run_all_suites_prints_a_nan_residual(monkeypatch, capsys):
     assert "max residual nan" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("residual, code", [(0.5, 0), (2.0, 1)])
+def test_run_all_suites_ends_with_the_peak_rss(residual, code, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_all_suites", SCRIPTS / "run_all_suites.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    report = VerificationReport("support")
+    report.add("one", "a residual against tolerance 1", residual, 1.0)
+    monkeypatch.setattr(script, "run_suite", lambda config: report)
+    assert script.main(["--presets", "z2:1", "--suites", "support"]) == code
+    words = capsys.readouterr().out.splitlines()[-1].split()
+    assert words[:2] == ["peak", "RSS"] and words[3] == "MiB" and float(words[2]) > 0
+
+
 def test_convergence_study_prints_a_nan_residual(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("convergence_study", SCRIPTS / "convergence_study.py")
     script = importlib.util.module_from_spec(spec)

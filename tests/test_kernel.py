@@ -506,7 +506,7 @@ def test_kernel_1d_nan_argument_gives_nan():
         kernel_1d(1.0, np.array([np.nan, 30.0]), 30.0)
 
 
-# -- kernel matrices: one Bessel evaluation per distinct |z| |t| -----------------
+# -- kernel matrices: every entry is the closed form -------------------------------
 
 
 def _entrywise(gamma, z, t):
@@ -579,16 +579,6 @@ def _count_bessel_points(monkeypatch):
 
     monkeypatch.setattr("dunklkit.kernel.bessel_j_normalized", counted)
     return points
-
-
-@pytest.mark.parametrize("orientation", sorted(_ORIENTATIONS))
-def test_kernel_matrix_evaluates_each_order_once_per_distinct_magnitude(orientation, monkeypatch):
-    n, m = 24, 40
-    x = np.linspace(0.25, 10.0, n)
-    s = np.linspace(0.2, 8.0, m)
-    points = _count_bessel_points(monkeypatch)
-    kernel_1d(Fraction(7, 3), *_ORIENTATIONS[orientation](np.concatenate([-x, x]), np.concatenate([-s, s])))
-    assert len(points) == 2 and all(p <= n * m for p in points.values())
 
 
 def test_kernel_value_on_a_product_batch_evaluates_every_entry(rs_product, monkeypatch):

@@ -28,6 +28,7 @@ ENGINES = {
     "kernel_1d": "kernel",
     "bessel_j_normalized": "kernel",
     "_contract": "transform",
+    "_kernel_halves": "transform",
     "mu_quadrature": "intertwine1d",
     "fourier_bessel": "transform",
     "kernel_series": "kernel",
@@ -91,7 +92,7 @@ def _run(monkeypatch, suite, preset):
 
 @lru_cache(maxsize=None)
 def _reached():
-    """Every engine's cases, in CASES order, from one plain sweep that counts the calls of all ten."""
+    """Every engine's cases, in CASES order, from one plain sweep that counts the calls of them all."""
     calls = dict.fromkeys(ENGINES, 0)
     reached = {engine: [] for engine in ENGINES}
     with pytest.MonkeyPatch.context() as patched:
@@ -139,7 +140,7 @@ def test_a_nan_engine_fails_every_case_that_reaches_it(engine, monkeypatch):
 
 def test_a_nan_engine_leaves_no_poisoned_plan(monkeypatch):
     # explicit-grid line plans live in default_line_plan's cache with their
-    # kernel matrices; a NaN case must build its plans in a cache of its own
+    # kernel halves; a NaN case must build its plans in a cache of its own
     config = SuiteConfig("translation", parse_preset("z2:1"), grid_n=48)
     reached = []
     for engine, module in ENGINES.items():
@@ -158,9 +159,9 @@ def test_a_nan_engine_leaves_no_poisoned_plan(monkeypatch):
             except DunklKitError:
                 continue
             assert engine not in reached or not report.all_passed, engine
-    assert {"kernel_1d", "_contract", "_half_line_rule"} <= set(reached)
+    assert {"_kernel_halves", "kernel_1d", "_contract", "_half_line_rule"} <= set(reached)
     report = run_suite(config)
     assert report.all_passed
     assert all(math.isfinite(c.residual) for c in report.checks)
     plan = intertwine1d.default_line_plan(config.rs, 48)
-    assert plan.kernels and all(np.isfinite(mat).all() for mat in plan.kernels.values())
+    assert plan.kernels and all(np.isfinite(part).all() for halves in plan.kernels.values() for part in halves)

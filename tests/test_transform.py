@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import warnings
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dunklkit import kernel
+from dunklkit import intertwine1d, kernel, transform
 from dunklkit.cli import parse_preset
 from dunklkit.convolution import (
     ConcreteDistribution,
@@ -28,13 +29,12 @@ from dunklkit.intertwine1d import (
     mu_quadrature,
     tV_k_num,
 )
-from dunklkit.kernel import kernel_1d, kernel_value
+from dunklkit.kernel import bessel_j_normalized, kernel_1d, kernel_value
 from dunklkit.rootsys import axis_product, mehta_constant, rank_one
 from dunklkit.suites import SuiteConfig, run_suite
 from dunklkit.transform import (
     _TARGET_KERNELS,
     DecayClass,
-    TransformPlan,
     SampledFunction,
     classical_fourier_many,
     dunkl_inverse_many,
@@ -143,7 +143,7 @@ def test_fourier_bessel_gaussian_self_reciprocal():
 def test_fourier_bessel_sums_each_distinct_magnitude_once(alpha, monkeypatch):
     # |lam| radius <= 4 sums moments (their accuracy is in test_accuracy.py);
     # beyond, one Bessel row per distinct |lam|
-    from dunklkit import transform
+    from dunklkit import intertwine1d, kernel, transform
     from dunklkit.rootsys import _half_line_rule
 
     gauss = lambda r: np.exp(-0.5 * r**2)
@@ -449,6 +449,7 @@ WRONG_PLAN_ENTRY_POINTS = {
     "dual_via_transform": lambda rs, plan: dual_via_transform(rs, gaussian(), [0.5], plan),
     "dual_inverse_via_transform": lambda rs, plan: dual_inverse_via_transform(rs, gaussian(), [0.5], plan),
     "translate_measure": lambda rs, plan: translate_measure(rs, gaussian(), 0.5, 0.3, plan=plan),
+    "translate_measure Q": lambda rs, plan: translate_measure(rs, gaussian(), 0.5, 0.3, method="Q", plan=plan),
     "distribution_convolve": lambda rs, plan: distribution_convolve(
         rs, ConcreteDistribution.point_mass(0.3), gaussian(), 0.5, plan),
     "approx_identity_check": lambda rs, plan: approx_identity_check(
@@ -463,6 +464,18 @@ def test_a_plan_built_for_another_system_is_refused(entry, rs_one, rs_two, plan_
     for plan in (default_line_plan(rs_one), make_plan(axis_product(1, 2), grid_n=8)):
         with pytest.raises(InvalidArgumentError, match="another root system"):
             WRONG_PLAN_ENTRY_POINTS[entry](rs_two, plan)
+
+
+def test_translate_measure_q_builds_no_plan(monkeypatch):
+    # Q reads no plan: without one it builds none, with one it checks the owner only
+    def refuse(*args):
+        raise AssertionError("a Q translation built a default plan")
+
+    monkeypatch.setattr(intertwine1d, "default_line_plan", refuse)
+    rs = rank_one(1)
+    value = translate_measure(rs, gaussian(), 0.5, 0.3, method="Q")
+    assert value == translate_measure(rs, gaussian(), 0.5, 0.3, method="Q", plan=make_plan(rs, grid_n=8))
+    assert value == pytest.approx(0.8045538913546, abs=1e-12)
 
 
 OUT_OF_DOMAIN = {
@@ -521,96 +534,182 @@ def test_inverse_constant_roundtrip_delta(plan_one, rs_one):
     assert np.real(back[0]) == pytest.approx(1.0, abs=1e-9)
 
 
-# -- plan-owned kernel matrices ---------------------------------------------------
+# -- plan-owned kernel halves ----------------------------------------------------
 
 
 @pytest.fixture
-def count_kernel_1d(monkeypatch):
-    """Wrap kernel_1d in every dunklkit module that imported it; returns the
-    list of broadcast sizes, one entry per call."""
-    original = kernel.kernel_1d
+def count_halves(monkeypatch):
+    """Wrap the plan's kernel builder; returns the (positive nodes, distinct
+    magnitudes) sizes, one entry per pair of halves built."""
+    original = transform._kernel_halves
     sizes = []
 
-    def counted(gamma, z, t):
-        sizes.append(np.broadcast(np.asarray(z), np.asarray(t)).size)
-        return original(gamma, z, t)
+    def counted(gamma, x, mags):
+        sizes.append((len(x), len(mags)))
+        return original(gamma, x, mags)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dunklkit") and getattr(module, "kernel_1d", None) is original:
-            monkeypatch.setattr(module, "kernel_1d", counted)
+    monkeypatch.setattr(transform, "_kernel_halves", counted)
     return sizes
 
 
-def test_line_plan_matrices_equal_direct_kernels():
-    g = 7 / 3
-    plan = make_plan(rank_one(Fraction(7, 3)), grid_n=24)
-    x, t = plan.space.nodes, plan.freq.nodes
-    forward = plan.axis_kernel("space", 0, g, -1j, t)
-    # the inverse onto the space grid is the mirror of the forward matrix
-    inverse = plan.axis_kernel("freq", 0, g, 1j, x)
-    assert np.array_equal(forward, kernel_1d(g, x[:, None], -1j * t[None, :]))
-    assert np.array_equal(inverse, kernel_1d(g, t[:, None], 1j * x[None, :]))
-    # the convolution blocks K(-x, i t) and K(i x, t) are the forward matrix and its conjugate
-    assert np.array_equal(forward, kernel_1d(g, -x[:, None], 1j * t[None, :]))
-    assert np.array_equal(inverse.T, kernel_1d(g, 1j * x[:, None], t[None, :]))
-    # built inverse first, the forward matrix is the mirror
-    other = make_plan(rank_one(Fraction(7, 3)), grid_n=24)
-    assert np.array_equal(other.axis_kernel("freq", 0, g, 1j, x), inverse)
-    assert np.array_equal(other.axis_kernel("space", 0, g, -1j, t), forward)
+def _own_keys(plan):
+    """Keys of the halves whose targets are an axis of one of the plan's grids."""
+    own = {(j, plan.axis_nodes(g, j).tobytes()) for g in ("space", "space_plain", "freq")
+           for j in range(plan.rs.dimension)}
+    return [key for key in plan.kernels if (key[1], key[3]) in own]
 
 
-def test_product_plan_matrices_and_transform_match_direct_sums(rs_product):
+def _dense(plan, grid, gammas, fvals, ys, side, factors=()):
+    """sum over the plan grid of w f(x) prod_j K(x_j, side y_j) F_j(x_j, y), with
+    every kernel the complex kernel_1d matrix of the whole grid."""
+    g = getattr(plan, grid)
+    nodes = g.nodes.reshape(len(g.nodes), -1)
+    ys = np.asarray(ys, dtype=float).reshape(-1, len(gammas))
+    ker = np.ones((len(nodes), len(ys)), dtype=complex)
+    for j, gam in enumerate(gammas):
+        ker *= kernel_1d(gam, nodes[:, j, None], side * ys[None, :, j])
+    for j, factor in enumerate(factors):
+        ker *= factor[np.searchsorted(plan.axis_nodes(grid, j), nodes[:, j])]
+    return (g.weights * fvals) @ ker
+
+
+def _unfold(a, b):
+    """The complex kernel columns a +- i b of a pair of halves on the whole mirrored axis, -x first."""
+    return np.concatenate([(a - 1j * b)[::-1], a + 1j * b])
+
+
+@pytest.mark.parametrize("preset", ["z2:1", "z2:7/3", "z2xz2:1,2"])
+def test_line_plan_halves_unfold_to_the_direct_kernels(preset):
+    # E and O over the positive nodes and the distinct |t| give K(x, side t) on
+    # every node, the complex closed form to rounding, for either side
+    rs = parse_preset(preset)
+    plan = make_plan(rs, grid_n=24 if rs.dimension == 1 else 8)
+    for j, g in enumerate(float(k) for _, k in rs.axis_profile()):
+        x, t = plan.axis_nodes("space", j), plan.axis_nodes("freq", j)
+        E, O, back, sign = plan.axis_kernel("space", j, g, t)
+        assert E.shape == O.shape == (len(x) // 2, len(t) // 2)  # a quarter of the complex matrix
+        assert np.array_equal(-x[: len(x) // 2][::-1], x[len(x) // 2:])  # the grid is mirrored exactly
+        for side in (-1j, 1j):
+            full = _unfold(*transform._columns(E, O, back, sign, side))
+            assert np.max(np.abs(full - kernel_1d(g, x[:, None], side * t[None, :]))) <= 1e-15
+        # the inverse onto the space grid has halves of its own, the transpose of the forward ones
+        inverse = plan.axis_kernel("freq", j, g, x)
+        assert all(np.array_equal(a, b.T) for a, b in zip(inverse[:2], (E, O)))
+    plain = plan.axis_kernel("space_plain", 0, 0.0, [0.3, -1.7, 0.3])
+    assert plain[0].shape == (len(plan.axis_nodes("space_plain", 0)) // 2, 2)  # |y| = 0.3 and 1.7
+    full = _unfold(*transform._columns(*plain, -1j))
+    assert np.allclose(full, np.exp(-1j * np.multiply.outer(plan.axis_nodes("space_plain", 0), [0.3, -1.7, 0.3])),
+                       rtol=0, atol=1e-15)
+
+
+def test_product_plan_transform_matches_direct_sums(rs_product):
     plan = make_plan(rs_product, grid_n=6)
     gammas = [1.0, 2.0]
-    for j, g in enumerate(gammas):
-        x, t = plan.axis_nodes("space", j), plan.axis_nodes("freq", j)
-        assert np.array_equal(plan.axis_kernel("space", j, g, -1j, t), kernel_1d(g, x[:, None], -1j * t[None, :]))
-        assert np.array_equal(plan.axis_kernel("freq", j, g, 1j, x), kernel_1d(g, t[:, None], 1j * x[None, :]))
 
     def f(p):
         p = np.atleast_2d(p)
         return (1.0 + p[:, 0] - 0.5 * p[:, 1]) * np.exp(-0.5 * np.sum(p * p, axis=-1))
 
-    def direct(grid, fvals, ys, side):
-        ker = np.ones((len(grid.nodes), len(ys)), dtype=complex)
-        for j, g in enumerate(gammas):
-            ker *= kernel_1d(g, grid.nodes[:, j, None], side * ys[None, :, j])
-        return (grid.weights * fvals) @ ker
-
     ys = np.array([[0.3, -1.1], [2.0, 0.5], [-0.7, 0.0]])
     on_grid = dunkl_transform_many(rs_product, f, plan.freq.nodes, plan)
-    ref = direct(plan.space, f(plan.space.nodes), plan.freq.nodes, -1j)
+    ref = _dense(plan, "space", gammas, f(plan.space.nodes), plan.freq.nodes, -1j)
     assert np.allclose(on_grid, ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(dunkl_transform_many(rs_product, f, ys, plan),
-                       direct(plan.space, f(plan.space.nodes), ys, -1j), rtol=1e-13, atol=1e-15)
+                       _dense(plan, "space", gammas, f(plan.space.nodes), ys, -1j), rtol=1e-13, atol=1e-15)
     inv = dunkl_inverse_many(rs_product, on_grid, ys, plan)
     const = inverse_constant(rs_product)
-    assert np.allclose(inv, const * direct(plan.freq, on_grid, ys, 1j), rtol=1e-13, atol=1e-15)
+    assert np.allclose(inv, const * _dense(plan, "freq", gammas, on_grid, ys, 1j), rtol=1e-13, atol=1e-15)
 
 
-def test_repeated_transforms_build_one_kernel_matrix(count_kernel_1d, rs_one):
+_PARITY_TARGETS = {
+    "plan-grid": lambda plan, d: plan.freq.nodes,
+    "asymmetric": lambda plan, d: np.random.default_rng(3).uniform(-3.0, 7.0, (9, d) if d > 1 else 9),
+    "one-point": lambda plan, d: np.full(d, 0.7) if d > 1 else 0.7,
+}
+
+
+@pytest.mark.parametrize("targets", sorted(_PARITY_TARGETS))
+@pytest.mark.parametrize("values", ["real", "complex"])
+@pytest.mark.parametrize("preset", ["z2:1", "z2:7/3", "z2xz2:1,2"])
+def test_parity_contraction_matches_the_dense_complex_sum(preset, values, targets):
+    rs = parse_preset(preset)
+    d = rs.dimension
+    plan = make_plan(rs, grid_n=24 if d == 1 else 8)
+    gammas = [float(k) for _, k in rs.axis_profile()]
+    rng = np.random.default_rng(11)
+    for grid, side, gams in (("space", -1j, gammas), ("freq", 1j, gammas), ("space_plain", -1j, [0.0] * d)):
+        n = len(getattr(plan, grid).weights)
+        fvals = rng.normal(size=n) + (1j * rng.normal(size=n) if values == "complex" else 0.0)
+        ys = _PARITY_TARGETS[targets](plan, d)
+        got = transform._contract(plan, grid, gams, fvals, ys, side)
+        ref = _dense(plan, grid, gams, fvals, ys, side)
+        assert np.shape(got) == np.shape(ref.reshape(np.shape(ys)[: -1 if d > 1 else None]))
+        assert np.max(np.abs(np.ravel(got) - ref)) <= 1e-13 * np.max(np.abs(ref)), grid
+
+
+@pytest.mark.parametrize("preset", ["z2:1", "z2:7/3", "z2xz2:1,2"])
+def test_the_factors_path_matches_the_dense_complex_sum(preset):
+    # per-pair factors K(t_j, i z_j) times the inverse kernels K(t_j, i y_j):
+    # a product of two kernels is again a pair of halves
+    rs = parse_preset(preset)
+    d = rs.dimension
+    plan = make_plan(rs, grid_n=24 if d == 1 else 8)
+    gammas = [float(k) for _, k in rs.axis_profile()]
+    rng = np.random.default_rng(5)
+    zs, ys = rng.uniform(-2.0, 2.0, (4, d)), rng.uniform(-3.0, 3.0, (4, d))
+    hv = rng.normal(size=len(plan.freq.weights)) + 1j * rng.normal(size=len(plan.freq.weights))
+    factors = [transform._columns(*plan.axis_kernel("freq", j, g, zs[:, j]), 1j) for j, g in enumerate(gammas)]
+    got = dunkl_inverse_many(rs, hv, ys if d > 1 else ys[:, 0], plan, factors=factors)
+    dense_factors = [kernel_1d(g, plan.axis_nodes("freq", j)[:, None], 1j * zs[None, :, j]) for j, g in enumerate(gammas)]
+    ref = inverse_constant(rs) * _dense(plan, "freq", gammas, hv, ys, 1j, dense_factors)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # translation pair by pair is translation one base point at a time
+    f = gaussian() if d == 1 else (lambda p: np.exp(-0.5 * np.sum(np.atleast_2d(p) ** 2, axis=-1)))
+    pairs = translate_spectral_many(rs, f, zs if d > 1 else zs[:, 0], ys if d > 1 else ys[:, 0], plan)
+    one = [translate_spectral_many(rs, f, z if d > 1 else z[0], y if d > 1 else y[0], plan) for z, y in zip(zs, ys)]
+    assert np.allclose(pairs, one, rtol=0, atol=1e-14)
+
+
+def test_plan_halves_evaluate_each_order_once_per_positive_node_and_distinct_magnitude(monkeypatch):
+    points = {}
+
+    def counted(alpha, u):
+        points[alpha] = points.get(alpha, 0) + np.size(u)
+        return bessel_j_normalized(alpha, u)
+
+    monkeypatch.setattr(transform, "bessel_j_normalized", counted)
+    plan = make_plan(rank_one(Fraction(7, 3)), grid_n=24)
+    s = np.linspace(0.2, 8.0, 40)
+    plan.axis_kernel("space", 0, 7 / 3, np.concatenate([-s, s, s[:5]]))
+    assert points == {7 / 3 - 0.5: 24 * 40, 7 / 3 + 0.5: 24 * 40}
+
+
+def test_repeated_transforms_build_each_pair_of_halves_once(count_halves, rs_one):
     plan = make_plan(rs_one, grid_n=16)
     for m in range(3):
         dunkl_transform_many(rs_one, PolyGauss.monomial(m), plan.freq.nodes, plan)
-    assert len(count_kernel_1d) == 1
-    # the inverse onto the space grid and a repeated target set build nothing new
-    dunkl_inverse_many(rs_one, np.ones(len(plan.freq.nodes)), plan.space.nodes, plan)
-    ys = np.linspace(-2.0, 2.0, 7)
+    assert count_halves == [(16, 16)]
+    # the inverse onto the space grid builds its own pair, once
+    for _ in range(2):
+        dunkl_inverse_many(rs_one, np.ones(len(plan.freq.nodes)), plan.space.nodes, plan)
+    assert count_halves == [(16, 16)] * 2
+    # seven targets symmetric about 0 have four distinct magnitudes
+    ys = np.array([-2.0, -1.25, -0.5, 0.0, 0.5, 1.25, 2.0])
     for m in range(3):
         dunkl_transform_many(rs_one, PolyGauss.monomial(m), ys, plan)
-    assert len(count_kernel_1d) == 2
+    assert count_halves == [(16, 16)] * 2 + [(16, 4)]
 
 
-def test_product_forward_transform_evaluates_axis_matrices_only(count_kernel_1d, rs_product):
+def test_product_forward_transform_evaluates_axis_matrices_only(count_halves, rs_product):
     plan = make_plan(rs_product, grid_n=32)
     dunkl_transform_many(rs_product, lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), plan.freq.nodes, plan)
     n_space, n_freq = len(plan.axis_nodes("space", 0)), len(plan.axis_nodes("freq", 0))
-    # one (space axis x frequency axis) matrix per axis; building the kernel at
-    # every tensor frequency costs d n_space n_freq^d entries
-    assert sum(count_kernel_1d) <= rs_product.dimension * n_space * n_freq
+    # one pair of (positive space axis x positive frequency axis) halves per axis;
+    # building the kernel at every tensor frequency costs d n_space n_freq^d entries
+    assert count_halves == [(n_space // 2, n_freq // 2)] * rs_product.dimension
 
 
-def test_target_kernel_cache_is_bounded(count_kernel_1d, rs_one):
+def test_target_kernel_cache_is_bounded(count_halves, rs_one):
     plan = make_plan(rs_one, grid_n=16)
     f = PolyGauss.monomial(1)
 
@@ -618,58 +717,92 @@ def test_target_kernel_cache_is_bounded(count_kernel_1d, rs_one):
         return np.array([0.1 * shift, 1.0])
 
     def kept():
-        return [key for key in plan.kernels if isinstance(key[-1], bytes)]
+        return [key for key in plan.kernels if key not in _own_keys(plan)]
 
-    # Dunkl kernels and plain (multiplicity 0) kernels on other targets share one bound
+    # Dunkl halves and plain (multiplicity 0) halves on other targets share one bound
     for shift in range(_TARGET_KERNELS):
         dunkl_transform_many(rs_one, f, targets(shift), plan)
         classical_fourier_many(f, targets(shift), plan)
     assert len(kept()) == _TARGET_KERNELS
     assert sum(key[2] == 0.0 for key in kept()) == _TARGET_KERNELS // 2
-    plain = plan.axis_kernel("space_plain", 0, 0.0, -1j, targets(_TARGET_KERNELS - 1))
-    assert plan.axis_kernel("space_plain", 0, 0.0, -1j, targets(_TARGET_KERNELS - 1)) is plain
-    assert ("space_plain", 0, 0.0, -1j, targets(0).tobytes()) not in plan.kernels
-    calls = len(count_kernel_1d)
+    plain = plan.axis_kernel("space_plain", 0, 0.0, targets(_TARGET_KERNELS - 1))
+    assert plan.axis_kernel("space_plain", 0, 0.0, targets(_TARGET_KERNELS - 1)) is plain
+    assert ("space_plain", 0, 0.0, targets(0).tobytes()) not in plan.kernels
+    builds = len(count_halves)
     # the most recent Dunkl target set is kept; the oldest was dropped and is built again
     dunkl_transform_many(rs_one, f, targets(_TARGET_KERNELS - 1), plan)
-    assert len(count_kernel_1d) == calls
+    assert len(count_halves) == builds
     dunkl_transform_many(rs_one, f, targets(0), plan)
-    assert len(count_kernel_1d) == calls + 1
-    # plain kernels of multiplier_P on other targets are kept too, and push the rest out
+    assert len(count_halves) == builds + 1
+    # plain halves of multiplier_P on other targets are kept too, and push the rest out,
+    # while the halves on the plan's own grids stay
+    own = _own_keys(plan)
     for shift in range(_TARGET_KERNELS):
         multiplier_P_many(rs_one, f, targets(shift), plan)
-    assert all(key[:4] == ("freq", 0, 0.0, 1j) for key in kept())
+    assert all(key[:3] == ("freq", 0, 0.0) for key in kept())
+    assert set(own) <= set(_own_keys(plan))
     assert np.array_equal(multiplier_P_many(rs_one, f, targets(0), plan),
                           multiplier_P_many(rs_one, f, targets(0), make_plan(rs_one, grid_n=16)))
     assert len(kept()) == _TARGET_KERNELS
 
 
-def test_kept_kernel_matrices_are_read_only(rs_one):
+def test_kept_kernel_halves_are_read_only(rs_one):
     plan = make_plan(rs_one, grid_n=16)
     ys = np.array([0.3, 1.7])
-    mats = [
-        plan.axis_kernel("space", 0, 1.0, -1j, plan.freq.nodes),
-        plan.axis_kernel("freq", 0, 1.0, 1j, plan.space.nodes),  # the mirror
-        plan.axis_kernel("space", 0, 1.0, -1j, ys),
-        plan.axis_kernel("space_plain", 0, 0.0, -1j, ys),
+    kept = [
+        plan.axis_kernel("space", 0, 1.0, plan.freq.nodes),
+        plan.axis_kernel("freq", 0, 1.0, plan.space.nodes),
+        plan.axis_kernel("space", 0, 1.0, ys),
+        plan.axis_kernel("space_plain", 0, 0.0, ys),
     ]
-    for mat in mats:
-        with pytest.raises(ValueError):
-            mat[0, 0] = 0.0
-    assert not any(mat.flags.writeable for mat in plan.kernels.values())
+    for halves in kept:
+        for part in halves:
+            with pytest.raises(ValueError):
+                part[0] = 0
+    assert not any(part.flags.writeable for halves in plan.kernels.values() for part in halves)
 
 
-def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_kernel_1d, monkeypatch):
-    # count only the plan's kernel_1d calls: the suite and kernel_value make their own
-    for module in (kernel, sys.modules["dunklkit.suites"]):
-        monkeypatch.setattr(module, "kernel_1d", kernel_1d)
+def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_halves):
     config = SuiteConfig("translation", parse_preset("z2:1"), grid_n=48)
     first = run_suite(config)
-    count_kernel_1d.clear()
+    count_halves.clear()
     second = run_suite(config)
-    assert count_kernel_1d == []
+    assert count_halves == []
     assert second.body_bytes() == first.body_bytes()
     assert second.all_passed
+
+
+def test_a_default_plan_holds_halves_not_complex_matrices():
+    # after inversion@z2:1#96, every kept pair on the plan's own grids holds a
+    # quarter of the bytes of the complex (nodes x targets) matrix it replaces,
+    # and every other pair at most half; no kept array is complex
+    rs = parse_preset("z2:1")
+    run_suite(SuiteConfig("inversion", rs, grid_n=96))
+    plan = default_line_plan(rs, 96)
+    own = _own_keys(plan)
+    assert own and len(plan.kernels) > len(own)
+    held = replaced = 0
+    for key, (E, O, back, sign) in plan.kernels.items():
+        complex_bytes = 16 * len(plan.axis_nodes(key[0], key[1])) * (len(key[3]) // 8)
+        halves_bytes = E.nbytes + O.nbytes
+        assert halves_bytes * (4 if key in own else 2) <= complex_bytes, key[:3]
+        assert not any(np.iscomplexobj(part) for part in (E, O, back, sign))
+        held += halves_bytes + back.nbytes + sign.nbytes
+        replaced += complex_bytes
+    # 1.81 MB against 4.27 MB: the 800 dual-rule nodes and the 384 averaging
+    # points of this suite have no mirror symmetry (800 and 257 distinct |y|),
+    # so their halves are 1/2 and 1/3 of their complex matrices
+    assert held <= 0.43 * replaced
+
+
+def _fresh_line_plans(monkeypatch):
+    """Give default_line_plan an empty cache of its own in every dunklkit module
+    that bound it, so plans built under a patched builder are thrown away."""
+    cached = default_line_plan
+    fresh = functools.lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dunklkit") and getattr(module, "default_line_plan", None) is cached:
+            monkeypatch.setattr(module, "default_line_plan", fresh)
 
 
 @pytest.mark.parametrize("suite, preset, grid_n, plan_checks", [
@@ -682,10 +815,11 @@ def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_kernel_1d, mo
     ("approx-identity", "z2:7/3", 48, ["residual-decay", "smallest-eps-residual", "monotone-trend"]),
 ])
 def test_nan_plan_kernels_fail_the_spectral_suites(suite, preset, grid_n, plan_checks, monkeypatch):
-    original = TransformPlan.axis_kernel
+    original = transform._kernel_halves
     monkeypatch.setattr(
-        TransformPlan, "axis_kernel", lambda self, *args: np.full_like(original(self, *args), np.nan)
+        transform, "_kernel_halves", lambda *args: tuple(np.full_like(h, np.nan) for h in original(*args))
     )
+    _fresh_line_plans(monkeypatch)
     report = run_suite(SuiteConfig(suite, parse_preset(preset), grid_n=grid_n))
     assert report.status == "fail"
     by_id = {c.id: c for c in report.checks}
