@@ -8,7 +8,6 @@ exercises most of the library at once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -23,9 +22,6 @@ from .report import VerificationReport, worst
 from .rootsys import RootSystem, _functions, _paired, _points, _shaped
 from .transform import (
     TransformPlan,
-    _axis_gammas,
-    _columns,
-    _contract,
     _one_value,
     _refuse_growth,
     classical_fourier_many,
@@ -47,22 +43,10 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     inverted at y.
 
     x and ys broadcast against each other as pairs of points, one value per
-    pair.  One base point translates onto every y through one multiplier;
-    several are contracted pair by pair against the plan's axis halves of
-    K(t_j, i x_j).
+    pair: one inverse with base points x.
     """
-    gammas = _axis_gammas(rs)
-    d = len(gammas)
     plan = _plan(rs, plan)
-    hv = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
-    px = _points(x, d, float)
-    xv, pts, shape = _paired(px, _points(ys, d, float))
-    xs = xv if len(px[0]) > 1 else px[0]  # one row per pair, or the one base point
-    kx = [_columns(*plan.axis_kernel("freq", j, g, xs[:, j]), 1j) for j, g in enumerate(gammas)]
-    if len(xs) == 1:  # K(+-t, i x) = a +- i b, mirrored onto the whole axis
-        full = [np.concatenate([(a - 1j * b)[::-1, 0], a[:, 0] + 1j * b[:, 0]]) for a, b in kx]
-        hv, kx = hv * functools.reduce(np.multiply.outer, full).reshape(-1), None
-    return _shaped(dunkl_inverse_many(rs, hv, pts, plan, factors=kx), shape, None)
+    return dunkl_inverse_many(rs, dunkl_transform_many(rs, f, plan.freq.nodes, plan), ys, plan, base=x)
 
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
@@ -129,11 +113,9 @@ def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan):
     frequency nodes and the values gv of g on its space nodes.
 
     The transform carries f * g to Ff * Fg: g is transformed onto the
-    frequency nodes by the plan's contraction, and the product is inverted
-    at xs by the same contraction.
+    frequency nodes, and the product is inverted at xs.
     """
-    hv_g = _contract(plan, "space", _axis_gammas(rs, plan), gv, plan.freq.nodes, -1j)
-    return dunkl_inverse_many(rs, hv_f * hv_g, xs, plan)
+    return dunkl_inverse_many(rs, hv_f * dunkl_transform_many(rs, lambda _: gv, plan.freq.nodes, plan), xs, plan)
 
 
 def convolve(rs: RootSystem, f, g, x, plan: TransformPlan = None) -> float:

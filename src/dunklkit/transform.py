@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from .kernel import _SERIES_RADIUS, bessel_j_normalized
-from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule, mehta_constant
+from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _paired, _points, _shaped, _tensor_rule, mehta_constant
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +245,21 @@ class TransformPlan:
         """(E, O, back, sign): the _kernel_halves on the positive nodes of axis j
         of a plan grid and the distinct |y| of the targets, the index of each
         |y| and sgn y: K(+-x, side y) = E[:, back] +- side sign O[:, back].
-        Halves on an axis of a plan grid live as long as the plan; of the rest
-        the _TARGET_KERNELS most recently used are kept.  All are read-only."""
+        Halves on an axis of a plan grid live as long as the plan, and onto
+        another grid's axis are a copy of that grid's kept halves onto this one,
+        transposed; of the rest the _TARGET_KERNELS most recently used are
+        kept.  All are read-only; no other module of the package reads them."""
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
         key = (grid, j, gamma, targets.tobytes())
         halves = built = self.kernels.pop(key, None)
         if built is None:
             mags, back = np.unique(np.abs(targets), return_inverse=True)
-            halves = _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags) + (back, np.sign(targets))
+            x = np.split(self.axis_nodes(grid, j), 2)[1]
+            # a kept pair onto this axis, transposed, unless NaN targets folded into one |y|
+            pair = next((self.kernels[k] for g in _PLAN_GRIDS if self.axis_nodes(g, j).tobytes() == key[3]
+                         and (k := (g, j, gamma, self.axis_nodes(grid, j).tobytes())) in self.kernels), (None,))
+            halves = (tuple(np.ascontiguousarray(h.T) for h in pair[:2]) if np.shape(pair[0]) == (len(mags), len(x))
+                      else _kernel_halves(gamma, x, mags)) + (back, np.sign(targets))
             for part in halves:
                 part.flags.writeable = False
         self.kernels[key] = halves
@@ -347,30 +354,33 @@ def _columns(E, O, back, sign, side):
     return E[:, back], side.imag * sign * O[:, back]
 
 
-def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, factors=None):
+def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, base=None):
     """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
     Each axis is folded into even and odd parts on its positive nodes, so K
     is never a complex matrix: every axis in turn onto a plan tensor grid
     (sum factorization), else the first axis onto the points and the rest
     column by column.  gamma 0 gives the plain Fourier kernel exp(side x y).
-    factors, one pair (A, B) of real (n_j / 2, m) arrays per axis for m
-    points (or 1 for all), multiply the kernel of axis j at +-x_j by A +- i B.
+    base, points broadcast against ys, multiplies the kernel at each target
+    by prod_j K(x_j, i base_j) of its own base point.
     """
     d = len(gammas)
     fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
     pts, shape = _points(ys, d, float)
-    tensor = d > 1 and factors is None and next(
+    if base is not None:
+        bs, pts, shape = _paired(_points(base, d, float), (pts, shape))
+    tensor = d > 1 and base is None and next(
         (g for g in _PLAN_GRIDS if np.array_equal(pts, getattr(plan, g).nodes)), None)
     if tensor:
         for j, gam in enumerate(gammas):
             fw = np.moveaxis(_fold(fw, side, *plan.axis_kernel(grid, j, gam, plan.axis_nodes(tensor, j))), 0, -1)
         return _shaped(fw.reshape(-1), shape, None)
     halves = [plan.axis_kernel(grid, j, gam, pts[:, j]) for j, gam in enumerate(gammas)]
-    if factors is None:
+    if base is None:
         out, cols = _fold(fw, side, *halves[0]), [_columns(*h, side) for h in halves[1:]]
-    else:  # the columns times the factors; the first axis folds them as one column per point
+    else:  # the columns times K(x_j, i base_j); the first axis folds them as one column per point
         cols = [_columns(*h, side) for h in halves]
+        factors = [_columns(*plan.axis_kernel(grid, j, gam, bs[:, j]), 1j) for j, gam in enumerate(gammas)]
         cols = [(a * fa - b * fb, a * fb + b * fa) for (a, b), (fa, fb) in zip(cols, factors)]
         out, cols = _fold(fw, 1j, *cols[0], np.arange(len(pts)), np.ones(len(pts))), cols[1:]
     for a, b in cols:
@@ -391,9 +401,10 @@ def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) 
     return _one_value("dunkl_transform", dunkl_transform_many(rs, f, y, plan))
 
 
-def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan,
-                       factors=None):
-    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs, plan), hvals_on_freq, xs, 1j, factors)
+def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan, base=None):
+    """Inverse transform at xs of values on the frequency nodes, times K(t, i base)
+    for base points broadcast against xs: translation by base."""
+    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs, plan), hvals_on_freq, xs, 1j, base)
 
 
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:

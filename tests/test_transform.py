@@ -1,8 +1,10 @@
 import functools
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,7 +594,7 @@ def test_line_plan_halves_unfold_to_the_direct_kernels(preset):
         for side in (-1j, 1j):
             full = _unfold(*transform._columns(E, O, back, sign, side))
             assert np.max(np.abs(full - kernel_1d(g, x[:, None], side * t[None, :]))) <= 1e-15
-        # the inverse onto the space grid has halves of its own, the transpose of the forward ones
+        # the inverse onto the space grid keeps a transposed copy of the forward halves
         inverse = plan.axis_kernel("freq", j, g, x)
         assert all(np.array_equal(a, b.T) for a, b in zip(inverse[:2], (E, O)))
     plain = plan.axis_kernel("space_plain", 0, 0.0, [0.3, -1.7, 0.3])
@@ -648,9 +650,9 @@ def test_parity_contraction_matches_the_dense_complex_sum(preset, values, target
 
 
 @pytest.mark.parametrize("preset", ["z2:1", "z2:7/3", "z2xz2:1,2"])
-def test_the_factors_path_matches_the_dense_complex_sum(preset):
-    # per-pair factors K(t_j, i z_j) times the inverse kernels K(t_j, i y_j):
-    # a product of two kernels is again a pair of halves
+def test_the_base_point_path_matches_the_dense_complex_sum(preset):
+    # the inverse kernels K(t_j, i y_j) times K(t_j, i z_j) of each target's base
+    # point z: a product of two kernels is again a pair of halves
     rs = parse_preset(preset)
     d = rs.dimension
     plan = make_plan(rs, grid_n=24 if d == 1 else 8)
@@ -658,16 +660,16 @@ def test_the_factors_path_matches_the_dense_complex_sum(preset):
     rng = np.random.default_rng(5)
     zs, ys = rng.uniform(-2.0, 2.0, (4, d)), rng.uniform(-3.0, 3.0, (4, d))
     hv = rng.normal(size=len(plan.freq.weights)) + 1j * rng.normal(size=len(plan.freq.weights))
-    factors = [transform._columns(*plan.axis_kernel("freq", j, g, zs[:, j]), 1j) for j, g in enumerate(gammas)]
-    got = dunkl_inverse_many(rs, hv, ys if d > 1 else ys[:, 0], plan, factors=factors)
-    dense_factors = [kernel_1d(g, plan.axis_nodes("freq", j)[:, None], 1j * zs[None, :, j]) for j, g in enumerate(gammas)]
-    ref = inverse_constant(rs) * _dense(plan, "freq", gammas, hv, ys, 1j, dense_factors)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # translation pair by pair is translation one base point at a time
-    f = gaussian() if d == 1 else (lambda p: np.exp(-0.5 * np.sum(np.atleast_2d(p) ** 2, axis=-1)))
-    pairs = translate_spectral_many(rs, f, zs if d > 1 else zs[:, 0], ys if d > 1 else ys[:, 0], plan)
-    one = [translate_spectral_many(rs, f, z if d > 1 else z[0], y if d > 1 else y[0], plan) for z, y in zip(zs, ys)]
-    assert np.allclose(pairs, one, rtol=0, atol=1e-14)
+
+    def dense(zs):
+        factors = [kernel_1d(g, plan.axis_nodes("freq", j)[:, None], 1j * zs[None, :, j]) for j, g in enumerate(gammas)]
+        return inverse_constant(rs) * _dense(plan, "freq", gammas, hv, ys, 1j, factors)
+
+    # one base point per target, and one base point broadcast against every target
+    for base, ref in ((zs, dense(zs)), *((z, dense(z[None])) for z in zs)):
+        got = dunkl_inverse_many(rs, hv, ys, plan, base=base)
+        assert np.shape(got) == (len(ys),)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_plan_halves_evaluate_each_order_once_per_positive_node_and_distinct_magnitude(monkeypatch):
@@ -689,15 +691,27 @@ def test_repeated_transforms_build_each_pair_of_halves_once(count_halves, rs_one
     for m in range(3):
         dunkl_transform_many(rs_one, PolyGauss.monomial(m), plan.freq.nodes, plan)
     assert count_halves == [(16, 16)]
-    # the inverse onto the space grid builds its own pair, once
+    # the inverse onto the space grid evaluates no Bessel values: its halves are
+    # a copy of the forward pair, transposed
     for _ in range(2):
         dunkl_inverse_many(rs_one, np.ones(len(plan.freq.nodes)), plan.space.nodes, plan)
-    assert count_halves == [(16, 16)] * 2
+    assert count_halves == [(16, 16)]
+    forward = plan.axis_kernel("space", 0, 1.0, plan.freq.nodes)
+    inverse = plan.axis_kernel("freq", 0, 1.0, plan.space.nodes)
+    for a, b in zip(inverse[:2], forward[:2]):
+        assert np.array_equal(a, b.T) and a.flags.c_contiguous and not np.shares_memory(a, b)
     # seven targets symmetric about 0 have four distinct magnitudes
     ys = np.array([-2.0, -1.25, -0.5, 0.0, 0.5, 1.25, 2.0])
     for m in range(3):
         dunkl_transform_many(rs_one, PolyGauss.monomial(m), ys, plan)
-    assert count_halves == [(16, 16)] * 2 + [(16, 4)]
+    assert count_halves == [(16, 16), (16, 4)]
+
+
+def test_only_the_transform_module_reads_the_kernel_halves():
+    # the storage form of the plan's kernels and the contraction stay in transform.py
+    names = re.compile(r"\b(axis_kernel|_columns|_fold|_contract)\b")
+    readers = [p.name for p in sorted(Path(transform.__file__).parent.glob("*.py")) if names.search(p.read_text())]
+    assert readers == ["transform.py"]
 
 
 def test_product_forward_transform_evaluates_axis_matrices_only(count_halves, rs_product):
