@@ -8,6 +8,7 @@ systems, which only the exact polynomial path supports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -245,21 +246,14 @@ class TransformPlan:
         """(E, O, back, sign): the _kernel_halves on the positive nodes of axis j
         of a plan grid and the distinct |y| of the targets, the index of each
         |y| and sgn y: K(+-x, side y) = E[:, back] +- side sign O[:, back].
-        Halves on an axis of a plan grid live as long as the plan, and onto
-        another grid's axis are a copy of that grid's kept halves onto this one,
-        transposed; of the rest the _TARGET_KERNELS most recently used are
-        kept.  All are read-only; no other module of the package reads them."""
+        Halves on an axis of a plan grid live as long as the plan; of the rest
+        the _TARGET_KERNELS most recently used are kept.  All are read-only."""
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
         key = (grid, j, gamma, targets.tobytes())
         halves = built = self.kernels.pop(key, None)
         if built is None:
             mags, back = np.unique(np.abs(targets), return_inverse=True)
-            x = np.split(self.axis_nodes(grid, j), 2)[1]
-            # a kept pair onto this axis, transposed, unless NaN targets folded into one |y|
-            pair = next((self.kernels[k] for g in _PLAN_GRIDS if self.axis_nodes(g, j).tobytes() == key[3]
-                         and (k := (g, j, gamma, self.axis_nodes(grid, j).tobytes())) in self.kernels), (None,))
-            halves = (tuple(np.ascontiguousarray(h.T) for h in pair[:2]) if np.shape(pair[0]) == (len(mags), len(x))
-                      else _kernel_halves(gamma, x, mags)) + (back, np.sign(targets))
+            halves = _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags) + (back, np.sign(targets))
             for part in halves:
                 part.flags.writeable = False
         self.kernels[key] = halves
@@ -362,25 +356,33 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
     (sum factorization), else the first axis onto the points and the rest
     column by column.  gamma 0 gives the plain Fourier kernel exp(side x y).
     base, points broadcast against ys, multiplies the kernel at each target
-    by prod_j K(x_j, i base_j) of its own base point.
+    by prod_j K(x_j, i base_j) of its base point; one base point multiplies f.
     """
     d = len(gammas)
-    fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
     pts, shape = _points(ys, d, float)
-    if base is not None:
-        bs, pts, shape = _paired(_points(base, d, float), (pts, shape))
-    tensor = d > 1 and base is None and next(
+    factors = None
+    if base is not None:  # K(+-x_j, i base_j) = a +- i b, on the base points as given
+        pb = _points(base, d, float)
+        _, pts, shape = _paired(pb, (pts, shape))
+        kb = [_columns(*plan.axis_kernel(grid, j, gam, pb[0][:, j]), 1j) for j, gam in enumerate(gammas)]
+        if len(pb[0]) == 1:  # one base point multiplies f, mirrored onto the whole axis
+            full = [np.concatenate([(a - 1j * b)[::-1, 0], a[:, 0] + 1j * b[:, 0]]) for a, b in kb]
+            fvals = fvals * functools.reduce(np.multiply.outer, full).reshape(-1)
+        else:  # one column per pair, that of its base point
+            pair = np.broadcast_to(np.arange(len(pb[0])).reshape(pb[1]), shape).reshape(-1)
+            factors = [(a[:, pair], b[:, pair]) for a, b in kb]
+    fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
+    tensor = d > 1 and factors is None and next(
         (g for g in _PLAN_GRIDS if np.array_equal(pts, getattr(plan, g).nodes)), None)
     if tensor:
         for j, gam in enumerate(gammas):
             fw = np.moveaxis(_fold(fw, side, *plan.axis_kernel(grid, j, gam, plan.axis_nodes(tensor, j))), 0, -1)
         return _shaped(fw.reshape(-1), shape, None)
     halves = [plan.axis_kernel(grid, j, gam, pts[:, j]) for j, gam in enumerate(gammas)]
-    if base is None:
+    if factors is None:
         out, cols = _fold(fw, side, *halves[0]), [_columns(*h, side) for h in halves[1:]]
-    else:  # the columns times K(x_j, i base_j); the first axis folds them as one column per point
+    else:  # the columns times the factors; the first axis folds them as one column per point
         cols = [_columns(*h, side) for h in halves]
-        factors = [_columns(*plan.axis_kernel(grid, j, gam, bs[:, j]), 1j) for j, gam in enumerate(gammas)]
         cols = [(a * fa - b * fb, a * fb + b * fa) for (a, b), (fa, fb) in zip(cols, factors)]
         out, cols = _fold(fw, 1j, *cols[0], np.arange(len(pts)), np.ones(len(pts))), cols[1:]
     for a, b in cols:
