@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -47,10 +48,15 @@ class _PolyFamily:
         """p as a RationalPoly in one variable."""
         return _poly(self.coeffs)
 
+    @cached_property
+    def _floats(self) -> tuple:
+        """p's coefficients as floats, highest degree first, converted once per instance."""
+        return tuple(float(c) for c in reversed(self.coeffs))
+
     def _p(self, x: np.ndarray) -> np.ndarray:
         p = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            p = p * x + float(c)
+        for c in self._floats:
+            p = p * x + c
         return p
 
     def scale(self, c: Number):

@@ -184,9 +184,9 @@ class DualDensity:
 
 
 def _dual_rule(g, u, cutoff, n):
-    """The f-independent rule of the dual operator on one axis at the
-    coordinates u, |u| < cutoff: nodes and weights (u.size, 2n), or the
-    point mass (u.size, 1) at multiplicity 0.
+    """The f-independent rule of the dual measure less its factor
+    mass_constant(g), on one axis at the coordinates u, |u| < cutoff: nodes
+    and weights (u.size, 2n), or the point mass (u.size, 1) at multiplicity 0.
 
     At u != 0, t = sigma' |u| cosh(s) turns each half-line {sigma' t >= |u|}
     into a power of s, which the Jacobi rule absorbs, times a smooth factor:
@@ -195,7 +195,7 @@ def _dual_rule(g, u, cutoff, n):
     """
     if g == 0:
         return u[:, None], np.ones((u.size, 1))
-    c, zero = mass_constant(g), u == 0.0
+    zero = u == 0.0
     a = np.where(zero, cutoff / 2.0, np.abs(u))[:, None]  # rows at u = 0 are replaced below
     S = np.arccosh(cutoff / a)
     (t0, w0), (t1, w1) = (_half_line_rule(n, 2.0 * g - sign, 1.0) for sign in (1.0, -1.0))
@@ -205,11 +205,21 @@ def _dual_rule(g, u, cutoff, n):
     # 2^(2 gamma - p) S^(p + 1) (sinh(h)/h)^p cosh(h)^(4 gamma - p) with p = 2 gamma -+ 1 is
     # S^(2 gamma) (sinh(s)/s)^(2 gamma - 1) times 2 cosh(h)^2, or (2/t^2) sinh(h)^2 as S/h = 2/t
     factor = np.concatenate([2.0 * w0, 2.0 * w1 / t1 ** 2]) * np.where(side > 0, ch, sh) ** 2
-    weights = c * (a * S) ** (2.0 * g) * factor * (sh * ch / h) ** (2.0 * g - 1.0)
+    weights = (a * S) ** (2.0 * g) * factor * (sh * ch / h) ** (2.0 * g - 1.0)
     if zero.any():
         x, w = _half_line_rule(n, 2.0 * g - 1.0, cutoff)
-        nodes[zero], weights[zero] = np.concatenate([x, -x]), c * np.concatenate([w, w])
+        nodes[zero], weights[zero] = np.concatenate([x, -x]), np.concatenate([w, w])
     return nodes, weights
+
+
+@lru_cache(maxsize=16)
+def _kept_dual_rule(g, u: bytes, cutoff, n):
+    """_dual_rule at the coordinates whose float64 bytes are u, read-only;
+    the 16 most recently used rules are kept."""
+    rule = _dual_rule(g, np.frombuffer(u), cutoff, n)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def _cutoff(gammas, f, x_max):
@@ -249,9 +259,11 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     function whose decay is declared compact (a SampledFunction or a
     SmoothBump), else x_max, where f must be negligible, which is verified.
 
-    The functions of a sequence share the f-independent rule, built per
+    The functions of a sequence share the f-independent rule, taken per
     cutoff on the points in batches of at most _NODE_BUDGET nodes, and each
-    is called once per batch.
+    is called once per batch.  Each axis rule of a batch is kept across
+    calls (_kept_dual_rule) without the mass constants, which multiply the
+    sums once per call.
     """
     gammas = _axis_gammas(rs)
     _refuse_scaled_roots(rs)
@@ -265,6 +277,7 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     nan = np.isnan(pts).any(axis=1)
     out = np.where(nan, np.nan, np.zeros((len(fs), 1)))  # no cutoff holds a NaN point, so it would read 0
     cutoffs = [_cutoff(gammas, h, x_max) for h in fs]
+    mass = math.prod(mass_constant(g) for g in gammas if g)
     for cutoff in set(cutoffs):
         group = [i for i, c in enumerate(cutoffs) if c == cutoff]
         live = ~nan & np.all(np.abs(pts[:, np.array(gammas) > 0]) < cutoff, axis=1)
@@ -273,13 +286,13 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
         step = max(1, _NODE_BUDGET // max(1, math.prod(2 * n if g else 1 for g in gammas)))
         vals = np.empty((len(group), len(rows)))
         for at in (slice(lo, lo + step) for lo in range(0, len(rows), step)):
-            rules = [_dual_rule(g, rows[at, j], cutoff, n) for j, g in enumerate(gammas)]
+            rules = [_kept_dual_rule(g, rows[at, j].tobytes(), cutoff, n) for j, g in enumerate(gammas)]
             nodes, weights = _tensor_rule(rules) if d > 1 else rules[0]
             args = nodes.reshape(-1, d) if d > 1 else nodes.reshape(-1)
             for row, i in enumerate(group):
                 fvals = np.asarray(fs[i](args)).reshape(weights.shape)
                 vals[row, at] = np.sum(weights * fvals, axis=-1)
-        out[np.ix_(group, live)] = vals
+        out[np.ix_(group, live)] = mass * vals
     return _shaped(out, shape, f)
 
 

@@ -246,14 +246,19 @@ class TransformPlan:
         """(E, O, back, sign): the _kernel_halves on the positive nodes of axis j
         of a plan grid and the distinct |y| of the targets, the index of each
         |y| and sgn y: K(+-x, side y) = E[:, back] +- side sign O[:, back].
-        Halves on an axis of a plan grid live as long as the plan; of the rest
-        the _TARGET_KERNELS most recently used are kept.  All are read-only."""
+        Halves on an axis of a plan grid live as long as the plan, and targets whose
+        distinct |y| are the positive nodes of another grid's axis take its pair; of
+        the rest the _TARGET_KERNELS most recently used are kept.  All are read-only."""
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
         key = (grid, j, gamma, targets.tobytes())
         halves = built = self.kernels.pop(key, None)
         if built is None:
             mags, back = np.unique(np.abs(targets), return_inverse=True)
-            halves = _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags) + (back, np.sign(targets))
+            grids = [x for x in (self.axis_nodes(g, j) for g in _PLAN_GRIDS)
+                     if x.tobytes() != key[3] and np.array_equal(np.split(x, 2)[1], mags)]
+            pair = (self.axis_kernel(grid, j, gamma, grids[0])[:2] if grids
+                    else _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags))
+            halves = pair + (back, np.sign(targets))
             for part in halves:
                 part.flags.writeable = False
         self.kernels[key] = halves

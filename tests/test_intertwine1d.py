@@ -284,6 +284,76 @@ def test_dual_calls_each_function_on_2n_nodes_per_point_and_a_row_is_its_one_poi
         np.testing.assert_array_equal(out, [tV_k_num(rs_one, h, y, n=n) for y in ys])
 
 
+@pytest.fixture
+def count_rules(monkeypatch):
+    """Empty the kept dual rules and wrap their builder; returns the number
+    of coordinates of each rule built."""
+    intertwine1d._kept_dual_rule.cache_clear()
+    original, built = intertwine1d._dual_rule, []
+
+    def counted(g, u, cutoff, n):
+        built.append(u.size)
+        return original(g, u, cutoff, n)
+
+    monkeypatch.setattr(intertwine1d, "_dual_rule", counted)
+    yield built
+    intertwine1d._kept_dual_rule.cache_clear()
+
+
+def test_a_first_inversion_run_builds_each_dual_rule_once(count_rules):
+    # its tV_k_num calls on the plain space grid share 6 point sets, which
+    # took 31 builds when no rule was kept; a repeated run builds none
+    config = SuiteConfig("inversion", parse_preset("z2:7/3"))
+    first = run_suite(config)
+    assert len(count_rules) == 6
+    count_rules.clear()
+    second = run_suite(config)
+    assert count_rules == []
+    assert second.body_bytes() == first.body_bytes()
+
+
+def test_a_repeated_dual_call_builds_no_rule_and_gives_the_values_of_a_fresh_one(count_rules, rs_seventhirds,
+                                                                                  rs_product):
+    # a bump and a Gaussian have two cutoffs, so a line call builds two rules;
+    # a product point set builds one per axis
+    for rs, fs, ys in [(rs_seventhirds, [gaussian(), standard_bump()], np.array([-1.3, 0.0, 0.4, 0.9, 2.2])),
+                       (rs_product, lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), [(0.3, -1.1), (0.0, 0.5)])]:
+        first = tV_k_num(rs, fs, ys, n=40)
+        built = len(count_rules)
+        again = tV_k_num(rs, fs, ys, n=40)
+        assert len(count_rules) == built == 2
+        intertwine1d._kept_dual_rule.cache_clear()
+        fresh = tV_k_num(rs, fs, ys, n=40)
+        assert len(count_rules) == 2 * built
+        assert again.tobytes() == fresh.tobytes() == first.tobytes()
+        count_rules.clear()
+
+
+def test_kept_dual_rules_are_read_only(count_rules, rs_one):
+    ys = np.array([-1.3, 0.0, 0.9])
+    tV_k_num(rs_one, gaussian(), ys, n=40)
+    nodes, weights = intertwine1d._kept_dual_rule(1.0, ys.tobytes(), 14.0, 40)  # the rule that call kept
+    assert len(count_rules) == 1
+    assert nodes.shape == weights.shape == (3, 80)
+    for part in (nodes, weights):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 0.0
+
+
+def test_at_most_16_dual_rules_are_kept(count_rules, rs_one):
+    sets = [np.array([0.1 * k, 1.0]) for k in range(17)]
+    for ys in sets:
+        tV_k_num(rs_one, gaussian(), ys, n=20)
+    assert len(count_rules) == 17
+    assert intertwine1d._kept_dual_rule.cache_info().currsize == 16
+    # the most recent point set is kept; the oldest was dropped and is built again
+    tV_k_num(rs_one, gaussian(), sets[-1], n=20)
+    assert len(count_rules) == 17
+    tV_k_num(rs_one, gaussian(), sets[0], n=20)
+    assert len(count_rules) == 18
+
+
 FUNCTION_ROUTES = {
     "V_k_num": lambda f: V_k_num(rank_one(1), f, 0.5),
     "tV_k_num": lambda f: tV_k_num(rank_one(1), f, 0.5),

@@ -785,6 +785,24 @@ def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_halves):
     assert second.all_passed
 
 
+def test_a_target_set_on_a_plan_grid_takes_that_grids_halves():
+    # convolution-commutes translates onto the space grid at three base points:
+    # 288 targets whose 48 distinct |y| are the grid's positive nodes, so the
+    # inverse onto them takes the space grid's own pair, with its own back and sign
+    rs = parse_preset("z2:1")
+    run_suite(SuiteConfig("translation", rs, grid_n=48))
+    plan = default_line_plan(rs, 48)
+    own = plan.kernels[("freq", 0, 1.0, plan.space.nodes.tobytes())]
+    shared = [halves for key, halves in plan.kernels.items() if key not in _own_keys(plan) and halves[0] is own[0]]
+    assert [(len(back), O is own[1]) for E, O, back, sign in shared] == [(288, True)]
+    # the halves on the magnitudes of a plan grid are held once
+    owns = {key: plan.kernels[key] for key in _own_keys(plan)}
+    for key, (E, O, back, sign) in plan.kernels.items():
+        twins = [halves for mine, halves in owns.items() if mine[:3] == key[:3] and halves[0].shape == E.shape
+                 and np.array_equal(halves[0], E) and np.array_equal(halves[1], O)]
+        assert all(halves[0] is E and halves[1] is O for halves in twins), key[:3]
+
+
 def test_a_default_plan_holds_halves_not_complex_matrices():
     # after inversion@z2:1#96, every kept pair on the plan's own grids holds a
     # quarter of the bytes of the complex (nodes x targets) matrix it replaces,
