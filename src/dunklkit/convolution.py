@@ -22,6 +22,7 @@ from .report import VerificationReport, worst
 from .rootsys import RootSystem, _functions, _paired, _points, _shaped
 from .transform import (
     TransformPlan,
+    _one_function,
     _one_value,
     _refuse_growth,
     classical_fourier_many,
@@ -43,7 +44,7 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
     inverted at y.
 
     x and ys broadcast against each other as pairs of points, one value per
-    pair: one inverse with base points x.
+    pair: one inverse with base points x, of every function of f.
     """
     plan = _plan(rs, plan)
     return dunkl_inverse_many(rs, dunkl_transform_many(rs, f, plan.freq.nodes, plan), ys, plan, base=x)
@@ -51,6 +52,7 @@ def translate_spectral_many(rs: RootSystem, f, x, ys, plan: TransformPlan = None
 
 def translate_spectral(rs: RootSystem, f, x, y, plan: TransformPlan = None) -> float:
     """Translation through the transform at the one pair (x, y): multiply by K(ix, .) and invert."""
+    _one_function(f, "translate_spectral")
     return _one_value("translate_spectral", translate_spectral_many(rs, f, x, y, plan)).real
 
 
@@ -80,13 +82,12 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
     if method == "P" or plan is not None:  # Q reads no plan, but a given one must be rs's own
         plan = _plan(rs, plan)
     if method == "P":
-        coef = [plan.freq.weights * classical_fourier_many(lambda _: tv, plan.freq.nodes, plan)
-                for tv in tV_k_num(rs, fs, plan.space_plain.nodes)]
+        tvs = tV_k_num(rs, fs, plan.space_plain.nodes)
+        coef = plan.freq.weights * classical_fourier_many([lambda _, v=v: v for v in tvs], plan.freq.nodes, plan)
         base = np.concatenate([xs, ys])
         avg = np.exp(1j * np.multiply.outer(plan.freq.nodes, np.multiply.outer(base, t))) @ w
         ax, ay = np.split(avg, 2, axis=1)
-        pref = p_multiplier_constant(rs) / (2.0 * math.pi)
-        out = np.array([pref * np.real(c @ (ax * ay)) for c in coef])
+        out = p_multiplier_constant(rs) / (2.0 * math.pi) * np.real(coef @ (ax * ay))
     elif method == "Q":
         pts = np.multiply.outer(xs, t)[:, :, None] + np.multiply.outer(ys, t)[:, None, :]
         vals = inv_V_via_Q(rs, fs, pts.reshape(-1)).reshape((len(fs),) + pts.shape)
@@ -100,8 +101,10 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None):
     """Weighted convolution of f and g at many points, on the line or an axis
     product: the inverse transform of Ff * Fg, see spectral_convolution.
 
-    Without a plan only the line is served, as default_line_plan refuses the rest.
+    f may be a sequence of functions, g is one.  Without a plan only the line
+    is served, as default_line_plan refuses the rest.
     """
+    _one_function(g, "convolve_many's g")
     _refuse_growth(g, "convolve_many")
     plan = _plan(rs, plan)
     hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
@@ -109,8 +112,8 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None):
 
 
 def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan):
-    """Weighted convolution at xs, from the transform hv_f of f on the plan's
-    frequency nodes and the values gv of g on its space nodes.
+    """Weighted convolution at xs, from the transform hv_f of f (or of k functions)
+    on the plan's frequency nodes and the values gv of g on its space nodes.
 
     The transform carries f * g to Ff * Fg: g is transformed onto the
     frequency nodes, and the product is inverted at xs.
@@ -121,6 +124,7 @@ def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan):
 def convolve(rs: RootSystem, f, g, x, plan: TransformPlan = None) -> float:
     """Weighted convolution, the integral of tau_x f(-y) g(y) against the
     weight: convolve_many at the one point x."""
+    _one_function(f, "convolve")
     return _one_value("convolve", convolve_many(rs, f, g, x, plan)).real
 
 
@@ -247,28 +251,22 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
     gv = np.asarray(S.g(nodes))
     base_pairs = [S.pair(psi, plan) for psi in _TEST_SET]
 
-    residuals = []
-    m_fits = []
-    norm_resids = []
-    support_resids = []
     ybox = np.linspace(-plan.freq_radius, plan.freq_radius, 81)
     ybox = ybox[np.abs(ybox) > 1e-9]
     # one transform per scale: its mass, its values on the frequency nodes and on ybox
     ys = np.concatenate([[0.0], plan.freq.nodes, ybox])
-    for e in eps:
-        phi = bump.scaled(e)
-        mass, on_freq, tv = np.split(phi.transform_at(ys), [1, 1 + len(plan.freq.nodes)])
-        norm_resids.append(abs(mass[0] - 1.0))
-        outside = np.linspace(e * 1.0001, max(2.0, 4 * e), 33)
-        support_resids.append(np.abs(phi(outside)))
-        # S * phi on the space grid through the plan's kernel halves
-        conv = spectral_convolution(rs, on_freq, gv, nodes, plan)
+    scales = [bump.scaled(e) for e in eps]
+    masses, on_freq, tvs = np.split(np.array([phi.transform_at(ys) for phi in scales]),
+                                    [1, 1 + len(plan.freq.nodes)], axis=1)
+    norm_resids = np.abs(masses - 1.0)
+    support_resids = [np.abs(phi(np.linspace(e * 1.0001, max(2.0, 4 * e), 33))) for e, phi in zip(eps, scales)]
+    m_fits = [float(np.max(np.abs(tv - 1.0) / (e * ybox**2))) for e, tv in zip(eps, tvs)]
+    residuals = []
+    # S * phi on the space grid at every scale, in one contraction through the plan's kernel halves
+    for conv in spectral_convolution(rs, on_freq, gv, nodes, plan):
         mollified = ConcreteDistribution.weighted(lambda _: conv)
-        residuals.append(worst([
-            abs(mollified.pair(psi, plan) - base) / max(1e-12, abs(base))
-            for psi, base in zip(_TEST_SET, base_pairs)
-        ]))
-        m_fits.append(float(np.max(np.abs(tv - 1.0) / (e * ybox**2))))
+        residuals.append(worst([abs(mollified.pair(psi, plan) - base) / max(1e-12, abs(base))
+                                for psi, base in zip(_TEST_SET, base_pairs)]))
 
     report.add("bump-normalization", "scaled bump keeps unit weighted mass", worst(norm_resids), 1e-10)
     report.add("bump-support", "scaled bump vanishes outside its ball", worst(support_resids), 0.0)

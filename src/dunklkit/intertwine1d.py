@@ -297,8 +297,8 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
 
 
 def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
-    """Independent route to the dual operator: classical inverse Fourier of
-    the Dunkl transform.  Used as a cross-check, not in the inverse paths."""
+    """Independent route to the dual operator of f, one function or a sequence: classical
+    inverse Fourier of the Dunkl transform.  A cross-check, not in the inverse paths."""
     plan = _plan(rs, plan)
     ys, shape = _points(y, 1, float)
     grid = plain_line_grid(plan.freq_radius + 2.0, 2 * len(plan.space.nodes))
@@ -309,8 +309,8 @@ def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
 
 
 def dual_inverse_via_transform(rs: RootSystem, f, x, plan: TransformPlan = None):
-    """Independent route to the inverse dual operator: Dunkl inverse of the
-    classical Fourier transform."""
+    """Independent route to the inverse dual operator of f, one function or a
+    sequence: Dunkl inverse of the classical Fourier transform."""
     plan = _plan(rs, plan)
     xs, shape = _points(x, 1, float)
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
@@ -405,8 +405,7 @@ def _inverse_entry(rs: RootSystem, f, x, plan, route):
     rest, one row per function."""
     g = line_gamma(rs)
     fs = _functions(f)
-    for h in fs:
-        _refuse_growth(h, "an inverse path")
+    _refuse_growth(fs, "an inverse path")
     plan = _plan(rs, plan)
     pts, shape = _points(x, 1, float)
     xs = pts[:, 0]
@@ -419,13 +418,13 @@ def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None):
     first apply the dual operator, then the Fourier-multiplier form.
 
     The duals of a sequence of functions come from one tV_k_num call on the
-    plan's plain space grid, so they share one dual rule; each then takes
-    its own multiplier.
+    plan's plain space grid, so they share one dual rule, and one
+    multiplier_P_many call takes them all.
     """
     def route(plan, fs, xs):
         duals = tV_k_num(rs, fs, plan.space_plain.nodes)
         # the multiplier samples its input on the plain space grid alone
-        return np.array([np.real(multiplier_P_many(rs, lambda pts, v=v: v, xs, plan)) for v in duals])
+        return np.real(multiplier_P_many(rs, [lambda _, v=v: v for v in duals], xs, plan))
     return _inverse_entry(rs, f, x, plan, route)
 
 
@@ -487,11 +486,11 @@ def eta_pairing(rs: RootSystem, x, f):
 
 
 def z_pairing(rs: RootSystem, x, f, plan: TransformPlan = None):
-    """Pairing with the representing distribution of the inverse dual
-    operator: integrate the multiplier image of f over the averaging
-    measure at x."""
-    if isinstance(f, (PolyGauss, SmoothBump)) and _positive_integer(rs):
-        return V_k_num(rs, local_P(rs, f), x)
+    """Pairing with the representing distribution of the inverse dual operator: integrate
+    the multiplier image of f over the averaging measure at x, local_P's in one V_k_num
+    call where every function is a PolyGauss or a SmoothBump and gamma a positive integer."""
+    if all(isinstance(h, (PolyGauss, SmoothBump)) for h in _functions(f)) and _positive_integer(rs):
+        return V_k_num(rs, local_P(rs, f) if callable(f) else [local_P(rs, h) for h in f], x)
     return inv_tV_via_VkP(rs, f, x, plan=plan)
 
 

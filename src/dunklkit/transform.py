@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from .kernel import _SERIES_RADIUS, bessel_j_normalized
-from .rootsys import RootSystem, _gauss_rule, _half_line_rule, _paired, _points, _shaped, _tensor_rule, mehta_constant
+from .rootsys import (RootSystem, _functions, _gauss_rule, _half_line_rule, _paired, _points, _shaped,
+                      _tensor_rule, mehta_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +150,30 @@ def sampled(fn, decay: DecayClass, name: str = "") -> SampledFunction:
 
 
 def _refuse_growth(f, op: str):
-    """Refuse a function whose declared decay is not integrable, without sampling it."""
-    decay = getattr(f, "decay", None)
-    if decay is not None and not decay.integrable:
-        raise InvalidArgumentError(
-            f"{op} needs schwartz or compactly supported input, got {decay.kind}"
-        )
+    """Refuse each function of f whose declared decay is not integrable, before any is sampled."""
+    for h in _functions(f):
+        decay = getattr(h, "decay", None)
+        if decay is not None and not decay.integrable:
+            raise InvalidArgumentError(f"{op} needs schwartz or compactly supported input, got {decay.kind}")
+
+
+def _samples(f, nodes, op: str):
+    """The values at nodes of f, (N,), or of a list or tuple of k functions, (k, N)."""
+    _refuse_growth(f, op)
+    return np.asarray(f(nodes)) if callable(f) else np.array([h(nodes) for h in f])
 
 
 def _require_integrable(f: SampledFunction, op: str, dimension: int):
     if not isinstance(f, SampledFunction):
-        raise InvalidArgumentError(f"{op} expects a SampledFunction")
+        raise InvalidArgumentError(f"{op} takes one function, a SampledFunction, got {f!r}")
     _refuse_growth(f, op)
     check_decay(f, dimension)
+
+
+def _one_function(f, op: str):
+    """Refuse a list or tuple of functions where op takes one, before anything runs."""
+    if not callable(f):
+        raise InvalidArgumentError(f"{op} takes one function, got {f!r}")
 
 
 def _one_value(op: str, value):
@@ -282,7 +294,18 @@ def make_plan(rs: RootSystem, grid_n: Optional[int] = None, freq_radius: float =
     return TransformPlan(rs, space, space_plain, freq, freq_radius)
 
 
-def _axis_gammas(rs: RootSystem, plan: TransformPlan = None) -> list:
+@functools.lru_cache(maxsize=None)
+def _float_gammas(rs: RootSystem) -> tuple:
+    """rs's axis multiplicities as floats, once per system, as systems are interned."""
+    profile = rs.axis_profile()
+    if profile is None:
+        raise UnsupportedCaseError(
+            "numeric transforms exist only for products of one-dimensional factors"
+        )
+    return tuple(float(k) for _, k in profile)
+
+
+def _axis_gammas(rs: RootSystem, plan: TransformPlan = None) -> tuple:
     """The multiplicity on each coordinate axis, as floats; a plan must be built for rs itself.
 
     With line_gamma, this is where the numeric layers leave the exact
@@ -292,14 +315,10 @@ def _axis_gammas(rs: RootSystem, plan: TransformPlan = None) -> list:
         raise InvalidArgumentError(
             f"expected a RootSystem, got {rs!r}; a multiplicity k on the line is rank_one(k)"
         )
-    profile = rs.axis_profile()
-    if profile is None:
-        raise UnsupportedCaseError(
-            "numeric transforms exist only for products of one-dimensional factors"
-        )
+    gammas = _float_gammas(rs)
     if plan is not None and plan.rs is not rs:
         raise InvalidArgumentError("the plan was built for another root system")
-    return [float(k) for _, k in profile]
+    return gammas
 
 
 def line_gamma(rs: RootSystem) -> float:
@@ -356,10 +375,12 @@ def _columns(E, O, back, sign, side):
 def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, base=None):
     """sum over a plan grid of w f(x) prod_j K(x_j, side y_j), one axis at a time.
 
-    Each axis is folded into even and odd parts on its positive nodes, so K
-    is never a complex matrix: every axis in turn onto a plan tensor grid
-    (sum factorization), else the first axis onto the points and the rest
-    column by column.  gamma 0 gives the plain Fourier kernel exp(side x y).
+    fvals holds f on the grid along its last axis; a leading function axis
+    stays in front of the points.  Each axis is folded into even and odd
+    parts on its positive nodes, so K is never a complex matrix: every axis
+    in turn onto a plan tensor grid (sum factorization), else the first axis
+    onto the points and the rest column by column.  gamma 0 gives the plain
+    Fourier kernel exp(side x y).
     base, points broadcast against ys, multiplies the kernel at each target
     by prod_j K(x_j, i base_j) of its base point; one base point multiplies f.
     """
@@ -376,15 +397,17 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
         else:  # one column per pair, that of its base point
             pair = np.broadcast_to(np.arange(len(pb[0])).reshape(pb[1]), shape).reshape(-1)
             factors = [(a[:, pair], b[:, pair]) for a, b in kb]
-    fw = np.reshape(getattr(plan, grid).weights * fvals, [len(plan.axis_nodes(grid, j)) for j in range(d)])
+    fw = getattr(plan, grid).weights * fvals
+    lead = fw.shape[:-1]  # the function axis, which trails the grid axes of fw below
+    fw = fw.reshape(-1, fw.shape[-1]).T.reshape([len(plan.axis_nodes(grid, j)) for j in range(d)] + [-1])
     tensor = d > 1 and factors is None and next(
         (g for g in _PLAN_GRIDS if np.array_equal(pts, getattr(plan, g).nodes)), None)
-    if tensor:
+    halves = [] if tensor else [plan.axis_kernel(grid, j, gam, pts[:, j]) for j, gam in enumerate(gammas)]
+    if tensor:  # each folded axis goes behind the others, in front of the function axis
         for j, gam in enumerate(gammas):
-            fw = np.moveaxis(_fold(fw, side, *plan.axis_kernel(grid, j, gam, plan.axis_nodes(tensor, j))), 0, -1)
-        return _shaped(fw.reshape(-1), shape, None)
-    halves = [plan.axis_kernel(grid, j, gam, pts[:, j]) for j, gam in enumerate(gammas)]
-    if factors is None:
+            fw = np.moveaxis(_fold(fw, side, *plan.axis_kernel(grid, j, gam, plan.axis_nodes(tensor, j))), 0, -2)
+        out, cols = fw, []
+    elif factors is None:
         out, cols = _fold(fw, side, *halves[0]), [_columns(*h, side) for h in halves[1:]]
     else:  # the columns times the factors; the first axis folds them as one column per point
         cols = [_columns(*h, side) for h in halves]
@@ -394,12 +417,16 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
         h = out.shape[1] // 2
         pos, neg = out[:, h:], out[:, h - 1::-1]
         out = np.einsum("ma...,am->m...", pos + neg, a) + 1j * np.einsum("ma...,am->m...", pos - neg, b)
-    return _shaped(out, shape, None)
+    return _shaped(out.reshape(len(pts), -1).T.reshape(lead + (len(pts),)), shape, None)
 
 
 def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan):
-    _refuse_growth(f, "dunkl_transform_many")
-    return _contract(plan, "space", _axis_gammas(rs, plan), np.asarray(f(plan.space.nodes)), ys, -1j)
+    """Weighted integral of f against K(x, -i y) at the points ys.  f is one function,
+    or a list or tuple of k (rootsys._functions), which add a leading axis of length
+    k; each is sampled once on the plan's space grid, and all go through one contraction,
+    which holds k times the temporaries of one function."""
+    fvals = _samples(f, plan.space.nodes, "dunkl_transform_many")
+    return _contract(plan, "space", _axis_gammas(rs, plan), fvals, ys, -1j)
 
 
 def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) -> complex:
@@ -409,8 +436,8 @@ def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) 
 
 
 def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan, base=None):
-    """Inverse transform at xs of values on the frequency nodes, times K(t, i base)
-    for base points broadcast against xs: translation by base."""
+    """Inverse transform at xs of values on the frequency nodes, (N,) or (k, N) for k
+    functions, times K(t, i base) for base points broadcast against xs: translation by base."""
     return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs, plan), hvals_on_freq, xs, 1j, base)
 
 
@@ -427,8 +454,9 @@ def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan):
 
 
 def classical_fourier_many(f, ys, plan: TransformPlan):
-    _refuse_growth(f, "classical_fourier_many")
-    fvals = np.asarray(f(plan.space_plain.nodes))
+    """Plain Fourier integral with kernel exp(-i <x, y>) and no prefactor at the points
+    ys, on the plan's plain space grid; f is taken as by dunkl_transform_many."""
+    fvals = _samples(f, plan.space_plain.nodes, "classical_fourier_many")
     return _contract(plan, "space_plain", [0.0] * plan.rs.dimension, fvals, ys, -1j)
 
 
@@ -479,8 +507,8 @@ def fourier_bessel(profile, lam, alpha: float, radius: float = 1.0, n: int = 128
 
 
 def multiplier_P_many(rs: RootSystem, f, xs, plan: TransformPlan):
-    """Weight-multiplier operator: conjugate multiplication by the weight
-    with the plain Fourier transform, times the inversion scalar."""
+    """Weight-multiplier operator: conjugate multiplication by the weight with the plain
+    Fourier transform, times the inversion scalar; f is taken as by dunkl_transform_many."""
     d = len(_axis_gammas(rs, plan))
     hvals = classical_fourier_many(f, plan.freq.nodes, plan)
     pref = p_multiplier_constant(rs) / (2.0 * math.pi) ** d

@@ -162,13 +162,15 @@ def test_translate_measure_of_a_sequence_matches_the_per_function_calls(gamma, m
     fs = [gaussian(), PolyGauss.monomial(1), PolyGauss.monomial(2)]
     together = translate_measure(rs, fs, PAIRS_X, PAIRS_Y, method=method, plan=plan)
     assert together.shape == (len(fs), len(PAIRS_X))
-    np.testing.assert_array_equal(
-        together, [translate_measure(rs, f, PAIRS_X, PAIRS_Y, method=method, plan=plan) for f in fs]
-    )
     one_pair = translate_measure(rs, fs, 0.5, 1.0, method=method, plan=plan)
-    np.testing.assert_array_equal(
-        one_pair, [translate_measure(rs, f, 0.5, 1.0, method=method, plan=plan) for f in fs]
-    )
+    for got, singles in ((together, [translate_measure(rs, f, PAIRS_X, PAIRS_Y, method=method, plan=plan)
+                                     for f in fs]),
+                         (one_pair, [translate_measure(rs, f, 0.5, 1.0, method=method, plan=plan) for f in fs])):
+        if method == "Q":  # each function's exact inverse on its own
+            np.testing.assert_array_equal(got, singles)
+        else:  # route P's coefficients of every function are one matrix product, equal to rounding
+            for row, single in zip(got, singles):
+                assert np.max(np.abs(row - single)) <= 4e-15 * np.max(np.abs(single))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 7.0 / 3.0])

@@ -55,7 +55,18 @@ from dunklkit.convolution import (
 from dunklkit.polyexact import RationalPoly, intertwine, operator_prefactor
 from dunklkit.rootsys import RootSystem, _points, axis_product, rank_one
 from dunklkit.suites import SuiteConfig, _line_plan, run_suite
-from dunklkit.transform import DecayClass, line_gamma, make_plan, sampled, weighted_grid
+from dunklkit.transform import (
+    DecayClass,
+    classical_fourier_many,
+    dunkl_roundtrip_many,
+    dunkl_transform_many,
+    line_gamma,
+    make_plan,
+    multiplier_P_many,
+    p_multiplier_constant,
+    sampled,
+    weighted_grid,
+)
 
 GAMMAS = [0.5, 1.0, 2.0, 7.0 / 3.0]
 LINES = [rank_one(Fraction(1, 2)), rank_one(1), rank_one(2)]
@@ -361,6 +372,14 @@ FUNCTION_ROUTES = {
     "inv_tV_via_VkP": lambda f: inv_tV_via_VkP(rank_one(1), f, 0.5),
     "inv_V_via_Q": lambda f: inv_V_via_Q(rank_one(1), f, 0.5),
     "translate_measure": lambda f: translate_measure(rank_one(1), f, 0.5, 0.3),
+    "dunkl_transform_many": lambda f: dunkl_transform_many(rank_one(1), f, 0.5, default_line_plan(rank_one(1))),
+    "classical_fourier_many": lambda f: classical_fourier_many(f, 0.5, default_line_plan(rank_one(1))),
+    "multiplier_P_many": lambda f: multiplier_P_many(rank_one(1), f, 0.5, default_line_plan(rank_one(1))),
+    "dunkl_roundtrip_many": lambda f: dunkl_roundtrip_many(rank_one(1), f, 0.5, default_line_plan(rank_one(1))),
+    "dual_via_transform": lambda f: dual_via_transform(rank_one(1), f, 0.5),
+    "dual_inverse_via_transform": lambda f: dual_inverse_via_transform(rank_one(1), f, 0.5),
+    "translate_spectral_many": lambda f: translate_spectral_many(rank_one(1), f, 0.5, 0.3),
+    "convolve_many": lambda f: convolve_many(rank_one(1), f, gaussian(), 0.5),
 }
 
 
@@ -539,7 +558,7 @@ def test_inverse_paths_agree(gamma, lines):
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0 / 3.0])
-def test_multiplier_inverses_on_a_sequence_are_bitwise_the_per_function_calls(gamma, lines, monkeypatch):
+def test_multiplier_inverses_on_a_sequence_match_the_per_function_calls(gamma, lines, monkeypatch):
     rs = lines[gamma]
     plan = default_line_plan(rs, 48)
     xs = np.array([-1.4, 0.0, 0.6, 1.9])
@@ -551,13 +570,29 @@ def test_multiplier_inverses_on_a_sequence_are_bitwise_the_per_function_calls(ga
     together = inv_V_via_P(rs, fs, xs, plan)
     assert len(calls) == 1  # one shared dual rule for the whole sequence
     monkeypatch.undo()
-    for inverse, out in ((inv_V_via_P, together), (inv_tV_via_VkP, inv_tV_via_VkP(rs, fs, xs, plan))):
+    # inv_tV_via_VkP's V_k_num averages each function alone, so its rows are bitwise the
+    # per-function calls.  inv_V_via_P's multiplier contracts every dual as one matrix, and
+    # BLAS sums a matrix and a vector product in different orders.  The plain transform of a
+    # dual tV f at each frequency then rounds differently, by about eps sum_x |w_x tV f(x)|
+    # on the plain space grid, and the inverse sums that against the frequency weights w_xi,
+    # which hold the multiplier's weight |xi|^(2 gamma), times c / (2 pi), c its constant.
+    # So a row may differ from its function's call by eps c / (2 pi) sum |w_xi| sum |w_x tV f|:
+    # the gaps measured at gamma 1/2, 1, 2 and 7/3 on grids 48, 96 and 160 read 0.002 to
+    # 0.056 of it (at gamma 7/3 here, 1.1e-13 of max |single| where the bound is 1.6e-11).
+    scale = np.finfo(float).eps * p_multiplier_constant(rs) / (2.0 * math.pi) * np.sum(np.abs(plan.freq.weights))
+    duals = tV_k_num(rs, fs, plan.space_plain.nodes)
+    for inverse, out, bitwise in ((inv_V_via_P, together, False),
+                                  (inv_tV_via_VkP, inv_tV_via_VkP(rs, fs, xs, plan), True)):
         assert out.shape == (len(fs), xs.size)
-        for f, row in zip(fs, out):
-            assert row.tobytes() == inverse(rs, f, xs, plan).tobytes()
         one = inverse(rs, fs, 0.6, plan)
         assert one.shape == (len(fs),)
-        assert one.tolist() == [inverse(rs, f, 0.6, plan) for f in fs]
+        for f, row, value, dual in zip(fs, out, one, duals):
+            single, at = inverse(rs, f, xs, plan), inverse(rs, f, 0.6, plan)
+            if bitwise:
+                assert row.tobytes() == single.tobytes() and value == at
+            else:
+                tol = scale * np.sum(np.abs(plan.space_plain.weights * dual))
+                assert np.max(np.abs(np.append(row, value) - np.append(single, at))) <= tol
 
 
 def test_multiplier_inverses_at_gamma_zero_return_each_function():

@@ -14,9 +14,11 @@ from dunklkit.cli import parse_preset
 from dunklkit.convolution import (
     ConcreteDistribution,
     approx_identity_check,
+    convolve,
     convolve_many,
     distribution_convolve,
     translate_measure,
+    translate_spectral,
     translate_spectral_many,
 )
 from dunklkit.errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
@@ -256,22 +258,51 @@ GROWTH_ENTRY_POINTS = {
     "convolve_many-f": lambda rs, f, plan: convolve_many(rs, f, gaussian(), [0.5], plan),
     "convolve_many-g": lambda rs, f, plan: convolve_many(rs, gaussian(), f, [0.5], plan),
     "inv_V_via_P": lambda rs, f, plan: inv_V_via_P(rs, f, [0.5], plan),
-    # the growing member comes second, and the first shares its evaluator: neither is sampled
-    "inv_V_via_P-sequence": lambda rs, f, plan: inv_V_via_P(
-        rs, [sampled(f.evaluator, DecayClass.schwartz()), f], [0.5], plan),
-    "inv_tV_via_VkP-sequence": lambda rs, f, plan: inv_tV_via_VkP(
-        rs, [sampled(f.evaluator, DecayClass.schwartz()), f], [0.5], plan),
+    "inv_tV_via_VkP": lambda rs, f, plan: inv_tV_via_VkP(rs, f, [0.5], plan),
+    "dual_via_transform": lambda rs, f, plan: dual_via_transform(rs, f, [0.5], plan),
+    "dual_inverse_via_transform": lambda rs, f, plan: dual_inverse_via_transform(rs, f, [0.5], plan),
 }
+# a scalar twin and convolve_many's g take one function, and refuse a sequence by name
+GROWTH_CASES = [pytest.param(entry, False, id=entry) for entry in GROWTH_ENTRY_POINTS] + [
+    pytest.param(entry, True, id=f"{entry}-sequence") for entry in GROWTH_ENTRY_POINTS
+    if entry not in ("dunkl_transform", "convolve_many-g")]
 
 
-@pytest.mark.parametrize("entry", GROWTH_ENTRY_POINTS)
-def test_poly_growth_rejected_by_transform(entry, plan_one, rs_one):
+@pytest.mark.parametrize("entry, sequence", GROWTH_CASES)
+def test_poly_growth_rejected_by_transform(entry, sequence, plan_one, rs_one):
     # every entry point refuses by the declaration alone, without sampling
     samples = []
     grows = sampled(lambda x: samples.append(x) or 1.0 + np.asarray(x) ** 2, DecayClass.poly_growth(2))
+    # in a sequence the growing member comes second, and the first shares its evaluator: neither is sampled
+    f = [sampled(grows.evaluator, DecayClass.schwartz()), grows] if sequence else grows
     with pytest.raises(InvalidArgumentError, match="poly-growth"):
-        GROWTH_ENTRY_POINTS[entry](rs_one, grows, plan_one)
+        GROWTH_ENTRY_POINTS[entry](rs_one, f, plan_one)
     assert samples == []
+
+
+SCALAR_TWINS = {
+    "dunkl_transform": lambda rs, f, plan: dunkl_transform(rs, f, 0.5, plan),
+    "dunkl_inverse": lambda rs, f, plan: transform.dunkl_inverse(rs, f, 0.5, plan),
+    "classical_fourier": lambda rs, f, plan: transform.classical_fourier(f, 0.5, plan),
+    "multiplier_P": lambda rs, f, plan: transform.multiplier_P(rs, f, 0.5, plan),
+    "translate_spectral": lambda rs, f, plan: translate_spectral(rs, f, 0.3, 0.5, plan),
+    "convolve": lambda rs, f, plan: convolve(rs, f, gaussian(), 0.5, plan),
+}
+
+
+@pytest.mark.parametrize("sequence", [list, tuple])
+@pytest.mark.parametrize("twin", SCALAR_TWINS)
+def test_a_scalar_form_refuses_a_sequence_of_functions_by_name(twin, sequence, rs_one, plan_one):
+    samples = []  # refused before its _many form samples anything
+    f = sampled(lambda x: samples.append(x) or np.exp(-np.asarray(x) ** 2), DecayClass.schwartz())
+    with pytest.raises(InvalidArgumentError, match=f"{twin} takes one function"):
+        SCALAR_TWINS[twin](rs_one, sequence([f]), plan_one)
+    assert samples == []
+
+
+def test_convolve_many_takes_one_callable_g(rs_one, plan_one):
+    with pytest.raises(InvalidArgumentError, match="convolve_many's g takes one function"):
+        convolve_many(rs_one, gaussian(), [gaussian()], [0.5], plan_one)
 
 
 def _entry_points(rs, plan):
@@ -348,28 +379,87 @@ def test_one_point_gives_a_scalar_and_a_batch_keeps_its_shape(system, name, retu
         assert call(batch[..., None]).shape == (2, 3)
 
 
-@pytest.mark.parametrize("name", ["V_k_num", "tV_k_num", "inv_V_via_P", "inv_tV_via_VkP", "inv_V_via_Q",
-                                  "translate_measure"])
-def test_a_sequence_of_functions_adds_a_leading_axis(name, rs_one, plan_one):
-    from dunklkit.convolution import translate_measure
-    from dunklkit.intertwine1d import inv_V_via_Q
+def _sequence_calls(rs, plan):
+    """name -> (call of functions f and points x, whether each row of a
+    sequence is bitwise the call on its function alone).
 
-    call = {
-        "V_k_num": lambda f, x: V_k_num(rs_one, f, x),
-        "tV_k_num": lambda f, x: tV_k_num(rs_one, f, x),
-        "inv_V_via_P": lambda f, x: inv_V_via_P(rs_one, f, x, plan_one),
-        "inv_tV_via_VkP": lambda f, x: inv_tV_via_VkP(rs_one, f, x, plan_one),
-        "inv_V_via_Q": lambda f, x: inv_V_via_Q(rs_one, f, x),
-        "translate_measure": lambda f, x: translate_measure(rs_one, f, x, 0.4, plan=plan_one),
-    }[name]
-    fs = [PolyGauss.monomial(m) for m in range(3)]
+    A route that evaluates each function on its own gives bitwise rows.  A
+    contraction takes k functions as one matrix, and BLAS sums a matrix and
+    a vector product in different orders, so its rows agree to rounding.
+    """
+    from dunklkit.intertwine1d import eta_pairing, inv_V_via_Q, z_pairing
+
+    def on_freq(f):  # values on the frequency nodes: (N,) for one function, (k, N) for k
+        return np.array([h(plan.freq.nodes) for h in f]) if isinstance(f, (list, tuple)) else f(plan.freq.nodes)
+
+    one = 0.4 if rs.dimension == 1 else [0.4, -0.3]
+    g = sampled(lambda p: np.exp(-np.sum(np.reshape(p, (len(p), -1)) ** 2, axis=-1)), DecayClass.schwartz())
+    calls = {
+        "dunkl_transform_many": (lambda f, x: dunkl_transform_many(rs, f, x, plan), False),
+        "classical_fourier_many": (lambda f, x: classical_fourier_many(f, x, plan), False),
+        "multiplier_P_many": (lambda f, x: multiplier_P_many(rs, f, x, plan), False),
+        "dunkl_roundtrip_many": (lambda f, x: dunkl_roundtrip_many(rs, f, x, plan), False),
+        "dunkl_inverse_many": (lambda f, x: dunkl_inverse_many(rs, on_freq(f), x, plan), False),
+        "dunkl_inverse_many one base": (lambda f, x: dunkl_inverse_many(rs, on_freq(f), x, plan, base=one), False),
+        "dunkl_inverse_many many bases": (lambda f, x: dunkl_inverse_many(rs, on_freq(f), one, plan, base=x), False),
+        "translate_spectral_many": (lambda f, x: translate_spectral_many(rs, f, one, x, plan), False),
+        "translate_spectral_many many bases": (lambda f, x: translate_spectral_many(rs, f, x, one, plan), False),
+        "convolve_many": (lambda f, x: convolve_many(rs, f, g, x, plan), False),
+    }
+    if rs.dimension == 1:
+        calls.update({
+            "V_k_num": (lambda f, x: V_k_num(rs, f, x), True),
+            "tV_k_num": (lambda f, x: tV_k_num(rs, f, x), True),
+            "inv_V_via_P": (lambda f, x: inv_V_via_P(rs, f, x, plan), False),
+            "inv_tV_via_VkP": (lambda f, x: inv_tV_via_VkP(rs, f, x, plan), True),
+            "inv_V_via_Q": (lambda f, x: inv_V_via_Q(rs, f, x), True),
+            "translate_measure": (lambda f, x: translate_measure(rs, f, x, 0.4, plan=plan), False),
+            "translate_measure Q": (lambda f, x: translate_measure(rs, f, x, 0.4, method="Q", plan=plan), True),
+            "dual_via_transform": (lambda f, x: dual_via_transform(rs, f, x, plan), False),
+            "dual_inverse_via_transform": (lambda f, x: dual_inverse_via_transform(rs, f, x, plan), False),
+            "eta_pairing": (lambda f, x: eta_pairing(rs, x, f), True),
+            # on PolyGauss at an integer multiplicity every function takes local_P and V_k_num
+            "z_pairing": (lambda f, x: z_pairing(rs, x, f, plan), True),
+        })
+    return calls
+
+
+# on a product, points onto which the first axis is folded, and a plan grid,
+# onto which every axis is folded in turn (sum factorization)
+FUNCTION_RULE = [("line", name) for name in _sequence_calls(rank_one(1), None)] + [
+    (system, name) for system in ("product points", "product grid")
+    for name in _sequence_calls(axis_product(1, 2), None)]
+
+
+@pytest.fixture(scope="module")
+def function_rule_cases(rs_one, plan_one, rs_product):
+    plan = make_plan(rs_product, grid_n=8)
+    return {"line": _sequence_calls(rs_one, plan_one), "product": _sequence_calls(rs_product, plan),
+            "product grid": plan.freq.nodes}
+
+
+@pytest.mark.parametrize("system, name", FUNCTION_RULE)
+def test_a_sequence_of_functions_adds_a_leading_axis(system, name, function_rule_cases):
+    call, bitwise = function_rule_cases[system.split()[0]][name]
     batch = np.array([[0.5, -1.2, 0.3], [2.0, 0.3, 1.1]])
+    if system == "line":
+        fs, one = [PolyGauss.monomial(m) for m in range(3)], 0.3
+    else:
+        gauss = lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1))
+        fs, one = [gauss, lambda p: p[:, 0] * gauss(p), lambda p: p[:, 0] * p[:, 1] * gauss(p)], [0.3, -0.4]
+        batch = function_rule_cases["product grid"] if system == "product grid" else np.stack(
+            [batch, -0.5 * batch], axis=-1)
     values = call(fs, batch)
-    assert values.shape == (3, 2, 3)
-    assert call(fs, 0.3).shape == (3,)
-    assert call(fs[:1], 0.3).shape == (1,)
+    assert values.shape == (3,) + (batch.shape if system == "line" else batch.shape[:-1])
+    assert call(tuple(fs), one).shape == (3,)
+    assert call(fs[:1], one).shape == (1,)
     for f, row in zip(fs, values):
-        np.testing.assert_array_equal(row, call(f, batch))
+        single = call(f, batch)  # a callable adds no leading axis
+        assert single.shape == row.shape
+        if bitwise:
+            np.testing.assert_array_equal(row, single)
+        else:  # to rounding
+            assert np.max(np.abs(row - single)) <= 4e-15 * np.max(np.abs(single))
 
 
 def _points_refused(rs, plan):
