@@ -82,8 +82,7 @@ def translate_measure(rs: RootSystem, f, x, y, method: str = "P", plan: Transfor
     if method == "P" or plan is not None:  # Q reads no plan, but a given one must be rs's own
         plan = _plan(rs, plan)
     if method == "P":
-        tvs = tV_k_num(rs, fs, plan.space_plain.nodes)
-        coef = plan.freq.weights * classical_fourier_many([lambda _, v=v: v for v in tvs], plan.freq.nodes, plan)
+        coef = plan.freq.weights * classical_fourier_many(lambda p: tV_k_num(rs, fs, p), plan.freq.nodes, plan)
         base = np.concatenate([xs, ys])
         avg = np.exp(1j * np.multiply.outer(plan.freq.nodes, np.multiply.outer(base, t))) @ w
         ax, ay = np.split(avg, 2, axis=1)
@@ -107,18 +106,17 @@ def convolve_many(rs: RootSystem, f, g, xs, plan: TransformPlan = None):
     _one_function(g, "convolve_many's g")
     _refuse_growth(g, "convolve_many")
     plan = _plan(rs, plan)
-    hv_f = dunkl_transform_many(rs, f, plan.freq.nodes, plan)
-    return spectral_convolution(rs, hv_f, np.asarray(g(plan.space.nodes)), xs, plan)
+    return spectral_convolution(rs, dunkl_transform_many(rs, f, plan.freq.nodes, plan), g, xs, plan)
 
 
-def spectral_convolution(rs: RootSystem, hv_f, gv, xs, plan: TransformPlan):
+def spectral_convolution(rs: RootSystem, hv_f, g, xs, plan: TransformPlan):
     """Weighted convolution at xs, from the transform hv_f of f (or of k functions)
-    on the plan's frequency nodes and the values gv of g on its space nodes.
+    on the plan's frequency nodes and the function g.
 
     The transform carries f * g to Ff * Fg: g is transformed onto the
     frequency nodes, and the product is inverted at xs.
     """
-    return dunkl_inverse_many(rs, hv_f * dunkl_transform_many(rs, lambda _: gv, plan.freq.nodes, plan), xs, plan)
+    return dunkl_inverse_many(rs, hv_f * dunkl_transform_many(rs, g, plan.freq.nodes, plan), xs, plan)
 
 
 def convolve(rs: RootSystem, f, g, x, plan: TransformPlan = None) -> float:
@@ -248,7 +246,6 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
 
     bump = BumpProfile.create(rs)
     nodes = plan.space.nodes
-    gv = np.asarray(S.g(nodes))
     base_pairs = [S.pair(psi, plan) for psi in _TEST_SET]
 
     ybox = np.linspace(-plan.freq_radius, plan.freq_radius, 81)
@@ -261,12 +258,11 @@ def approx_identity_check(rs: RootSystem, S: ConcreteDistribution, eps_seq: Sequ
     norm_resids = np.abs(masses - 1.0)
     support_resids = [np.abs(phi(np.linspace(e * 1.0001, max(2.0, 4 * e), 33))) for e, phi in zip(eps, scales)]
     m_fits = [float(np.max(np.abs(tv - 1.0) / (e * ybox**2))) for e, tv in zip(eps, tvs)]
-    residuals = []
-    # S * phi on the space grid at every scale, in one contraction through the plan's kernel halves
-    for conv in spectral_convolution(rs, on_freq, gv, nodes, plan):
-        mollified = ConcreteDistribution.weighted(lambda _: conv)
-        residuals.append(worst([abs(mollified.pair(psi, plan) - base) / max(1e-12, abs(base))
-                                for psi, base in zip(_TEST_SET, base_pairs)]))
+    # S * phi on the space grid at every scale, in one contraction through the plan's kernel halves,
+    # paired as a weighted function against each test function
+    pairs = [[complex(np.sum(plan.space.weights * conv * psi(nodes))) for psi in _TEST_SET]
+             for conv in spectral_convolution(rs, on_freq, S.g, nodes, plan)]
+    residuals = [worst([abs(p - base) / max(1e-12, abs(base)) for p, base in zip(row, base_pairs)]) for row in pairs]
 
     report.add("bump-normalization", "scaled bump keeps unit weighted mass", worst(norm_resids), 1e-10)
     report.add("bump-support", "scaled bump vanishes outside its ball", worst(support_resids), 0.0)

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .functions import PolyGauss, SmoothBump
 from .polyexact import OperatorConstants, operator_prefactor
-from .rootsys import RootSystem, _functions, _gauss_rule, _half_line_rule, _points, _shaped, _tensor_rule
+from .rootsys import (RootSystem, _functions, _gauss_rule, _half_line_rule, _points, _shaped, _stacked, _tensor_rule,
+                      _values)
 from .transform import (
     TransformPlan,
     _axis_gammas,
@@ -130,8 +131,9 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
     """Apply the intertwining operator of an axis product rs by quadrature
     over the tensor product of the line measures.
 
-    f is one function or a sequence of them, each called once, on every
-    point times every node.  At x = 0 the measure is the point mass at 0, and the result is f(0), read
+    f is taken by the call rule (rootsys._values): each function is called
+    once, on every point times every node, and averaged as its values come.
+    At x = 0 the measure is the point mass at 0, and the result is f(0), read
     from that call at the last node.
     """
     gammas = _axis_gammas(rs)
@@ -140,12 +142,11 @@ def V_k_num(rs: RootSystem, f, x, n: int = 64):
     # an axis with multiplicity 0 keeps its coordinate; the last node is positive on every axis
     t, w = _tensor_rule([mu_quadrature(g, n) if g else (np.ones(1), np.ones(1)) for g in gammas])
     args = pts[:, None, :] * t[None, :, :]
-    flat = args.reshape(-1) if d == 1 else args.reshape(-1, d)
 
-    def average(h):
-        vals = np.asarray(h(flat)).reshape(args.shape[:2])
-        return np.where(pts.any(axis=1), vals @ w, vals[:, -1])
-    return _shaped([average(h) for h in _functions(f)], shape, f)
+    def average(vals):
+        vals = vals.reshape(vals.shape[:-1] + args.shape[:2])
+        return np.where(pts.any(axis=1), vals @ w, vals[..., -1])
+    return _shaped(_values(f, args.reshape(-1) if d == 1 else args.reshape(-1, d), "V_k_num", average), shape, f)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def _kept_dual_rule(g, u: bytes, cutoff, n):
 def _cutoff(gammas, f, x_max):
     """Where the dual quadrature of f stops on every axis of positive
     multiplicity: the radius of an f whose decay is declared compact, else
-    x_max once f is negligible there.  f is probed at the points of
+    x_max once f is negligible there.  f is called at the points of
     {-x_max, 0, x_max} on those axes (0 on the others) with a coordinate at
     +-x_max; each axis scales its largest |f| by the weight's mass to x_max.
     """
@@ -235,10 +236,10 @@ def _cutoff(gammas, f, x_max):
         return decay.radius
     probe = np.array([p for p in itertools.product(*[(-x_max, 0.0, x_max) if g else (0.0,) for g in gammas])
                       if x_max in map(abs, p)])
-    tails = np.abs(np.asarray(f(probe[:, 0] if len(gammas) == 1 else probe))).reshape(-1)
+    tails = np.abs(_values(f, probe[:, 0] if len(gammas) == 1 else probe, "tV_k_num")).reshape(-1, len(probe))
     for j, g in enumerate(gammas):
         if g:
-            tail = float(np.max(tails[np.abs(probe[:, j]) == x_max]))
+            tail = float(np.max(tails[:, np.abs(probe[:, j]) == x_max]))
             residual = tail * mass_constant(g) * x_max ** (2.0 * g + 1.0)
             if not residual <= 1e-5:  # a NaN tail is refused too
                 raise AccuracyError("input decays too slowly for the truncated dual quadrature",
@@ -259,11 +260,11 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     function whose decay is declared compact (a SampledFunction or a
     SmoothBump), else x_max, where f must be negligible, which is verified.
 
-    The functions of a sequence share the f-independent rule, taken per
-    cutoff on the points in batches of at most _NODE_BUDGET nodes, and each
-    is called once per batch.  Each axis rule of a batch is kept across
-    calls (_kept_dual_rule) without the mass constants, which multiply the
-    sums once per call.
+    The functions of f (by rootsys._values) share the f-independent rule,
+    taken per cutoff on the points in batches of at most _NODE_BUDGET nodes;
+    each is called once per batch and summed as its values come.  Each axis
+    rule of a batch is kept across calls (_kept_dual_rule) without the mass
+    constants, which multiply the sums once per call.
     """
     gammas = _axis_gammas(rs)
     _refuse_scaled_roots(rs)
@@ -271,29 +272,32 @@ def tV_k_num(rs: RootSystem, f, y, n: int = 120, x_max: float = 14.0):
     if not 0.0 < x_max < math.inf:
         raise InvalidArgumentError(f"x_max must be finite and positive, got {x_max}")
     pts, shape = _points(y, d, float)
-    fs = _functions(f)
+    fs, points = _functions(f), pts[:, 0] if d == 1 else pts
     if not any(gammas):
-        return _shaped(np.array([h(pts[:, 0] if d == 1 else pts) for h in fs], dtype=float), shape, f)
+        return _shaped(_values(f, points, "tV_k_num"), shape, f)
     nan = np.isnan(pts).any(axis=1)
-    out = np.where(nan, np.nan, np.zeros((len(fs), 1)))  # no cutoff holds a NaN point, so it would read 0
     cutoffs = [_cutoff(gammas, h, x_max) for h in fs]
     mass = math.prod(mass_constant(g) for g in gammas if g)
+    # an n below 1 reaches the Gauss rule, which refuses it by name
+    step = max(1, _NODE_BUDGET // max(1, math.prod(2 * n if g else 1 for g in gammas)))
+    out = {}
     for cutoff in set(cutoffs):
         group = [i for i, c in enumerate(cutoffs) if c == cutoff]
         live = ~nan & np.all(np.abs(pts[:, np.array(gammas) > 0]) < cutoff, axis=1)
         rows = pts[live]
-        # an n below 1 reaches the Gauss rule, which refuses it by name
-        step = max(1, _NODE_BUDGET // max(1, math.prod(2 * n if g else 1 for g in gammas)))
-        vals = np.empty((len(group), len(rows)))
-        for at in (slice(lo, lo + step) for lo in range(0, len(rows), step)):
-            rules = [_kept_dual_rule(g, rows[at, j].tobytes(), cutoff, n) for j, g in enumerate(gammas)]
+        sums = []
+        for lo in range(0, len(rows), step):
+            rules = [_kept_dual_rule(g, rows[lo:lo + step, j].tobytes(), cutoff, n) for j, g in enumerate(gammas)]
             nodes, weights = _tensor_rule(rules) if d > 1 else rules[0]
             args = nodes.reshape(-1, d) if d > 1 else nodes.reshape(-1)
-            for row, i in enumerate(group):
-                fvals = np.asarray(fs[i](args)).reshape(weights.shape)
-                vals[row, at] = np.sum(weights * fvals, axis=-1)
-        out[np.ix_(group, live)] = mass * vals
-    return _shaped(out, shape, f)
+            sums.append(_values([fs[i] for i in group], args, "tV_k_num",
+                                lambda v: np.sum(weights * v.reshape(v.shape[:-1] + weights.shape), axis=-1)))
+        # with no live point, one call on the points themselves gives the leading axes
+        vals = np.concatenate(sums, axis=-1) if sums else _values([fs[i] for i in group], points, "tV_k_num")[..., :0]
+        full = np.where(nan, np.nan, np.zeros(vals.shape[:-1] + (len(pts),)))  # no cutoff holds a NaN point
+        full[..., live] = mass * vals
+        out.update(zip(group, full))
+    return _shaped(_stacked([out[i] for i in range(len(fs))], "tV_k_num"), shape, f)
 
 
 def dual_via_transform(rs: RootSystem, f, y, plan: TransformPlan = None):
@@ -409,7 +413,7 @@ def _inverse_entry(rs: RootSystem, f, x, plan, route):
     plan = _plan(rs, plan)
     pts, shape = _points(x, 1, float)
     xs = pts[:, 0]
-    out = np.array([np.asarray(h(xs), dtype=float) for h in fs]) if g == 0 else route(plan, fs, xs)
+    out = _values(fs, xs, "an inverse path") if g == 0 else route(plan, fs, xs)
     return _shaped(out, shape, f)
 
 
@@ -417,23 +421,20 @@ def inv_V_via_P(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the intertwining operator as multiplier after dual:
     first apply the dual operator, then the Fourier-multiplier form.
 
-    The duals of a sequence of functions come from one tV_k_num call on the
-    plan's plain space grid, so they share one dual rule, and one
-    multiplier_P_many call takes them all.
+    The multiplier takes the duals of every function as one function, one
+    tV_k_num call, so they share one dual rule and one contraction.
     """
     def route(plan, fs, xs):
-        duals = tV_k_num(rs, fs, plan.space_plain.nodes)
-        # the multiplier samples its input on the plain space grid alone
-        return np.real(multiplier_P_many(rs, [lambda _, v=v: v for v in duals], xs, plan))
+        return np.real(multiplier_P_many(rs, lambda p: tV_k_num(rs, fs, p), xs, plan))
     return _inverse_entry(rs, f, x, plan, route)
 
 
 def inv_tV_via_VkP(rs: RootSystem, f, x, plan: TransformPlan = None):
     """Inverse of the dual operator: apply the multiplier form first, then
-    average over the intertwining measure, in one V_k_num call for every
-    function."""
+    average over the intertwining measure.  V_k_num averages the multiplier
+    images of every function, taken in one contraction, as one function."""
     def route(plan, fs, xs):
-        return V_k_num(rs, [lambda pts, h=h: np.real(multiplier_P_many(rs, h, pts, plan)) for h in fs], xs)
+        return V_k_num(rs, lambda p: np.real(multiplier_P_many(rs, fs, p, plan)), xs)
     return _inverse_entry(rs, f, x, plan, route)
 
 

@@ -317,12 +317,34 @@ def _functions(f):
     raise InvalidArgumentError(f"expected a function or a non-empty list or tuple of functions, got {f!r}")
 
 
+def _values(f, points, op: str, then=None):
+    """The call rule: each function of f (_functions), called once on points, one per entry of
+    their first axis, gives values with one per point along their last axis, led by any other
+    axes; then maps them as they come, and _stacked stacks them.  Any other shape is refused by
+    op, the engine that calls f."""
+    def row(h):  # one function's values live only until then has mapped them
+        v = np.asarray(h(points))
+        if v.shape[-1:] != (len(points),):
+            raise InvalidArgumentError(f"{op} calls a function once on {len(points)} points and takes one value "
+                                       f"per point along the last axis of its values; got shape {v.shape}")
+        return v if then is None else then(v)
+    return _stacked([row(h) for h in _functions(f)], op)
+
+
+def _stacked(rows, op: str):
+    """The arrays rows on a first axis, one row per function, refused by op unless their shapes agree."""
+    if len({v.shape for v in rows}) > 1:
+        raise InvalidArgumentError(f"{op} stacks the values of its functions, whose leading axes must agree; "
+                                   f"got shapes {[v.shape for v in rows]}")
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
 def _shaped(values, shape, f):
     """values, whose last axis holds the points, in the point shape.
 
-    A leading function axis stays for a sequence of functions f and goes for
-    one callable f; f None has none.  One point, shape (), gives a Python
-    scalar.
+    The first axis of _values stays for a sequence of functions f and goes
+    for one callable f; f None has none.  One point, shape (), with no
+    leading axis gives a Python scalar.
     """
     values = np.asarray(values)[0] if callable(f) else np.asarray(values)
     out = values.reshape(values.shape[:-1] + tuple(shape))

@@ -273,7 +273,7 @@ def kernel_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationRepo
         gam = line_gamma(rs)
         n = grid_n or 64
         xs, ts = np.array([-2.0, -0.6, 0.7, 1.8]), (-1.5, -0.5, 0.8, 2.0)
-        averaged = V_k_num(rs, [lambda y, t=t: np.exp(np.asarray(y) * t) for t in ts], xs, n=n)
+        averaged = V_k_num(rs, lambda y: np.exp(np.multiply.outer(ts, y)), xs, n=n)
         errors = [_rel(v, kernel_1d(gam, xs, t)) for v, t in zip(averaged, ts)]
         report.add(
             "averaged-exponential",
@@ -337,10 +337,8 @@ def transform_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
     if d == 1:
         gam = line_gamma(rs)
         f = PolyGauss.create([1, 1, Fraction(1, 2)])
-        nodes = plan.space_plain.nodes
-        tv = tV_k_num(rs, f, nodes, n=100)
         ts = np.linspace(-3.0, 3.0, 13)
-        via_dual = classical_fourier_many(lambda _: tv, ts, plan)
+        via_dual = classical_fourier_many(lambda p: tV_k_num(rs, f, p, n=100), ts, plan)
         direct = dunkl_transform_many(rs, f, ts, plan)
         report.add(
             "factorization",
@@ -379,45 +377,25 @@ def inversion_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> VerificationR
 
     path_p = inv_V_via_P(rs, fs, xs, plan)
     if integer:
-        path_q = inv_V_via_Q(rs, fs, xs)
-        report.add(
-            "inverse-paths-agree",
-            "multiplier route and difference-operator route to V^(-1) agree",
-            worst([_rel(q, p) for p, q in zip(path_p, path_q)]),
-            1e-5,
-        )
+        report.add("inverse-paths-agree", "multiplier route and difference-operator route to V^(-1) agree",
+                   worst([_rel(q, p) for p, q in zip(path_p, inv_V_via_Q(rs, fs, xs))]), 1e-5)
 
-    if integer:
-        handles = [lambda pts, f=f: inv_V_via_Q(rs, f, pts) for f in fs]
-    else:
-        handles = [lambda pts, f=f: inv_V_via_P(rs, f, pts, plan) for f in fs]
-    backs = np.abs(V_k_num(rs, handles, xs, n=64) - [f(xs) for f in fs])
-    report.add(
-        "forward-roundtrip",
-        "V applied after V^(-1) returns the input on Hermite-type functions",
-        worst(backs),
-        1e-5,
-    )
-
-    report.add(
-        "dual-inverse-paths-agree",
-        "averaged-multiplier route and transform route to the dual inverse agree",
-        _rel(inv_tV_via_VkP(rs, fs, xs, plan), dual_inverse_via_transform(rs, fs, xs, plan)),
-        1e-5,
-    )
+    # each composition takes the inner operator of every function as one function of its points
+    inverse = (lambda p: inv_V_via_Q(rs, fs, p)) if integer else (lambda p: inv_V_via_P(rs, fs, p, plan))
+    backs = np.abs(V_k_num(rs, inverse, xs, n=64) - [f(xs) for f in fs])
+    report.add("forward-roundtrip", "V applied after V^(-1) returns the input on Hermite-type functions",
+               worst(backs), 1e-5)
+    report.add("dual-inverse-paths-agree", "averaged-multiplier route and transform route to the dual inverse agree",
+               _rel(inv_tV_via_VkP(rs, fs, xs, plan), dual_inverse_via_transform(rs, fs, xs, plan)), 1e-5)
 
     xs2 = np.array([-1.6, -0.4, 0.3, 1.1])
-    handles = [lambda pts, f=f: dual_inverse_via_transform(rs, f, pts, plan) for f in fs[:3]]
     try:
-        backs = tV_k_num(rs, handles, xs2, n=100, x_max=12.0) - [f(xs2) for f in fs[:3]]
+        inverse = lambda p: dual_inverse_via_transform(rs, fs[:3], p, plan)
+        backs = tV_k_num(rs, inverse, xs2, n=100, x_max=12.0) - [f(xs2) for f in fs[:3]]
     except AccuracyError:  # an inverse that is not finite, or not negligible, at the cutoff
         backs = np.nan
-    report.add(
-        "dual-roundtrip",
-        "the dual intertwiner applied after its inverse returns the input",
-        worst(np.abs(backs)),
-        1e-5,
-    )
+    report.add("dual-roundtrip", "the dual intertwiner applied after its inverse returns the input",
+               worst(np.abs(backs)), 1e-5)
     return report
 
 
@@ -550,14 +528,14 @@ def translation_suite(rs: RootSystem, grid_n=None, seed: int = 0) -> Verificatio
     f0 = gaussian()
     g = lambda y: np.exp(-np.asarray(y, dtype=float) ** 2 / 4.0)
     nodes, weights = plan.space.nodes, plan.space.weights
-    conv = convolve_many(rs, f0, g, nodes, plan)
     ts = np.array([0.0, 0.4, 1.1, -1.6, 2.0])
     # the bump's transform comes from its support-fitted grid, which resolves a narrow mollifier
     phi = BumpProfile.create(rs, 0.5)
     on_freq, on_ts = np.split(phi.transform_at(np.concatenate([plan.freq.nodes, ts])), [len(plan.freq.nodes)])
-    conv_b = spectral_convolution(rs, on_freq, g(nodes), nodes, plan)
-    # every transform at ts in one call: both convolutions, f0 and g
-    t_conv, t_f0, t_g, t_conv_b = dunkl_transform_many(rs, [lambda _: conv, f0, g, lambda _: conv_b], ts, plan)
+    # every transform at ts in one call: both convolutions, as functions of their points, f0 and g
+    conv = lambda p: convolve_many(rs, f0, g, p, plan)
+    conv_b = lambda p: spectral_convolution(rs, on_freq, g, p, plan)
+    t_conv, t_f0, t_g, t_conv_b = dunkl_transform_many(rs, [conv, f0, g, conv_b], ts, plan)
     report.add(
         "convolution-transform-law",
         "the transform carries weighted convolution to a pointwise product",

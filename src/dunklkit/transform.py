@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AccuracyWarning, InvalidArgumentError, UnsupportedCaseError
 from .kernel import _SERIES_RADIUS, bessel_j_normalized
 from .rootsys import (RootSystem, _functions, _gauss_rule, _half_line_rule, _paired, _points, _shaped,
-                      _tensor_rule, mehta_constant)
+                      _tensor_rule, _values, mehta_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +158,9 @@ def _refuse_growth(f, op: str):
 
 
 def _samples(f, nodes, op: str):
-    """The values at nodes of f, (N,), or of a list or tuple of k functions, (k, N)."""
+    """The values at nodes of f by the call rule (rootsys._values), (..., N), of a list or tuple of k, (k, ..., N)."""
     _refuse_growth(f, op)
-    return np.asarray(f(nodes)) if callable(f) else np.array([h(nodes) for h in f])
+    return _shaped(_values(f, nodes, op), (len(nodes),), f)
 
 
 def _require_integrable(f: SampledFunction, op: str, dimension: int):
@@ -177,10 +177,11 @@ def _one_function(f, op: str):
 
 
 def _one_value(op: str, value):
-    """The value of the scalar form op, from its _many form: refused unless
-    one point gave it, which the return rule makes a Python scalar."""
+    """The value of the scalar form op, from its _many form: refused unless one function
+    without leading axes gave it at one point, which the return rule makes a Python scalar."""
     if isinstance(value, np.ndarray):
-        raise InvalidArgumentError(f"{op} takes one point; {op}_many takes an array of points")
+        raise InvalidArgumentError(f"{op} takes one function at one point; got values of shape {value.shape}, "
+                                   f"which {op}_many serves")
     return value
 
 
@@ -421,12 +422,11 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
 
 
 def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan):
-    """Weighted integral of f against K(x, -i y) at the points ys.  f is one function,
-    or a list or tuple of k (rootsys._functions), which add a leading axis of length
-    k; each is sampled once on the plan's space grid, and all go through one contraction,
-    which holds k times the temporaries of one function."""
-    fvals = _samples(f, plan.space.nodes, "dunkl_transform_many")
-    return _contract(plan, "space", _axis_gammas(rs, plan), fvals, ys, -1j)
+    """Weighted integral of f against K(x, -i y) at the points ys.  f is taken by the call rule
+    (rootsys._values), each function called once on the plan's space grid, and all go through
+    one contraction, which holds k times the temporaries of one function for k."""
+    return _contract(plan, "space", _axis_gammas(rs, plan), _samples(f, plan.space.nodes, "dunkl_transform_many"),
+                     ys, -1j)
 
 
 def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) -> complex:
@@ -444,7 +444,7 @@ def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan, b
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:
     """Inverse transform at the one point x; h must decay (schwartz or compact)."""
     _require_integrable(h, "dunkl_inverse", rs.dimension)
-    return _one_value("dunkl_inverse", dunkl_inverse_many(rs, np.asarray(h.evaluator(plan.freq.nodes)), x, plan))
+    return _one_value("dunkl_inverse", dunkl_inverse_many(rs, _samples(h, plan.freq.nodes, "dunkl_inverse"), x, plan))
 
 
 def dunkl_roundtrip_many(rs: RootSystem, f, xs, plan: TransformPlan):

@@ -290,14 +290,16 @@ SCALAR_TWINS = {
 }
 
 
-@pytest.mark.parametrize("sequence", [list, tuple])
+@pytest.mark.parametrize("sequence", [list, tuple, "rows"])
 @pytest.mark.parametrize("twin", SCALAR_TWINS)
 def test_a_scalar_form_refuses_a_sequence_of_functions_by_name(twin, sequence, rs_one, plan_one):
-    samples = []  # refused before its _many form samples anything
+    samples = []  # a list or tuple is refused before its _many form samples anything
     f = sampled(lambda x: samples.append(x) or np.exp(-np.asarray(x) ** 2), DecayClass.schwartz())
+    # a function whose values have two rows is refused as one function too, once it has given them
+    rows = sampled(lambda x: np.stack([f(x), f(x)]), DecayClass.schwartz())
     with pytest.raises(InvalidArgumentError, match=f"{twin} takes one function"):
-        SCALAR_TWINS[twin](rs_one, sequence([f]), plan_one)
-    assert samples == []
+        SCALAR_TWINS[twin](rs_one, rows if sequence == "rows" else sequence([f]), plan_one)
+    assert (samples == []) == (sequence != "rows")
 
 
 def test_convolve_many_takes_one_callable_g(rs_one, plan_one):
@@ -386,6 +388,8 @@ def _sequence_calls(rs, plan):
     A route that evaluates each function on its own gives bitwise rows.  A
     contraction takes k functions as one matrix, and BLAS sums a matrix and
     a vector product in different orders, so its rows agree to rounding.
+    Every route but those of CLOSED_FAMILY_ROUTES also takes one callable
+    whose values have k rows, as it takes the list of k.
     """
     from dunklkit.intertwine1d import eta_pairing, inv_V_via_Q, z_pairing
 
@@ -411,7 +415,7 @@ def _sequence_calls(rs, plan):
             "V_k_num": (lambda f, x: V_k_num(rs, f, x), True),
             "tV_k_num": (lambda f, x: tV_k_num(rs, f, x), True),
             "inv_V_via_P": (lambda f, x: inv_V_via_P(rs, f, x, plan), False),
-            "inv_tV_via_VkP": (lambda f, x: inv_tV_via_VkP(rs, f, x, plan), True),
+            "inv_tV_via_VkP": (lambda f, x: inv_tV_via_VkP(rs, f, x, plan), False),
             "inv_V_via_Q": (lambda f, x: inv_V_via_Q(rs, f, x), True),
             "translate_measure": (lambda f, x: translate_measure(rs, f, x, 0.4, plan=plan), False),
             "translate_measure Q": (lambda f, x: translate_measure(rs, f, x, 0.4, method="Q", plan=plan), True),
@@ -423,6 +427,9 @@ def _sequence_calls(rs, plan):
         })
     return calls
 
+
+# routes that take only PolyGauss and SmoothBump functions, or choose their route by it
+CLOSED_FAMILY_ROUTES = {"inv_V_via_Q", "translate_measure Q", "eta_pairing", "z_pairing"}
 
 # on a product, points onto which the first axis is folded, and a plan grid,
 # onto which every axis is folded in turn (sum factorization)
@@ -451,6 +458,8 @@ def test_a_sequence_of_functions_adds_a_leading_axis(system, name, function_rule
             [batch, -0.5 * batch], axis=-1)
     values = call(fs, batch)
     assert values.shape == (3,) + (batch.shape if system == "line" else batch.shape[:-1])
+    if name not in CLOSED_FAMILY_ROUTES:  # one callable with 3 rows gives the values of the list of 3, bitwise
+        assert call(lambda p: np.stack([f(p) for f in fs]), batch).tobytes() == values.tobytes()
     assert call(tuple(fs), one).shape == (3,)
     assert call(fs[:1], one).shape == (1,)
     for f, row in zip(fs, values):
@@ -460,6 +469,48 @@ def test_a_sequence_of_functions_adds_a_leading_axis(system, name, function_rule
             np.testing.assert_array_equal(row, single)
         else:  # to rounding
             assert np.max(np.abs(row - single)) <= 4e-15 * np.max(np.abs(single))
+
+
+# the engine that calls the functions of each route, which a refusal of their values names
+CALLED_BY = {"dunkl_transform_many": "dunkl_transform_many", "classical_fourier_many": "classical_fourier_many",
+             "multiplier_P_many": "classical_fourier_many", "dunkl_roundtrip_many": "dunkl_transform_many",
+             "translate_spectral_many": "dunkl_transform_many",
+             "translate_spectral_many many bases": "dunkl_transform_many", "convolve_many": "dunkl_transform_many",
+             "V_k_num": "V_k_num", "tV_k_num": "tV_k_num", "inv_V_via_P": "tV_k_num",
+             "inv_tV_via_VkP": "classical_fourier_many", "translate_measure": "tV_k_num",
+             "dual_via_transform": "dunkl_transform_many", "dual_inverse_via_transform": "classical_fourier_many"}
+MALFORMED = {
+    "five values": (lambda p: np.zeros(5), r"got shape \(5,\)"),
+    "a scalar": (lambda p: 1.0, r"got shape \(\)"),
+    "a column": (lambda p: np.reshape(p, (-1, 1)), r"got shape \(\d+, 1\)"),
+    "rows that disagree": ([gaussian(), lambda p: np.stack([gaussian()(p)] * 2)], r"leading axes must agree"),
+}
+
+
+@pytest.mark.parametrize("form", MALFORMED)
+@pytest.mark.parametrize("name", CALLED_BY)
+def test_values_off_the_call_rule_are_refused_by_the_engine_that_calls_the_function(name, form, function_rule_cases):
+    call, _ = function_rule_cases["line"][name]
+    f, got = MALFORMED[form]
+    with pytest.raises(InvalidArgumentError, match=f"^{CALLED_BY[name]} .*{got}"):
+        call(f, np.array([0.5, -1.2, 0.3]))
+
+
+# more callers of a function: (the engine named, call of f)
+OTHER_CALLERS = {
+    "V_k_num on a product": ("V_k_num", lambda f: V_k_num(axis_product(1, 2), f, [[0.5, -1.2], [0.3, 0.1]], n=8)),
+    "tV_k_num on a product": ("tV_k_num", lambda f: tV_k_num(axis_product(1, 2), f, [[0.5, -1.2], [0.3, 0.1]], n=8)),
+    "convolve_many's g": ("dunkl_transform_many", lambda f: convolve_many(rank_one(1), gaussian(), f, [0.5])),
+    "inv_V_via_P at gamma 0": ("an inverse path", lambda f: inv_V_via_P(rank_one(0), f, [0.5, 1.0])),
+    "inv_tV_via_VkP at gamma 0": ("an inverse path", lambda f: inv_tV_via_VkP(rank_one(0), f, [0.5, 1.0])),
+}
+
+
+@pytest.mark.parametrize("caller", OTHER_CALLERS)
+def test_values_off_the_call_rule_are_refused_by_every_other_caller(caller):
+    engine, call = OTHER_CALLERS[caller]
+    with pytest.raises(InvalidArgumentError, match=rf"^{engine} .*got shape \(5,\)"):
+        call(lambda p: np.zeros(5))
 
 
 def _points_refused(rs, plan):
