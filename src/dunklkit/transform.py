@@ -215,8 +215,8 @@ def check_decay(f: SampledFunction, dimension: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # plans and constants
 
-# A plan keeps the kernel halves of this many target sets besides its own grids, the
-# most recently used: a check reuses a target set (its quadrature points, its samples).
+# A plan keeps the kernel halves of this many entries, the most recently used, its own grids'
+# among them: a check reuses a target set (a plan grid, its quadrature points, its samples).
 _TARGET_KERNELS = 16
 _PLAN_GRIDS = ("space", "space_plain", "freq")
 # Half-width of every plan's space grids.
@@ -259,26 +259,19 @@ class TransformPlan:
         """(E, O, back, sign): the _kernel_halves on the positive nodes of axis j
         of a plan grid and the distinct |y| of the targets, the index of each
         |y| and sgn y: K(+-x, side y) = E[:, back] +- side sign O[:, back].
-        Halves on an axis of a plan grid live as long as the plan, and targets whose
-        distinct |y| are the positive nodes of another grid's axis take its pair; of
-        the rest the _TARGET_KERNELS most recently used are kept.  All are read-only."""
+        The _TARGET_KERNELS most recently used entries are kept, whatever their
+        targets, and all are read-only."""
         targets = np.ascontiguousarray(np.atleast_1d(targets), dtype=float)
         key = (grid, j, gamma, targets.tobytes())
-        halves = built = self.kernels.pop(key, None)
-        if built is None:
+        halves = self.kernels.pop(key, None)
+        if halves is None:
             mags, back = np.unique(np.abs(targets), return_inverse=True)
-            grids = [x for x in (self.axis_nodes(g, j) for g in _PLAN_GRIDS)
-                     if x.tobytes() != key[3] and np.array_equal(np.split(x, 2)[1], mags)]
-            pair = (self.axis_kernel(grid, j, gamma, grids[0])[:2] if grids
-                    else _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags))
-            halves = pair + (back, np.sign(targets))
+            halves = _kernel_halves(gamma, np.split(self.axis_nodes(grid, j), 2)[1], mags) + (back, np.sign(targets))
             for part in halves:
                 part.flags.writeable = False
         self.kernels[key] = halves
-        if built is None:
-            own = {(i, self.axis_nodes(g, i).tobytes()) for g in _PLAN_GRIDS for i in range(self.rs.dimension)}
-            for stale in [k for k in self.kernels if (k[1], k[3]) not in own][:-_TARGET_KERNELS]:
-                del self.kernels[stale]
+        if len(self.kernels) > _TARGET_KERNELS:
+            del self.kernels[next(iter(self.kernels))]
         return halves
 
 
@@ -383,21 +376,21 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
     onto the points and the rest column by column.  gamma 0 gives the plain
     Fourier kernel exp(side x y).
     base, points broadcast against ys, multiplies the kernel at each target
-    by prod_j K(x_j, i base_j) of its base point; one base point multiplies f.
+    by prod_j K(x_j, i base_j) of its base point; one base point multiplies f,
+    and several gather per pair the halves of the base points and targets as given.
     """
     d = len(gammas)
     pts, shape = _points(ys, d, float)
     factors = None
-    if base is not None:  # K(+-x_j, i base_j) = a +- i b, on the base points as given
-        pb = _points(base, d, float)
-        _, pts, shape = _paired(pb, (pts, shape))
-        kb = [_columns(*plan.axis_kernel(grid, j, gam, pb[0][:, j]), 1j) for j, gam in enumerate(gammas)]
-        if len(pb[0]) == 1:  # one base point multiplies f, mirrored onto the whole axis
+    if base is not None:  # K(+-x_j, i base_j) = a +- i b; at, pair: the base point and the target of each pair
+        pb, sb = _points(base, d, float)
+        at, pair, shape = _paired((np.arange(len(pb))[:, None], sb), (np.arange(len(pts))[:, None], shape))
+        kb = [_columns(*plan.axis_kernel(grid, j, gam, pb[:, j]), 1j) for j, gam in enumerate(gammas)]
+        if len(pb) == 1:  # one base point multiplies f, mirrored onto the whole axis
             full = [np.concatenate([(a - 1j * b)[::-1, 0], a[:, 0] + 1j * b[:, 0]]) for a, b in kb]
             fvals = fvals * functools.reduce(np.multiply.outer, full).reshape(-1)
         else:  # one column per pair, that of its base point
-            pair = np.broadcast_to(np.arange(len(pb[0])).reshape(pb[1]), shape).reshape(-1)
-            factors = [(a[:, pair], b[:, pair]) for a, b in kb]
+            factors = [(a[:, at[:, 0]], b[:, at[:, 0]]) for a, b in kb]
     fw = getattr(plan, grid).weights * fvals
     lead = fw.shape[:-1]  # the function axis, which trails the grid axes of fw below
     fw = fw.reshape(-1, fw.shape[-1]).T.reshape([len(plan.axis_nodes(grid, j)) for j in range(d)] + [-1])
@@ -410,15 +403,15 @@ def _contract(plan: TransformPlan, grid: str, gammas, fvals, ys, side: complex, 
         out, cols = fw, []
     elif factors is None:
         out, cols = _fold(fw, side, *halves[0]), [_columns(*h, side) for h in halves[1:]]
-    else:  # the columns times the factors; the first axis folds them as one column per point
-        cols = [_columns(*h, side) for h in halves]
+    else:  # the columns times the factors; the first axis folds them as one column per pair
+        cols = [_columns(E, O, back[pair[:, 0]], sign[pair[:, 0]], side) for E, O, back, sign in halves]
         cols = [(a * fa - b * fb, a * fb + b * fa) for (a, b), (fa, fb) in zip(cols, factors)]
-        out, cols = _fold(fw, 1j, *cols[0], np.arange(len(pts)), np.ones(len(pts))), cols[1:]
+        out, cols = _fold(fw, 1j, *cols[0], np.arange(len(pair)), np.ones(len(pair))), cols[1:]
     for a, b in cols:
         h = out.shape[1] // 2
         pos, neg = out[:, h:], out[:, h - 1::-1]
         out = np.einsum("ma...,am->m...", pos + neg, a) + 1j * np.einsum("ma...,am->m...", pos - neg, b)
-    return _shaped(out.reshape(len(pts), -1).T.reshape(lead + (len(pts),)), shape, None)
+    return _shaped(out.reshape(-1, out.shape[-1]).T.reshape(lead + (-1,)), shape, None)
 
 
 def dunkl_transform_many(rs: RootSystem, f, ys, plan: TransformPlan):
@@ -436,9 +429,14 @@ def dunkl_transform(rs: RootSystem, f: SampledFunction, y, plan: TransformPlan) 
 
 
 def dunkl_inverse_many(rs: RootSystem, hvals_on_freq, xs, plan: TransformPlan, base=None):
-    """Inverse transform at xs of values on the frequency nodes, (N,) or (k, N) for k
-    functions, times K(t, i base) for base points broadcast against xs: translation by base."""
-    return inverse_constant(rs) * _contract(plan, "freq", _axis_gammas(rs, plan), hvals_on_freq, xs, 1j, base)
+    """Inverse transform at xs of values on the N frequency nodes, (..., N) with any leading
+    axes (k functions, say), times K(t, i base) for base points broadcast against xs:
+    translation by base.  Values of any other shape are refused."""
+    gammas, n = _axis_gammas(rs, plan), len(plan.freq.nodes)
+    if np.shape(hvals_on_freq)[-1:] != (n,):
+        raise InvalidArgumentError(f"dunkl_inverse_many takes values on the {n} frequency nodes along their "
+                                   f"last axis; got shape {np.shape(hvals_on_freq)}")
+    return inverse_constant(rs) * _contract(plan, "freq", gammas, hvals_on_freq, xs, 1j, base)
 
 
 def dunkl_inverse(rs: RootSystem, h: SampledFunction, x, plan: TransformPlan) -> complex:

@@ -639,12 +639,18 @@ OUT_OF_DOMAIN = {
     # |lam| would serve only real frequencies
     "fourier_bessel lam=0.5j": lambda: fourier_bessel(np.exp, 0.5j, 0.0),
     "fourier_bessel complex array": lambda: fourier_bessel(np.exp, np.array([0.5, 1.0 + 0.0j]), 0.0),
+    # values that do not fit the 320 frequency nodes of the default plan, the first once taken as constant
+    **{f"dunkl_inverse_many values {np.shape(v)}": lambda v=v: dunkl_inverse_many(
+        rank_one(1), v, [0.5], default_line_plan(rank_one(1))) for v in (1.0, np.zeros(5), np.zeros((320, 1)),
+                                                                        np.zeros((2, 319)))},
 }
 
 
 @pytest.mark.parametrize("call", OUT_OF_DOMAIN)
 def test_a_quadrature_size_or_radius_outside_the_domain_is_refused_by_name(call):
-    with pytest.raises(InvalidArgumentError):
+    shape = call.partition("dunkl_inverse_many values ")[2]
+    named = rf"^dunkl_inverse_many .*320 .*got shape {re.escape(shape)}$" if shape else None
+    with pytest.raises(InvalidArgumentError, match=named):
         OUT_OF_DOMAIN[call]()
 
 
@@ -864,40 +870,38 @@ def test_product_forward_transform_evaluates_axis_matrices_only(count_halves, rs
 
 
 def test_target_kernel_cache_is_bounded(count_halves, rs_one):
+    # one bound for every entry, the plan's own grids among them: the most recently used are kept
     plan = make_plan(rs_one, grid_n=16)
     f = PolyGauss.monomial(1)
+    calls = [lambda y: dunkl_transform_many(rs_one, f, y, plan), lambda y: classical_fourier_many(f, y, plan)]
 
     def targets(shift):
         return np.array([0.1 * shift, 1.0])
 
-    def kept():
-        return [key for key in plan.kernels if key not in _own_keys(plan)]
-
-    # Dunkl halves and plain (multiplicity 0) halves on other targets share one bound
-    for shift in range(_TARGET_KERNELS):
-        dunkl_transform_many(rs_one, f, targets(shift), plan)
-        classical_fourier_many(f, targets(shift), plan)
-    assert len(kept()) == _TARGET_KERNELS
-    assert sum(key[2] == 0.0 for key in kept()) == _TARGET_KERNELS // 2
-    plain = plan.axis_kernel("space_plain", 0, 0.0, targets(_TARGET_KERNELS - 1))
-    assert plan.axis_kernel("space_plain", 0, 0.0, targets(_TARGET_KERNELS - 1)) is plain
-    assert ("space_plain", 0, 0.0, targets(0).tobytes()) not in plan.kernels
+    own = ("space", 0, 1.0, plan.freq.nodes.tobytes())
+    first = plan.axis_kernel(*own[:3], plan.freq.nodes)
+    # Dunkl halves and plain (multiplicity 0) halves on other targets share the bound with it
+    for shift in range(_TARGET_KERNELS - 1):
+        calls[shift % 2](targets(shift))
+    assert len(plan.kernels) == _TARGET_KERNELS and next(iter(plan.kernels)) == own
+    assert sum(key[2] == 0.0 for key in plan.kernels) == (_TARGET_KERNELS - 1) // 2
+    # a hit makes an entry the most recent, and builds nothing
     builds = len(count_halves)
-    # the most recent Dunkl target set is kept; the oldest was dropped and is built again
-    dunkl_transform_many(rs_one, f, targets(_TARGET_KERNELS - 1), plan)
-    assert len(count_halves) == builds
-    dunkl_transform_many(rs_one, f, targets(0), plan)
-    assert len(count_halves) == builds + 1
-    # plain halves of multiplier_P on other targets are kept too, and push the rest out,
-    # while the halves on the plan's own grids stay
-    own = _own_keys(plan)
-    for shift in range(_TARGET_KERNELS):
-        multiplier_P_many(rs_one, f, targets(shift), plan)
-    assert all(key[:3] == ("freq", 0, 0.0) for key in kept())
-    assert set(own) <= set(_own_keys(plan))
-    assert np.array_equal(multiplier_P_many(rs_one, f, targets(0), plan),
-                          multiplier_P_many(rs_one, f, targets(0), make_plan(rs_one, grid_n=16)))
-    assert len(kept()) == _TARGET_KERNELS
+    assert plan.axis_kernel(*own[:3], plan.freq.nodes) is first and list(plan.kernels)[-1] == own
+    # the 17th distinct set evicts the least recently used, no longer the own grid's entry
+    calls[1](targets(_TARGET_KERNELS - 1))
+    assert len(plan.kernels) == _TARGET_KERNELS and len(count_halves) == builds + 1
+    assert ("space", 0, 1.0, targets(0).tobytes()) not in plan.kernels and own in plan.kernels
+    # the own grid's entry is pinned by no rule: 16 newer sets evict it
+    for shift in range(_TARGET_KERNELS, 2 * _TARGET_KERNELS):
+        calls[shift % 2](targets(shift))
+    assert own not in plan.kernels and len(plan.kernels) == _TARGET_KERNELS
+    # a rebuilt pair is bitwise the original, and so is the transform it serves
+    again = plan.axis_kernel(*own[:3], plan.freq.nodes)
+    assert again is not first and [part.tobytes() for part in again] == [part.tobytes() for part in first]
+    assert len(count_halves) == builds + 2 + _TARGET_KERNELS
+    assert np.array_equal(dunkl_transform_many(rs_one, f, targets(0), plan),
+                          dunkl_transform_many(rs_one, f, targets(0), make_plan(rs_one, grid_n=16)))
 
 
 def test_kept_kernel_halves_are_read_only(rs_one):
@@ -916,8 +920,13 @@ def test_kept_kernel_halves_are_read_only(rs_one):
     assert not any(part.flags.writeable for halves in plan.kernels.values() for part in halves)
 
 
-def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_halves):
-    config = SuiteConfig("translation", parse_preset("z2:1"), grid_n=48)
+# the cases of the line-spectral workload and the pointwise case on a line plan
+@pytest.mark.parametrize("suite, preset, grid_n", [
+    ("translation", "z2:1", 48), ("translation", "z2:7/3", 48), ("inversion", "z2:1", 96),
+    ("approx-identity", "z2:7/3", 96), ("distributions", "z2:1", None)])
+def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_halves, suite, preset, grid_n):
+    # each plan's working set fits the _TARGET_KERNELS most recently used entries
+    config = SuiteConfig(suite, parse_preset(preset), grid_n=grid_n)
     first = run_suite(config)
     count_halves.clear()
     second = run_suite(config)
@@ -927,21 +936,18 @@ def test_a_repeated_line_suite_reuses_its_explicit_grid_plan(count_halves):
 
 
 def test_a_target_set_on_a_plan_grid_takes_that_grids_halves():
-    # convolution-commutes translates onto the space grid at three base points:
-    # 288 targets whose 48 distinct |y| are the grid's positive nodes, so the
-    # inverse onto them takes the space grid's own pair, with its own back and sign
+    # convolution-commutes translates onto the space grid at three base points: the
+    # contraction takes the halves of the 96 grid nodes as given and gathers one
+    # column per pair, so no entry holds the 288 broadcast targets
     rs = parse_preset("z2:1")
     run_suite(SuiteConfig("translation", rs, grid_n=48))
     plan = default_line_plan(rs, 48)
-    own = plan.kernels[("freq", 0, 1.0, plan.space.nodes.tobytes())]
-    shared = [halves for key, halves in plan.kernels.items() if key not in _own_keys(plan) and halves[0] is own[0]]
-    assert [(len(back), O is own[1]) for E, O, back, sign in shared] == [(288, True)]
-    # the halves on the magnitudes of a plan grid are held once
-    owns = {key: plan.kernels[key] for key in _own_keys(plan)}
-    for key, (E, O, back, sign) in plan.kernels.items():
-        twins = [halves for mine, halves in owns.items() if mine[:3] == key[:3] and halves[0].shape == E.shape
-                 and np.array_equal(halves[0], E) and np.array_equal(halves[1], O)]
-        assert all(halves[0] is E and halves[1] is O for halves in twins), key[:3]
+    assert all(len(key[3]) // 8 != 288 for key in plan.kernels)
+    # and the space grid's pair is held once
+    E, O = plan.kernels[("freq", 0, 1.0, plan.space.nodes.tobytes())][:2]
+    held = [key for key, halves in plan.kernels.items()
+            if halves[0].shape == E.shape and np.array_equal(halves[0], E) and np.array_equal(halves[1], O)]
+    assert held == [("freq", 0, 1.0, plan.space.nodes.tobytes())]
 
 
 def test_a_default_plan_holds_halves_not_complex_matrices():
